@@ -171,15 +171,13 @@ def conditional_factorization(measure: ExponentMeasure, part: "Bipartition") -> 
     """
     if part.d != measure.d:
         raise ValueError(f"bipartition covers {part.d} coordinates, measure has {measure.d}")
+    masks = measure.face_masks
+    straddling = ((masks & part.a_mask) != 0) & ((masks & part.c_mask) != 0)
+    offending = (measure.omega_matrix > 0.0) & straddling[:, None]  # (J, d)
     verdicts = []
     for k in range(measure.d):
-        ok, witness = True, None
-        for j, fmask in enumerate(measure.face_masks):
-            if not fmask >> k & 1:
-                continue
-            if fmask & part.a_mask and fmask & part.c_mask:
-                ok, witness = False, j
-                break
-        verdicts.append(CoordinateVerdict(k=k, ok=ok, witness=witness))
+        hits = np.flatnonzero(offending[:, k])
+        verdicts.append(CoordinateVerdict(k=k, ok=not hits.size,
+                                          witness=int(hits[0]) if hits.size else None))
     return FactorizationVerdict(holds=all(v.ok for v in verdicts),
                                 by_coordinate=tuple(verdicts))

@@ -34,7 +34,7 @@ def chi_exact(measure: ExponentMeasure, i: int, j: int) -> float:
     pair = marginalize(measure, [i, j])
     # no atom charging both coordinates means chi is 0 exactly; skipping the
     # subtraction avoids reporting its roundoff as spurious dependence
-    if not any(atom.omega[0] > 0.0 and atom.omega[1] > 0.0 for atom in pair.atoms):
+    if not np.any(pair.face_masks == 0b11):
         return 0.0
     value = 2.0 - exponent_function(pair, np.ones(2))
     return float(min(1.0, max(0.0, value)))

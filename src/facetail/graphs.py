@@ -64,13 +64,9 @@ def build_graph(measure: ExponentMeasure) -> ExtremalGraph:
     which for a standardized measure is the same as a positive pairwise
     tail dependence coefficient.
     """
-    edges: set[tuple[int, int]] = set()
-    for face in measure.faces:
-        members = sorted(face)
-        for a_idx, i in enumerate(members):
-            for j in members[a_idx + 1:]:
-                edges.add((i, j))
-    return _assemble(measure.d, edges)
+    support = (measure.omega_matrix > 0.0).astype(np.int64)
+    i, j = np.nonzero(np.triu(support.T @ support, k=1))  # an atom charges both i < j
+    return _assemble(measure.d, set(zip(i.tolist(), j.tolist())))
 
 
 def finest_partition(measure: ExponentMeasure) -> tuple[frozenset[int], ...]:

@@ -19,6 +19,7 @@ bug.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -28,6 +29,7 @@ import numpy as np
 from .conditional import conditional_factorization
 from .measure import (
     ExponentMeasure,
+    _running_sum,
     exponent_function_extended,
     exponent_function_grid,
     marginalize,
@@ -75,10 +77,9 @@ def check_support(measure: ExponentMeasure, part: Bipartition) -> tuple[bool, in
     atom whose face meets both blocks, or None.
     """
     check_dimension(part, measure.d)
-    for j, fmask in enumerate(measure.face_masks):
-        if fmask & part.a_mask and fmask & part.c_mask:
-            return False, j
-    return True, None
+    masks = measure.face_masks
+    straddling = np.flatnonzero(((masks & part.a_mask) != 0) & ((masks & part.c_mask) != 0))
+    return (False, int(straddling[0])) if straddling.size else (True, None)
 
 
 @dataclass(frozen=True)
@@ -135,15 +136,9 @@ def check_additivity(
 
 def _split_exponents(measure, part, grid):
     # one pass shared by the additivity and df checks
-    lam = exponent_function_grid(measure, grid)
-    lam_a = _restricted_exponents(measure, part.a_sorted, grid)
-    lam_c = _restricted_exponents(measure, part.c_sorted, grid)
-    return lam, lam_a + lam_c
-
-
-def _restricted_exponents(measure, coords, grid):
-    sub = marginalize(measure, coords)
-    return exponent_function_grid(sub, grid[:, list(coords)])
+    lam_a, lam_c = (exponent_function_grid(marginalize(measure, block), grid[:, list(block)])
+                    for block in (part.a_sorted, part.c_sorted))
+    return exponent_function_grid(measure, grid), lam_a + lam_c
 
 
 def check_df_factorization(
@@ -171,17 +166,11 @@ def check_df_factorization(
 
 
 def _df_difference(measure, part, x):
-    import math
-
     x = np.asarray(x, dtype=float)
-    lam = exponent_function_extended(measure, x)
-    lam_a = exponent_function_extended(
-        marginalize(measure, part.a_sorted), x[list(part.a_sorted)])
-    lam_c = exponent_function_extended(
-        marginalize(measure, part.c_sorted), x[list(part.c_sorted)])
-    full = math.exp(-lam)
-    split = math.exp(-lam_a) * math.exp(-lam_c)
-    return abs(full - split) / (1.0 + full)
+    lam_a, lam_c = (exponent_function_extended(marginalize(measure, block), x[list(block)])
+                    for block in (part.a_sorted, part.c_sorted))
+    full = math.exp(-exponent_function_extended(measure, x))
+    return abs(full - math.exp(-lam_a) * math.exp(-lam_c)) / (1.0 + full)
 
 
 def check_mixed_margins(
@@ -201,7 +190,7 @@ def check_mixed_margins(
     """
     check_dimension(part, measure.d)
     d = measure.d
-    masks = measure.face_masks
+    masks = measure.face_masks.tolist()
     mode = "full" if d <= enum_cap else "pairwise"
     sizes = range(2, d + 1) if mode == "full" else (2,)
     for size in sizes:
@@ -231,8 +220,6 @@ def joint_exceedance_mass(measure: ExponentMeasure, part: Bipartition, x) -> flo
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (measure.d,) or not np.all(x > 0.0):
         raise ValueError("need a strictly positive point of length d")
-    if not measure.atoms:
-        return 0.0
     ratios = measure.omega_matrix / x
     max_a = ratios[:, list(part.a_sorted)].max(axis=1)
     max_c = ratios[:, list(part.c_sorted)].max(axis=1)
@@ -258,11 +245,9 @@ def face_interior_mass(measure: ExponentMeasure, coords: Iterable[int],
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     imask = sum(1 << i for i in idx)
-    total = 0.0
-    for atom, fmask in zip(measure.atoms, measure.face_masks):
-        if fmask & imask == imask:
-            total += atom.mass * float(np.min(atom.omega[idx])) / threshold
-    return total
+    inside = (measure.face_masks & imask) == imask
+    terms = measure.mass_vector[inside] * np.min(measure.omega_matrix[inside][:, idx], axis=1)
+    return _running_sum(terms / threshold)
 
 
 # ---- combined report -------------------------------------------------------
@@ -342,30 +327,20 @@ def full_report(
     if not support_ok:
         witnesses["cond_i"] = {"atom": support_witness}
 
-    if add_residuals.size and add_residuals.max() > tol:
-        cond_ii = False
-        worst = int(np.argmax(add_residuals))
-        point = grid[worst] if lam is not None else None
-        witnesses["cond_ii"] = {
-            "residual": float(add_residuals.max()),
-            **({"point": point.tolist()} if point is not None else {}),
-        }
-    else:
-        cond_ii = True
+    cond_ii = not (add_residuals.size and add_residuals.max() > tol)
+    if not cond_ii:
+        witnesses["cond_ii"] = {"residual": float(add_residuals.max())}
+        if lam is not None:
+            witnesses["cond_ii"]["point"] = grid[int(np.argmax(add_residuals))].tolist()
 
     mixed_ok, mixed_witness, mode = check_mixed_margins(measure, part, enum_cap)
     if not mixed_ok:
         witnesses["cond_iii"] = {"subset": sorted(mixed_witness), "mode": mode}
 
-    if df_diffs.size and df_diffs.max() > tol:
-        df_ok = False
-        worst = int(np.argmax(df_diffs))
-        witnesses["df"] = {
-            "difference": float(df_diffs.max()),
-            "point": grid[worst].tolist(),
-        }
-    else:
-        df_ok = True
+    df_ok = not (df_diffs.size and df_diffs.max() > tol)
+    if not df_ok:
+        witnesses["df"] = {"difference": float(df_diffs.max()),
+                           "point": grid[int(np.argmax(df_diffs))].tolist()}
 
     factorization = conditional_factorization(measure, part)
     if not factorization.holds:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -80,82 +80,96 @@ class SpectralAtom:
         return f"SpectralAtom(omega={self.omega.tolist()}, mass={self.mass})"
 
 
-@dataclass(frozen=True, eq=False)
 class ExponentMeasure:
     """Finite atomic exponent measure in dimension ``d``.
 
-    Construction canonicalizes the atom list: directions are zero-snapped
-    (see `SpectralAtom`) and atoms lying on the same ray are merged by
-    adding masses, keeping the first occurrence's direction.  Equality of
-    measures is therefore best tested with `measures_allclose`; the class
-    itself uses identity semantics.
+    Held as read-only arrays: ``omega_matrix`` (J, d), ``mass_vector`` (J,)
+    and ``face_masks`` (J,), bit i set iff coordinate i is positive, with
+    ``atoms`` and ``faces`` as views.  Construction zero-snaps directions
+    (see `SpectralAtom`) and merges each atom into the first kept atom of
+    its face whose sup-normalized direction is within ``RAY_TOL``
+    componentwise, adding its intensity ``mass * omega`` to that atom's
+    mass; kept atoms keep first-occurrence order.  Only kept atoms whose
+    normalized entries have a sum within a window are compared, so the
+    merge is O(J) for distinct directions.  A direction of the wrong length
+    is zero-padded, keeps its length in ``atoms`` and fails
+    `validate_measure`.  The class uses identity semantics; compare
+    measures with `measures_allclose`.
     """
 
-    d: int
-    atoms: tuple[SpectralAtom, ...]
+    def __init__(self, d: int, atoms: Iterable[SpectralAtom]):
+        atoms = tuple(atoms)
+        for atom in atoms:
+            if not isinstance(atom, SpectralAtom):
+                raise TypeError(f"expected SpectralAtom, got {type(atom).__name__}")
+        lengths = np.array([atom.omega.size for atom in atoms], dtype=int)
+        omega = np.zeros((len(atoms), max([int(d), *lengths.tolist()])))
+        for row, atom in zip(omega, atoms):
+            row[:atom.omega.size] = atom.omega
+        self._canonicalize(int(d), omega, [atom.mass for atom in atoms], lengths)
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "atoms", _merge_rays(self.atoms))
+    @classmethod
+    def _from_arrays(cls, d: int, omega, mass) -> "ExponentMeasure":
+        measure = cls.__new__(cls)
+        measure._canonicalize(d, omega, mass, np.full(len(omega), d))
+        return measure
 
-    # ---- cached dense views ------------------------------------------------
+    def _canonicalize(self, d, omega, mass, lengths) -> None:
+        omega = np.array(omega, dtype=float)
+        with np.errstate(invalid="ignore"):
+            omega[np.abs(omega) <= ZERO_TOL] = 0.0
+        # int64 bit masks; Python ints (object dtype) past 62 coordinates
+        dtype = np.int64 if omega.shape[1] < 63 else object
+        masks = (omega > 0.0).astype(dtype) @ np.array([1 << i for i in range(omega.shape[1])], dtype)
+        mass = np.array(mass, dtype=float)
+        keep = _merge_rays(omega, mass, masks, lengths)
+        self.d, self._lengths = d, lengths[keep]
+        self.omega_matrix, self.mass_vector, self.face_masks = omega[keep], mass[keep], masks[keep]
+        for array in (self.omega_matrix, self.mass_vector, self.face_masks):
+            array.flags.writeable = False
 
     @cached_property
-    def omega_matrix(self) -> np.ndarray:
-        """Read-only (n_atoms, d) stack of directions; rows ragged in length
-        raise, so only shape-consistent measures get a dense view."""
-        if not self.atoms:
-            out = np.zeros((0, self.d))
-        else:
-            out = np.vstack([a.omega for a in self.atoms])
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def mass_vector(self) -> np.ndarray:
-        out = np.array([a.mass for a in self.atoms], dtype=float)
-        out.flags.writeable = False
-        return out
+    def atoms(self) -> tuple[SpectralAtom, ...]:
+        return tuple(SpectralAtom(row[:size], mass) for row, size, mass in zip(
+            self.omega_matrix, self._lengths.tolist(), self.mass_vector.tolist()))
 
     @cached_property
     def faces(self) -> tuple[frozenset[int], ...]:
-        return tuple(a.face for a in self.atoms)
-
-    @cached_property
-    def face_masks(self) -> tuple[int, ...]:
-        """Faces as bit masks (bit i set iff coordinate i is positive)."""
-        return tuple(sum(1 << i for i in f) for f in self.faces)
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.omega_matrix > 0.0)
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
+        return len(self.mass_vector)
 
     def __repr__(self) -> str:
         return f"ExponentMeasure(d={self.d}, atoms={list(self.atoms)!r})"
 
 
-def _merge_rays(atoms: Iterable[SpectralAtom]) -> tuple[SpectralAtom, ...]:
-    # first-occurrence order; the kept atom absorbs the other's intensity
-    # contribution mass * omega, so its mass grows by the direction ratio
-    kept: list[SpectralAtom] = []
-    for atom in atoms:
-        if not isinstance(atom, SpectralAtom):
-            raise TypeError(f"expected SpectralAtom, got {type(atom).__name__}")
-        merged = False
-        if atom.face:
-            peak = float(np.max(atom.omega))
-            for idx, other in enumerate(kept):
-                if other.face != atom.face or other.omega.shape != atom.omega.shape:
-                    continue
-                other_peak = float(np.max(other.omega))
-                if np.max(np.abs(atom.omega / peak - other.omega / other_peak)) <= RAY_TOL:
-                    scale = peak / other_peak
-                    kept[idx] = SpectralAtom(other.omega, other.mass + atom.mass * scale)
-                    merged = True
-                    break
-        if not merged:
-            kept.append(atom)
-    return tuple(kept)
+def _merge_rays(omega, mass, masks, lengths):
+    """Indices of the kept atoms; merges the absorbed masses into ``mass``."""
+    width = omega.shape[1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        peak = omega.max(axis=1, initial=-np.inf)
+        unit = omega / peak[:, None]
+    # atoms within RAY_TOL have face sums within slack/2 even after roundoff,
+    # so they sit in the same or adjacent cells of one face's window; a NaN
+    # or infinite normalized entry never compares within RAY_TOL
+    slack = 2.0 * width * (RAY_TOL + width * 2.0 ** -52)
+    cells = np.floor(np.maximum(unit, 0.0).sum(axis=1) / slack).tolist()
+    mergeable = np.flatnonzero((masks != 0) & np.all(np.isfinite(unit), axis=1))
+    rows, faces = unit.tolist(), list(zip(masks.tolist(), lengths.tolist()))
+    target, kept = np.arange(len(mass)), {}  # kept: (face, cell) -> kept atoms
+    for a in mergeable.tolist():
+        near = [k for cell in (cells[a] - 1, cells[a], cells[a] + 1)
+                for k in kept.get((faces[a], cell), ())
+                if max(abs(p - q) for p, q in zip(rows[a], rows[k])) <= RAY_TOL]
+        if near:
+            target[a] = min(near)
+        else:
+            kept.setdefault((faces[a], cells[a]), []).append(a)
+    merged = np.flatnonzero(target != np.arange(len(mass)))
+    np.add.at(mass, target[merged], mass[merged] * (peak[merged] / peak[target[merged]]))
+    return np.flatnonzero(target == np.arange(len(mass)))
 
 
 # ---- validation ------------------------------------------------------------
@@ -195,29 +209,32 @@ def validate_measure(measure: ExponentMeasure) -> list[Violation]:
     the measure is valid.
     """
     out: list[Violation] = []
-    if measure.d < 1:
-        out.append(Violation("invalid_dimension", detail=f"d={measure.d}"))
+    d = measure.d
+    if d < 1:
+        out.append(Violation("invalid_dimension", detail=f"d={d}"))
         return out
-    charged = np.zeros(measure.d, dtype=bool)
-    for j, atom in enumerate(measure.atoms):
-        om = atom.omega
-        if om.shape != (measure.d,):
+    omega, mass, lengths = measure.omega_matrix, measure.mass_vector, measure._lengths
+    misshapen = lengths != d
+    nonfinite = ~np.all(np.isfinite(omega), axis=1)
+    negative = np.any(omega < 0.0, axis=1)
+    bad_mass = ~(np.isfinite(mass) & (mass > 0.0))
+    no_face = measure.face_masks == 0
+    direction_ok = ~(misshapen | nonfinite | negative)
+    for j in np.flatnonzero(~direction_ok | bad_mass | no_face).tolist():
+        if misshapen[j]:
             out.append(Violation("dimension_mismatch", atom=j,
-                                 detail=f"omega has length {om.shape[0]}, expected {measure.d}"))
-            continue
-        if not np.all(np.isfinite(om)):
+                                 detail=f"omega has length {lengths[j]}, expected {d}"))
+        elif nonfinite[j]:
             out.append(Violation("nonfinite_direction", atom=j))
-            continue
-        if np.any(om < 0.0):
-            coord = int(np.nonzero(om < 0.0)[0][0])
-            out.append(Violation("negative_direction", atom=j, coordinate=coord))
-            continue
-        if not math.isfinite(atom.mass) or atom.mass <= 0.0:
-            out.append(Violation("nonpositive_mass", atom=j, detail=f"mass={atom.mass}"))
-        if not atom.face:
-            out.append(Violation("all_zero_direction", atom=j))
+        elif negative[j]:
+            out.append(Violation("negative_direction", atom=j,
+                                 coordinate=int(np.argmax(omega[j] < 0.0))))
         else:
-            charged |= om > 0.0
+            if bad_mass[j]:
+                out.append(Violation("nonpositive_mass", atom=j, detail=f"mass={float(mass[j])}"))
+            if no_face[j]:
+                out.append(Violation("all_zero_direction", atom=j))
+    charged = np.any(omega[direction_ok, :d] > 0.0, axis=0)
     for i in np.nonzero(~charged)[0]:
         out.append(Violation("dead_coordinate", coordinate=int(i),
                              detail="no atom charges this coordinate"))
@@ -243,9 +260,7 @@ def exponent_function(measure: ExponentMeasure, x) -> float:
     of order -1: scaling x by t divides the value by t.
     """
     x = _check_positive_point(measure, x)
-    if not measure.atoms:
-        return 0.0
-    return float(np.max(measure.omega_matrix / x, axis=1) @ measure.mass_vector)
+    return float(_ratio_kernel(measure, x[None, :], np.maximum)[0])
 
 
 def exponent_function_grid(measure: ExponentMeasure, points: np.ndarray) -> np.ndarray:
@@ -255,11 +270,7 @@ def exponent_function_grid(measure: ExponentMeasure, points: np.ndarray) -> np.n
         raise ValueError(f"expected (N, {measure.d}) grid, got shape {pts.shape}")
     if not np.all(pts > 0.0):
         raise ValueError("grid points must be strictly positive")
-    if not measure.atoms:
-        return np.zeros(len(pts))
-    # (N, J, d) broadcast; grids here are small (a few thousand points)
-    ratios = measure.omega_matrix[None, :, :] / pts[:, None, :]
-    return ratios.max(axis=2) @ measure.mass_vector
+    return _ratio_kernel(measure, pts, np.maximum)
 
 
 def exponent_function_extended(measure: ExponentMeasure, x) -> float:
@@ -277,14 +288,10 @@ def exponent_function_extended(measure: ExponentMeasure, x) -> float:
     zero = x == 0.0
     if not np.any(zero):
         return exponent_function(measure, x)
-    total = 0.0
-    for atom in measure.atoms:
-        if np.any(atom.omega[zero] > 0.0):
-            return math.inf
-        live = ~zero
-        if np.any(live):
-            total += atom.mass * float(np.max(atom.omega[live] / x[live], initial=0.0))
-    return total
+    if np.any(measure.omega_matrix[:, zero] > 0.0):
+        return math.inf
+    ratios = measure.omega_matrix[:, ~zero] / x[~zero]
+    return _running_sum(measure.mass_vector * np.max(ratios, axis=1, initial=0.0))
 
 
 def distribution_function(measure: ExponentMeasure, x) -> float:
@@ -300,9 +307,46 @@ def rectangle_mass(measure: ExponentMeasure, x) -> float:
     ``min_i(omega_ji / x_i)``.
     """
     x = _check_positive_point(measure, x)
-    if not measure.atoms:
-        return 0.0
-    return float(np.min(measure.omega_matrix / x, axis=1) @ measure.mass_vector)
+    return float(_ratio_kernel(measure, x[None, :], np.minimum)[0])
+
+
+#: cells (rows x atoms) per row block of the chunked kernels, so each of
+#: their temporaries stays near 512 KB, which keeps it in cache
+CHUNK_CELLS = 1 << 16
+
+
+def _row_blocks(n_rows: int, n_atoms: int) -> list[tuple[int, int]]:
+    """Row blocks of about CHUNK_CELLS cells, a multiple of 8 rows each, and
+    a lone last row joins the block before it (a one-row product goes through
+    dot, not gemv), so BLAS reduces each row as in one unchunked product."""
+    rows = max(8, CHUNK_CELLS // max(n_atoms, 1) // 8 * 8)
+    bounds = list(range(0, n_rows, rows)) + [n_rows]
+    if n_rows % rows == 1 and n_rows > rows:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _ratio_kernel(measure: ExponentMeasure, points: np.ndarray, reduce) -> np.ndarray:
+    """``sum_j mass_j * reduce_i(omega_ji / x_i)`` per row x of ``points``, with
+    ``reduce`` np.maximum (exponent) or np.minimum (rectangle mass), taking
+    one coordinate at a time into a (rows, J) accumulator per row block."""
+    omega, mass = measure.omega_matrix, measure.mass_vector
+    # the accumulator follows the memory order of the points, which fixes how
+    # BLAS sums each row: C- and F-ordered rows are summed in different orders
+    order = "F" if points.flags.f_contiguous and not points.flags.c_contiguous else "C"
+    out = np.empty(len(points))
+    for lo, hi in _row_blocks(len(points), len(mass)):
+        x = points[lo:hi]
+        acc = np.divide(omega[:, 0], x[:, :1], out=np.empty((hi - lo, len(mass)), order=order))
+        for i in range(1, measure.d):
+            reduce(acc, omega[:, i] / x[:, i:i + 1], out=acc)
+        out[lo:hi] = acc @ mass
+    return out
+
+
+def _running_sum(terms: np.ndarray) -> float:
+    # left to right in atom order, as a plain accumulation loop adds them
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def _check_positive_point(measure: ExponentMeasure, x) -> np.ndarray:
@@ -323,8 +367,6 @@ def margins(measure: ExponentMeasure) -> np.ndarray:
     Coordinate i of the induced max-stable vector is Frechet with scale
     ``m_i``; the measure is standardized when every ``m_i`` equals 1.
     """
-    if not measure.atoms:
-        return np.zeros(measure.d)
     return measure.mass_vector @ measure.omega_matrix
 
 
@@ -341,13 +383,9 @@ def marginalize(measure: ExponentMeasure, coords: Iterable[int]) -> ExponentMeas
         raise ValueError("cannot marginalize to an empty coordinate set")
     if idx[0] < 0 or idx[-1] >= measure.d:
         raise ValueError(f"coordinates out of range for d={measure.d}")
-    sel = np.array(idx, dtype=int)
-    atoms = []
-    for atom in measure.atoms:
-        om = atom.omega[sel]
-        if np.any(om > 0.0):
-            atoms.append(SpectralAtom(om, atom.mass))
-    return ExponentMeasure(len(idx), tuple(atoms))
+    omega = measure.omega_matrix[:, idx]
+    live = np.any(omega > 0.0, axis=1)
+    return ExponentMeasure._from_arrays(len(idx), omega[live], measure.mass_vector[live])
 
 
 def standardize(measure: ExponentMeasure) -> ExponentMeasure:
@@ -360,8 +398,7 @@ def standardize(measure: ExponentMeasure) -> ExponentMeasure:
     m = margins(measure)
     if np.any(~np.isfinite(m)) or np.any(m <= 0.0):
         raise ValueError("standardize needs strictly positive marginal masses")
-    atoms = tuple(SpectralAtom(a.omega / m, a.mass) for a in measure.atoms)
-    return ExponentMeasure(measure.d, atoms)
+    return ExponentMeasure._from_arrays(measure.d, measure.omega_matrix / m, measure.mass_vector)
 
 
 def is_standardized(measure: ExponentMeasure, tol: float = 1e-9) -> bool:
@@ -414,12 +451,12 @@ def random_measure(
     else:
         raise ValueError("could not cover every coordinate; constraints unsatisfiable?")
 
-    atoms = []
-    for face in faces:
-        om = np.zeros(d)
-        om[sorted(face)] = 1.0 - rng.uniform(size=len(face))  # (0, 1]
-        atoms.append(SpectralAtom(om, rng.uniform(0.25, 4.0)))
-    return standardize(ExponentMeasure(d, tuple(atoms)))
+    omega = np.zeros((n_atoms, d))
+    mass = np.empty(n_atoms)
+    for j, face in enumerate(faces):
+        omega[j, sorted(face)] = 1.0 - rng.uniform(size=len(face))  # (0, 1]
+        mass[j] = rng.uniform(0.25, 4.0)
+    return standardize(ExponentMeasure._from_arrays(d, omega, mass))
 
 
 def _random_face(rng: np.random.Generator, pools: Sequence[Sequence[int]]) -> frozenset[int]:
@@ -459,7 +496,7 @@ def measure_from_dict(data: dict) -> ExponentMeasure:
     raw_atoms = data["atoms"]
     if not isinstance(raw_atoms, list):
         raise MeasureFormatError('"atoms" must be a list')
-    atoms = []
+    omegas, masses = [], []
     for j, entry in enumerate(raw_atoms):
         if not isinstance(entry, dict) or set(entry.keys()) != {"omega", "mass"}:
             raise MeasureFormatError(f'atom {j} must be an object with keys "omega" and "mass"')
@@ -469,8 +506,9 @@ def measure_from_dict(data: dict) -> ExponentMeasure:
         for i, v in enumerate(omega):
             _check_json_number(v, f'atom {j}, omega[{i}]')
         _check_json_number(entry["mass"], f'atom {j}, mass')
-        atoms.append(SpectralAtom(np.array(omega, dtype=float), float(entry["mass"])))
-    return ExponentMeasure(d, tuple(atoms))
+        omegas.append(omega)
+        masses.append(float(entry["mass"]))
+    return ExponentMeasure._from_arrays(d, np.array(omegas, dtype=float).reshape(-1, d), masses)
 
 
 def _check_json_number(v, where: str) -> None:
@@ -505,13 +543,8 @@ def save_measure(measure: ExponentMeasure, path) -> None:
 def measures_allclose(a: ExponentMeasure, b: ExponentMeasure,
                       rtol: float = 1e-9, atol: float = 1e-12) -> bool:
     """Equality up to floating tolerance: same d, same atoms in order."""
-    if a.d != b.d or a.n_atoms != b.n_atoms:
-        return False
-    for atom_a, atom_b in zip(a.atoms, b.atoms):
-        if atom_a.omega.shape != atom_b.omega.shape:
-            return False
-        if not np.allclose(atom_a.omega, atom_b.omega, rtol=rtol, atol=atol):
-            return False
-        if not math.isclose(atom_a.mass, atom_b.mass, rel_tol=rtol, abs_tol=atol):
-            return False
-    return True
+    return (a.d == b.d and a.omega_matrix.shape == b.omega_matrix.shape
+            and np.array_equal(a._lengths, b._lengths)
+            and bool(np.allclose(a.omega_matrix, b.omega_matrix, rtol=rtol, atol=atol))
+            and all(math.isclose(x, y, rel_tol=rtol, abs_tol=atol)
+                    for x, y in zip(a.mass_vector.tolist(), b.mass_vector.tolist())))

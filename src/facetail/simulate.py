@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditional import ConditionalLaw, conditional_law
-from .measure import ExponentMeasure, require_valid
+from .measure import ExponentMeasure, _row_blocks, require_valid
 
 RNG_ID = "philox4x64"
 
@@ -84,13 +84,6 @@ def _batch_key(seed: int, kind: str, k: int | None) -> np.ndarray:
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
-def _words(key: np.ndarray, start_tick: int, n_ticks: int) -> np.ndarray:
-    if n_ticks == 0:
-        return np.empty(0, dtype=np.uint64)
-    bg = np.random.Philox(key=key, counter=start_tick)
-    return bg.random_raw(_WORDS_PER_TICK * n_ticks)
-
-
 def _open_uniform(words: np.ndarray) -> np.ndarray:
     # top 53 bits, centered: values in (0, 1) strictly
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
@@ -99,9 +92,9 @@ def _open_uniform(words: np.ndarray) -> np.ndarray:
 def _sample_words(key: np.ndarray, ticks_per_sample: int,
                   start: int, stop: int, words_per_sample: int) -> np.ndarray:
     # rows = samples [start, stop); sample i owns ticks [i*t, (i+1)*t)
-    raw = _words(key, start * ticks_per_sample, (stop - start) * ticks_per_sample)
-    raw = raw.reshape(stop - start, _WORDS_PER_TICK * ticks_per_sample)
-    return raw[:, :words_per_sample]
+    bg = np.random.Philox(key=key, counter=start * ticks_per_sample)
+    raw = bg.random_raw(_WORDS_PER_TICK * ticks_per_sample * (stop - start))
+    return raw.reshape(stop - start, _WORDS_PER_TICK * ticks_per_sample)[:, :words_per_sample]
 
 
 # ---- samplers --------------------------------------------------------------
@@ -123,13 +116,18 @@ def sample_max_stable(measure: ExponentMeasure, n: int, seed: int) -> SampleBatc
 
 
 def _max_stable_rows(measure: ExponentMeasure, seed: int, start: int, stop: int) -> np.ndarray:
+    # row blocks bound every temporary; Philox makes them chunk-invariant
     n_atoms = measure.n_atoms
     key = _batch_key(seed, _KIND_MAX_STABLE, None)
     ticks = max(1, math.ceil(n_atoms / _WORDS_PER_TICK))
-    words = _sample_words(key, ticks, start, stop, n_atoms)
-    exponentials = -np.log(_open_uniform(words))  # (rows, n_atoms), finite positive
     rays = measure.omega_matrix * measure.mass_vector[:, None]
-    return (rays[None, :, :] / exponentials[:, :, None]).max(axis=1)
+    out = np.empty((stop - start, measure.d))
+    for lo, hi in _row_blocks(stop - start, n_atoms):
+        words = _sample_words(key, ticks, start + lo, start + hi, n_atoms)
+        exponentials = -np.log(_open_uniform(words))  # (rows, n_atoms), finite positive
+        for i in range(measure.d):
+            out[lo:hi, i] = np.max(rays[:, i] / exponentials, axis=1)
+    return out
 
 
 def sample_conditional(measure: ExponentMeasure, k: int, n: int, seed: int) -> SampleBatch:

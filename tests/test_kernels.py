@@ -1,0 +1,96 @@
+"""The chunked ratio kernel and the bounded-memory samplers.
+
+The kernels reduce one coordinate at a time over row blocks instead of
+broadcasting an (N, J, d) array.  Their values must equal the broadcast
+expressions bit for bit, their memory must not grow with the number of
+rows, and sampling must not depend on where a batch is cut.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import facetail as ft
+from facetail.simulate import _conditional_rows, _max_stable_rows
+
+MB = 2**20
+
+
+def old_exponent_grid(measure, points):
+    return (measure.omega_matrix[None, :, :] / points[:, None, :]).max(axis=2) @ measure.mass_vector
+
+
+def grids(d):
+    # row counts are multiples of 8: a multithreaded BLAS splits an odd
+    # count at a point that depends on the thread count, so the broadcast
+    # itself is only reproducible for such grids; the column slice is
+    # F-ordered, like the block grids of the additivity and df checks
+    rng = np.random.default_rng(d)
+    wide = rng.uniform(0.1, 10.0, size=(8 * 131, d + 2))
+    return ft.default_grid(d), wide[:, :d].copy(), wide[:, list(range(d))]
+
+
+@pytest.mark.parametrize("d,n_atoms", [(1, 2), (2, 3), (3, 40), (5, 16), (6, 100)])
+def test_grid_exponent_equals_the_broadcast_bit_for_bit(d, n_atoms):
+    m = ft.random_measure(max(d, 2), n_atoms, seed=d * n_atoms)
+    m = ft.marginalize(m, range(d))
+    for grid in grids(d):
+        assert ft.exponent_function_grid(m, grid).tobytes() == old_exponent_grid(m, grid).tobytes()
+
+
+def test_grid_exponent_equals_the_broadcast_at_many_atoms():
+    m = ft.random_measure(8, 2000, seed=1)
+    grid = ft.default_grid(8)
+    # the broadcast's (N, J) maxima one point at a time, to stay small (a
+    # max is exact), then the same single matrix product
+    maxima = np.stack([np.max(m.omega_matrix / x, axis=1) for x in grid])
+    assert ft.exponent_function_grid(m, grid).tobytes() == (maxima @ m.mass_vector).tobytes()
+
+
+@pytest.mark.parametrize("d,n_atoms", [(2, 2), (4, 30), (8, 2000)])
+def test_point_kernels_equal_the_broadcast_bit_for_bit(d, n_atoms):
+    m = ft.random_measure(d, n_atoms, seed=n_atoms)
+    rng = np.random.default_rng(n_atoms)
+    for x in rng.uniform(0.1, 10.0, size=(50, d)):
+        ratios = m.omega_matrix / x
+        assert ft.exponent_function(m, x) == float(np.max(ratios, axis=1) @ m.mass_vector)
+        assert ft.rectangle_mass(m, x) == float(np.min(ratios, axis=1) @ m.mass_vector)
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide_measure():
+    return ft.random_measure(8, 2000, seed=11)
+
+
+def test_grid_exponent_memory_is_bounded(wide_measure):
+    grid = ft.default_grid(8)
+    # the (N, J, d) broadcast needed about 480 MB here
+    assert peak_bytes(lambda: ft.exponent_function_grid(wide_measure, grid)) < 64 * MB
+
+
+def test_max_stable_sampler_memory_is_bounded(wide_measure):
+    peak = peak_bytes(lambda: ft.sample_max_stable(wide_measure, 4000, seed=3))
+    assert peak < 64 * MB
+
+
+@pytest.mark.parametrize("n_atoms", [5, 300])
+def test_samplers_are_chunk_invariant(n_atoms):
+    m = ft.random_measure(5, n_atoms, seed=n_atoms)
+    law = ft.conditional_law(m, 2)
+    n = 3001
+    for a, b in [(1, 2), (777, 1500), (1000, 3000)]:
+        for rows in (lambda lo, hi: _max_stable_rows(m, 9, lo, hi),
+                     lambda lo, hi: _conditional_rows(law, 9, lo, hi)):
+            pieces = np.concatenate([rows(0, a), rows(a, b), rows(b, n)])
+            assert pieces.tobytes() == rows(0, n).tobytes()
