@@ -12,11 +12,33 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .measure import ExponentMeasure, exponent_function, is_standardized, marginalize
 from .partition import Bipartition
 from .simulate import SampleBatch
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, ties sharing their mean position.
+
+    Equals ``scipy.stats.rankdata(x, method="average")`` bit for bit for
+    finite input: midranks are integers or half-integers, so exact.
+    """
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    new = np.empty(x.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(new) - 1]
+    return ranks
+
+
+def _require_finite(data: np.ndarray, what: str) -> None:
+    if not np.isfinite(data).all():
+        raise ValueError(f"{what} holds non-finite values (nan or inf)")
 
 
 def chi_exact(measure: ExponentMeasure, i: int, j: int) -> float:
@@ -82,7 +104,7 @@ def chi_empirical(batch, q: float = 0.95) -> ChiMatrix:
     With empirical margins ``rank/(n+1)``, the estimate for a pair is the
     joint exceedance frequency above level q divided by ``1 - q``.  Needs
     at least 1000 rows and at least 20 marginal exceedances per coordinate.
-    Accepts a `SampleBatch` or a plain (n, d) array.
+    Accepts a `SampleBatch` or a plain (n, d) array; nan or inf raises.
     """
     data = batch.data if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=float)
     if data.ndim != 2:
@@ -92,7 +114,8 @@ def chi_empirical(batch, q: float = 0.95) -> ChiMatrix:
         raise ValueError(f"need n >= 1000 rows for stable rank exceedances, got {n}")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    ranks = rankdata(data, axis=0, method="average")
+    _require_finite(data, "sample")
+    ranks = np.column_stack([_midranks(column) for column in data.T])
     exceed = ranks / (n + 1.0) > q
     marginal = exceed.sum(axis=0)
     if np.min(marginal) < 20:
@@ -142,7 +165,8 @@ def permutation_independence_test(
     ``(1 + #{|rho_perm| >= |rho|}) / (n_perm + 1)``, uniform under
     independence up to its granularity of ``1/(n_perm + 1)``; the
     permutation stream is fixed by ``seed``, so the result does not depend
-    on scheduling or worker count.
+    on scheduling or worker count.  nan or inf in either sample raises:
+    a nan statistic would never count a hit and so reject independence.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -153,8 +177,10 @@ def permutation_independence_test(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
 
-    ru = rankdata(u, method="average")
-    rv = rankdata(v, method="average")
+    _require_finite(u, "u")
+    _require_finite(v, "v")
+    ru = _midranks(u)
+    rv = _midranks(v)
     ru -= ru.mean()
     rv -= rv.mean()
     norm_u = float(np.linalg.norm(ru))

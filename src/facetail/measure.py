@@ -338,8 +338,11 @@ def _ratio_kernel(measure: ExponentMeasure, points: np.ndarray, reduce) -> np.nd
     for lo, hi in _row_blocks(len(points), len(mass)):
         x = points[lo:hi]
         acc = np.divide(omega[:, 0], x[:, :1], out=np.empty((hi - lo, len(mass)), order=order))
+        # one ratio buffer per block, not a fresh temporary per coordinate:
+        # those allocations and their page faults dominated small-J reports
+        ratio = np.empty_like(acc)
         for i in range(1, measure.d):
-            reduce(acc, omega[:, i] / x[:, i:i + 1], out=acc)
+            reduce(acc, np.divide(omega[:, i], x[:, i:i + 1], out=ratio), out=acc)
         out[lo:hi] = acc @ mass
     return out
 

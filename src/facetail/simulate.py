@@ -25,6 +25,9 @@ from .measure import ExponentMeasure, _row_blocks, require_valid
 
 RNG_ID = "philox4x64"
 
+#: rows per string-format block in `save_batch`
+SAVE_ROWS = 4096
+
 _KIND_MAX_STABLE = "max_stable"
 _KIND_CONDITIONAL = "conditional"
 _KIND_CODES = {_KIND_MAX_STABLE: 1, _KIND_CONDITIONAL: 2}
@@ -164,17 +167,24 @@ def sidecar_path(csv_path) -> str:
 
 
 def save_batch(batch: SampleBatch, csv_path) -> None:
-    """Write samples as CSV (17 significant digits) plus a metadata sidecar."""
-    header = ",".join(f"x{i + 1}" for i in range(batch.d))
-    np.savetxt(csv_path, batch.data, fmt="%.17g", delimiter=",",
-               header=header, comments="")
+    """Write samples as CSV (17 significant digits) plus a metadata sidecar.
+
+    Rows go out in blocks of `SAVE_ROWS`, one string format per block, so
+    memory stays bounded in n; the text is what ``np.savetxt`` writes.
+    """
+    row = "%.17g," * (batch.d - 1) + "%.17g\n"
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(f"x{i + 1}" for i in range(batch.d)) + "\n")
+        for start in range(0, batch.n, SAVE_ROWS):
+            block = batch.data[start:start + SAVE_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
     with open(sidecar_path(csv_path), "w", encoding="utf-8") as fh:
         json.dump(batch.metadata(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_batch(csv_path) -> SampleBatch:
-    """Read a batch written by `save_batch`."""
+    """Read a batch written by `save_batch`; a nan or inf entry raises."""
     meta_path = sidecar_path(csv_path)
     if not os.path.exists(meta_path):
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
@@ -184,6 +194,10 @@ def load_batch(csv_path) -> SampleBatch:
         if field_name not in meta:
             raise ValueError(f"metadata sidecar lacks {field_name!r}")
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{csv_path} holds a non-finite value in data row "
+                         f"{int(np.argmin(finite)) + 1}")
     if data.shape[0] != meta["n"]:
         raise ValueError(f"CSV has {data.shape[0]} rows, sidecar says n={meta['n']}")
     return SampleBatch(

@@ -13,6 +13,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import facetail as ft
 
@@ -55,6 +56,14 @@ def run_battery():
     return results
 
 
+@pytest.fixture(scope="module")
+def battery():
+    # both battery tests read one run; its wall time is the timed statistic
+    t0 = time.perf_counter()
+    results = run_battery()
+    return results, time.perf_counter() - t0
+
+
 def block_corpus():
     # seeded block-structured measures with their generating splits
     corpus = []
@@ -77,10 +86,8 @@ def random_pool(rng, count=20):
 # ---- the gate --------------------------------------------------------------
 
 
-def test_five_criteria_agree_on_random_corpus():
-    t0 = time.perf_counter()
-    results = run_battery()
-    elapsed = time.perf_counter() - t0
+def test_five_criteria_agree_on_random_corpus(battery):
+    results, elapsed = battery
     instances = sum(r.instances for r in results.values())
     disagreements = sum(len(r.disagreements) for r in results.values())
     block_failures = sum(len(r.block_failures) for r in results.values())
@@ -94,8 +101,8 @@ def test_five_criteria_agree_on_random_corpus():
           f"{elapsed:.1f}s")
 
 
-def test_conditional_factorization_matches_support_notion():
-    results = run_battery()
+def test_conditional_factorization_matches_support_notion(battery):
+    results, _ = battery
     mismatches = sum(r.notion_mismatches for r in results.values())
     instances = sum(r.instances for r in results.values())
     assert mismatches == 0

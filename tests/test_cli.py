@@ -227,6 +227,19 @@ def test_estimate_rejects_test_flags_on_max_stable_batch(capsys, tmp_path, measu
     assert "max_stable" in err and "conditional" in err
 
 
+def test_estimate_rejects_non_finite_samples(capsys, tmp_path, dep_file):
+    out_csv = tmp_path / "cond.csv"
+    run_cli(capsys, "simulate", dep_file, "--conditional", "1",
+            "--n", "2000", "--seed", "11", "--out", str(out_csv))
+    lines = out_csv.read_text().splitlines()
+    lines[10] = lines[10].split(",")[0] + ",nan"
+    out_csv.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "estimate", "--in", str(out_csv),
+                             "--A", "1", "--C", "2", "--seed", "5")
+    assert code == 1 and out == ""
+    assert "non-finite" in err
+
+
 def test_estimate_missing_input(capsys):
     code, _, err = run_cli(capsys, "estimate", "--in", "/nonexistent/b.csv")
     assert code == 1 and "error" in err

@@ -1,8 +1,12 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import facetail as ft
 from facetail import (
@@ -12,6 +16,7 @@ from facetail import (
     factorization_test,
     permutation_independence_test,
 )
+from facetail.estimate import _midranks
 
 
 # ---- exact chi -------------------------------------------------------------
@@ -48,6 +53,54 @@ def test_chi_exact_argument_checks(m_ind):
     with pytest.raises(ValueError):
         chi_exact(lopsided, 0, 1)
     assert chi_exact(ft.standardize(lopsided), 0, 1) == 0.0
+
+
+# ---- midranks --------------------------------------------------------------
+
+
+@st.composite
+def tie_heavy_arrays(draw):
+    # few distinct values, a share of exact zeros, or continuous draws;
+    # 1-D arrays and (n, d) arrays ranked column by column
+    n = draw(st.integers(1, 2000))
+    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["levels", "zeros", "continuous"]))
+    if kind == "levels":
+        x = rng.integers(0, draw(st.integers(1, 6)), size=shape).astype(float)
+    elif kind == "zeros":
+        share = draw(st.floats(0.0, 1.0))
+        x = np.where(rng.random(shape) < share, 0.0, rng.pareto(1.0, size=shape))
+    else:
+        x = rng.standard_normal(shape)
+    return x
+
+
+def test_midranks_equal_scipy_bit_for_bit():
+    stats = pytest.importorskip("scipy.stats")
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_arrays())
+    def check(x):
+        if x.ndim == 1:
+            assert np.array_equal(_midranks(x), stats.rankdata(x, method="average"))
+        else:
+            ours = np.column_stack([_midranks(column) for column in x.T])
+            assert np.array_equal(ours, stats.rankdata(x, axis=0, method="average"))
+
+    check()
+
+
+def test_midranks_average_tied_positions():
+    x = np.array([3.0, 0.0, 3.0, 1.0, 0.0, 3.0])
+    assert _midranks(x).tolist() == [5.0, 1.5, 5.0, 3.0, 1.5, 5.0]
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, facetail; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---- empirical chi ---------------------------------------------------------
@@ -118,6 +171,14 @@ def test_chi_empirical_input_checks(m_ind):
     assert est.d == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_chi_empirical_rejects_non_finite_samples(m_ind, bad):
+    data = np.array(ft.sample_max_stable(m_ind, 2000, seed=1).data)
+    data[7, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        chi_empirical(data)
+
+
 # ---- permutation test ------------------------------------------------------
 
 
@@ -165,6 +226,18 @@ def test_permutation_test_input_checks():
         permutation_independence_test(np.arange(5), np.arange(5), n_perm=0)
     with pytest.raises(ValueError):
         permutation_independence_test(np.arange(5), np.arange(5), alpha=1.0)
+
+
+def test_permutation_test_rejects_non_finite_samples():
+    # a nan statistic never counts a permutation hit, so it would report
+    # p = 1/(n_perm + 1) and reject independence
+    rng = np.random.default_rng(101)
+    u, v = rng.uniform(size=100), rng.uniform(size=100)
+    v[3] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        permutation_independence_test(u, v, seed=1)
+    with pytest.raises(ValueError, match="non-finite"):
+        permutation_independence_test(np.full(100, -math.inf), u, seed=1)
 
 
 # ---- block factorization test ----------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 import facetail as ft
 from facetail import load_batch, sample_conditional, sample_max_stable, save_batch
+from facetail import simulate
 from facetail.simulate import _conditional_rows, _max_stable_rows, sidecar_path
 
 
@@ -217,6 +218,30 @@ def test_load_batch_checks_consistency(tmp_path, m_ind):
     del meta["n"]
     meta_file.write_text(json.dumps(meta))
     with pytest.raises(ValueError):
+        load_batch(out)
+
+
+def test_save_batch_writes_savetxt_text_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "SAVE_ROWS", 4)
+    rng = np.random.default_rng(17)
+    data = rng.standard_normal((11, 3)) * 10.0 ** rng.integers(-300, 300, size=(11, 3))
+    data[0, 0], data[5, 2] = -0.0, 0.0
+    batch = ft.SampleBatch(kind="max_stable", k=None, n=11, seed=1, data=data)
+    save_batch(batch, tmp_path / "blocks.csv")
+    np.savetxt(tmp_path / "ref.csv", data, fmt="%.17g", delimiter=",",
+               header="x1,x2,x3", comments="")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert np.array_equal(load_batch(tmp_path / "blocks.csv").data, data)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_batch_rejects_non_finite_values(tmp_path, m_ind, bad):
+    out = tmp_path / "bad.csv"
+    save_batch(sample_max_stable(m_ind, 5, seed=1), out)
+    lines = out.read_text().splitlines()
+    lines[3] = bad + lines[3][lines[3].index(","):]
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="non-finite value in data row 3"):
         load_batch(out)
 
 
