@@ -107,12 +107,15 @@ def marginal_rectangle_probability(law: ConditionalLaw, coords: Iterable[int], x
     subset, i.e. the limit of full rectangles as the remaining coordinates
     drop to 0.  Point-mass components at 0 are thereby counted, which is
     what makes block-factorization statements exact rather than limiting.
+    ``x[i]`` is the threshold of ``coords[i]``; coordinates must be distinct.
     """
-    idx = np.array(sorted(set(int(i) for i in coords)), dtype=int)
+    idx = np.array([int(i) for i in coords], dtype=int)
     if idx.size == 0:
         return 1.0
-    if idx[0] < 0 or idx[-1] >= law.d:
+    if idx.min() < 0 or idx.max() >= law.d:
         raise ValueError(f"coordinates out of range for d={law.d}")
+    if np.unique(idx).size != idx.size:
+        raise ValueError("coordinates must be distinct")
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (idx.size,):
         raise ValueError(f"expected {idx.size} thresholds, got {x.shape[0]}")

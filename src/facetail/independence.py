@@ -39,9 +39,6 @@ from .partition import Bipartition, check_dimension
 #: relative tolerance for all additivity and factorization comparisons
 ADDITIVITY_TOL = 1e-9
 
-#: beyond this dimension, subset enumeration falls back to pairs
-ENUM_CAP = 16
-
 _GRID_AXIS = (0.5, 1.0, 2.0, 5.0)
 _GRID_CAP = 4096
 _GRID_RANDOM = 64
@@ -111,7 +108,6 @@ def check_additivity(
     measure: ExponentMeasure,
     part: Bipartition,
     grid: np.ndarray | None = None,
-    tol: float = ADDITIVITY_TOL,
 ) -> AdditivityCheck:
     """Check ``exponent(x) == exponent_A(x_A) + exponent_C(x_C)`` on a grid.
 
@@ -120,17 +116,15 @@ def check_additivity(
     """
     check_dimension(part, measure.d)
     grid = default_grid(measure.d) if grid is None else np.asarray(grid, dtype=float)
-    lam, lam_sum = _split_exponents(measure, part, grid)
-    residuals = np.abs(lam - lam_sum) / (1.0 + np.abs(lam))
+    residuals = _additivity_residuals(*_split_exponents(measure, part, grid))
     worst = int(np.argmax(residuals)) if residuals.size else 0
-    numeric_ok = bool(residuals.size == 0 or residuals[worst] <= tol)
+    numeric_ok = bool(residuals.size == 0 or residuals[worst] <= ADDITIVITY_TOL)
     structural_ok = check_support(measure, part)[0]
     return AdditivityCheck(
         numeric_ok=numeric_ok,
         structural_ok=structural_ok,
         max_residual=float(residuals[worst]) if residuals.size else 0.0,
         witness=None if numeric_ok else grid[worst].copy(),
-        tol=tol,
     )
 
 
@@ -141,11 +135,18 @@ def _split_exponents(measure, part, grid):
     return exponent_function_grid(measure, grid), lam_a + lam_c
 
 
+def _additivity_residuals(lam, lam_sum):
+    return np.abs(lam - lam_sum) / (1.0 + np.abs(lam))
+
+
+def _df_differences(lam, lam_sum):
+    return np.abs(np.exp(-lam) - np.exp(-lam_sum)) / (1.0 + np.exp(-lam))
+
+
 def check_df_factorization(
     measure: ExponentMeasure,
     part: Bipartition,
     grid: np.ndarray | None = None,
-    tol: float = ADDITIVITY_TOL,
 ) -> tuple[bool, np.ndarray | None]:
     """Check that the induced df factorizes: F(x) = F_A(x_A) * F_C(x_C).
 
@@ -156,12 +157,11 @@ def check_df_factorization(
     check_dimension(part, measure.d)
     grid = default_grid(measure.d) if grid is None else np.asarray(grid, dtype=float)
     if np.all(grid > 0.0):
-        lam, lam_sum = _split_exponents(measure, part, grid)
-        diffs = np.abs(np.exp(-lam) - np.exp(-lam_sum)) / (1.0 + np.exp(-lam))
+        diffs = _df_differences(*_split_exponents(measure, part, grid))
     else:
         diffs = np.array([_df_difference(measure, part, x) for x in grid])
     worst = int(np.argmax(diffs)) if diffs.size else 0
-    ok = bool(diffs.size == 0 or diffs[worst] <= tol)
+    ok = bool(diffs.size == 0 or diffs[worst] <= ADDITIVITY_TOL)
     return ok, (None if ok else grid[worst].copy())
 
 
@@ -176,31 +176,27 @@ def _df_difference(measure, part, x):
 def check_mixed_margins(
     measure: ExponentMeasure,
     part: Bipartition,
-    enum_cap: int = ENUM_CAP,
-) -> tuple[bool, frozenset[int] | None, str]:
+) -> tuple[bool, frozenset[int] | None]:
     """Do marginals onto block-straddling subsets avoid the interior?
 
     A subset I meeting both blocks violates the criterion when some atom's
     face contains all of I, because the I-marginal then charges the
-    all-positive region of its domain.  Returns ``(ok, witness, mode)``
-    with the witness the smallest violating subset in (size, lex) order.
-    ``mode`` is "full" for d <= enum_cap, else "pairwise", where only
-    two-element subsets are enumerated; the verdicts coincide since any
-    violating subset contains a violating pair.
+    all-positive region of its domain.  Any violating I contains a
+    violating pair (one coordinate from each block, both in that face), so
+    only pairs are walked, in lex order.  Returns ``(ok, witness)`` with
+    the witness the first violating pair, which is also the smallest
+    violating subset in (size, lex) order.  The test is on face masks, not
+    on interior masses, so a product of tiny masses cannot underflow into
+    a false "independent".
     """
     check_dimension(part, measure.d)
-    d = measure.d
     masks = measure.face_masks.tolist()
-    mode = "full" if d <= enum_cap else "pairwise"
-    sizes = range(2, d + 1) if mode == "full" else (2,)
-    for size in sizes:
-        for combo in itertools.combinations(range(d), size):
-            imask = sum(1 << i for i in combo)
-            if not (imask & part.a_mask and imask & part.c_mask):
-                continue
-            if any(fmask & imask == imask for fmask in masks):
-                return False, frozenset(combo), mode
-    return True, None, mode
+    for i, j in itertools.combinations(range(measure.d), 2):
+        imask = (1 << i) | (1 << j)
+        if imask & part.a_mask and imask & part.c_mask \
+                and any(fmask & imask == imask for fmask in masks):
+            return False, frozenset((i, j))
+    return True, None
 
 
 # ---- proof-device region masses -------------------------------------------
@@ -296,48 +292,36 @@ class IndependenceReport:
         }
 
 
-def full_report(
-    measure: ExponentMeasure,
-    part: Bipartition,
-    grid: np.ndarray | None = None,
-    tol: float = ADDITIVITY_TOL,
-    enum_cap: int = ENUM_CAP,
-) -> IndependenceReport:
+def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceReport:
     """Run every independence check and collect the verdicts.
 
-    Never raises on disagreement; the ``agree`` flag and the witnesses
-    carry the evidence either way.
+    The two numeric criteria share one evaluation of the split exponents
+    on `default_grid`.  Never raises on disagreement; the ``agree`` flag
+    and the witnesses carry the evidence either way.
     """
     check_dimension(part, measure.d)
-    grid = default_grid(measure.d) if grid is None else np.asarray(grid, dtype=float)
+    grid = default_grid(measure.d)
 
     support_ok, support_witness = check_support(measure, part)
 
-    if np.all(grid > 0.0):
-        lam, lam_sum = _split_exponents(measure, part, grid)
-        add_residuals = np.abs(lam - lam_sum) / (1.0 + np.abs(lam))
-        df_diffs = np.abs(np.exp(-lam) - np.exp(-lam_sum)) / (1.0 + np.exp(-lam))
-    else:
-        add = check_additivity(measure, part, grid[np.all(grid > 0.0, axis=1)], tol)
-        add_residuals = np.array([add.max_residual])
-        df_diffs = np.array([_df_difference(measure, part, x) for x in grid])
-        lam = None
+    lam, lam_sum = _split_exponents(measure, part, grid)
+    add_residuals = _additivity_residuals(lam, lam_sum)
+    df_diffs = _df_differences(lam, lam_sum)
 
     witnesses: dict = {}
     if not support_ok:
         witnesses["cond_i"] = {"atom": support_witness}
 
-    cond_ii = not (add_residuals.size and add_residuals.max() > tol)
+    cond_ii = not (add_residuals.max() > ADDITIVITY_TOL)
     if not cond_ii:
-        witnesses["cond_ii"] = {"residual": float(add_residuals.max())}
-        if lam is not None:
-            witnesses["cond_ii"]["point"] = grid[int(np.argmax(add_residuals))].tolist()
+        witnesses["cond_ii"] = {"residual": float(add_residuals.max()),
+                                "point": grid[int(np.argmax(add_residuals))].tolist()}
 
-    mixed_ok, mixed_witness, mode = check_mixed_margins(measure, part, enum_cap)
+    mixed_ok, mixed_witness = check_mixed_margins(measure, part)
     if not mixed_ok:
-        witnesses["cond_iii"] = {"subset": sorted(mixed_witness), "mode": mode}
+        witnesses["cond_iii"] = {"subset": sorted(mixed_witness)}
 
-    df_ok = not (df_diffs.size and df_diffs.max() > tol)
+    df_ok = not (df_diffs.max() > ADDITIVITY_TOL)
     if not df_ok:
         witnesses["df"] = {"difference": float(df_diffs.max()),
                            "point": grid[int(np.argmax(df_diffs))].tolist()}
@@ -405,22 +389,14 @@ class BatteryResult:
         }
 
 
-def agreement_battery(
-    d: int,
-    n_atoms: int,
-    trials: int,
-    seed: int,
-    block_fraction: float = 0.5,
-    bipartition_cap: int = 10,
-    enumerate_up_to: int = 4,
-) -> BatteryResult:
+def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryResult:
     """Random-measure battery for the equivalence of all five checks.
 
     Per trial a random standardized measure is drawn with between d and
-    ``n_atoms`` atoms; every other trial is block structured along a random
-    bipartition.  All bipartitions are tested for d <= ``enumerate_up_to``,
-    otherwise ``bipartition_cap`` random ones (plus, for block trials, the
-    generating split).  Deterministic in ``seed``.
+    ``n_atoms`` atoms; every even-numbered trial is block structured along
+    a random bipartition.  All bipartitions are tested for d <= 4,
+    otherwise 10 random ones (plus, for block trials, the generating
+    split).  Deterministic in ``seed``.
     """
     from .measure import random_measure
     from .partition import all_bipartitions, random_bipartition
@@ -438,16 +414,16 @@ def agreement_battery(
     instances = 0
     for t in range(trials):
         rng = np.random.default_rng(children[t])
-        block = (t % max(1, round(1.0 / block_fraction))) == 0 if block_fraction > 0 else False
+        block = t % 2 == 0
         atoms_t = int(rng.integers(d, n_atoms + 1))
         generating = random_bipartition(d, rng) if block else None
         measure = random_measure(d, atoms_t, split=None if generating is None
                                  else (generating.a_sorted, generating.c_sorted), seed=rng)
 
-        if d <= enumerate_up_to:
+        if d <= 4:
             parts = list(all_bipartitions(d))
         else:
-            parts = [random_bipartition(d, rng) for _ in range(bipartition_cap)]
+            parts = [random_bipartition(d, rng) for _ in range(10)]
         if generating is not None and generating not in parts:
             parts.insert(0, generating)
 

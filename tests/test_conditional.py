@@ -98,6 +98,21 @@ def test_rectangle_probability_input_checks(m_dep):
     assert marginal_rectangle_probability(law, [], []) == 1.0
 
 
+def test_marginal_rectangle_pairs_thresholds_with_given_coords():
+    m = ft.ExponentMeasure(3, (
+        ft.SpectralAtom(np.array([1.0, 0.2, 0.5]), 1.0),
+        ft.SpectralAtom(np.array([0.0, 1.0, 1.0]), 1.0),
+    ))
+    law = conditional_law(m, 0)
+    # x_2 = 4 needs radius 8 along (1, .2, .5); x_0 = 1 only radius 1
+    assert marginal_rectangle_probability(law, [2, 0], [4.0, 1.0]) == 0.125
+    assert marginal_rectangle_probability(law, [0, 2], [1.0, 4.0]) == 0.125
+    with pytest.raises(ValueError):
+        marginal_rectangle_probability(law, [0, 0], [1.0])
+    with pytest.raises(ValueError):
+        marginal_rectangle_probability(law, [2, 2], [1.0, 1.0])
+
+
 def test_marginal_rectangle_consistent_with_full(m_dep):
     law = conditional_law(m_dep, 1)
     assert marginal_rectangle_probability(law, [0, 1], [2.0, 2.0]) == \

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import facetail as ft
 from facetail import bipartition
@@ -79,22 +82,87 @@ def test_df_factorization_handles_boundary_zeros(m_ind, m_dep):
 
 
 def test_mixed_margin_criterion(m_ind, m_dep, m_blk):
-    assert ft.check_mixed_margins(m_ind, PART2) == (True, None, "full")
-    ok, witness, mode = ft.check_mixed_margins(m_dep, PART2)
-    assert (ok, witness, mode) == (False, frozenset({0, 1}), "full")
+    assert ft.check_mixed_margins(m_ind, PART2) == (True, None)
+    assert ft.check_mixed_margins(m_dep, PART2) == (False, frozenset({0, 1}))
     assert ft.check_mixed_margins(m_blk, SPLIT_01_2)[0]
-    ok, witness, _ = ft.check_mixed_margins(m_blk, SPLIT_02_1)
+    ok, witness = ft.check_mixed_margins(m_blk, SPLIT_02_1)
     assert not ok and witness == frozenset({0, 1})
 
 
-def test_mixed_margin_pairwise_mode_matches_full():
-    for seed in range(10):
-        m = ft.random_measure(5, 8, seed=seed)
-        for part in ft.all_bipartitions(5):
-            full = ft.check_mixed_margins(m, part)
-            pairs = ft.check_mixed_margins(m, part, enum_cap=1)
-            assert pairs[2] == "pairwise"
-            assert full[0] == pairs[0]
+# ---- mixed margins against the full subset walk -----------------------------
+
+
+def oracle_mixed_margins(measure, part):
+    # the (size, lex) walk over every subset of two or more coordinates that
+    # the criterion ran before it was reduced to pairs, kept verbatim
+    d = measure.d
+    masks = measure.face_masks.tolist()
+    for size in range(2, d + 1):
+        for combo in itertools.combinations(range(d), size):
+            imask = sum(1 << i for i in combo)
+            if not (imask & part.a_mask and imask & part.c_mask):
+                continue
+            if any(fmask & imask == imask for fmask in masks):
+                return False, frozenset(combo)
+    return True, None
+
+
+def split_of_mask(d, a_mask):
+    a = [i for i in range(d) if a_mask >> i & 1]
+    return bipartition(a, sorted(set(range(d)) - set(a)))
+
+
+@st.composite
+def measures_with_splits(draw):
+    """Measures whose faces either stay inside groups of coordinates (block
+    structured, so splits along the groups are independent) or are drawn
+    freely, with every bipartition for small d and a sample otherwise."""
+    d = draw(st.integers(2, 12))
+    groups = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+    structured = draw(st.booleans())
+    omega = np.zeros((draw(st.integers(1, 10)), d))
+    for row in omega:
+        pool = range(d)
+        if structured:
+            g = groups[draw(st.integers(0, d - 1))]
+            pool = [i for i in range(d) if groups[i] == g]
+        face = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4))
+        row[sorted(face)] = draw(st.floats(0.05, 1.0))
+    measure = ft.ExponentMeasure(d, [ft.SpectralAtom(row, 1.0) for row in omega])
+    if d <= 5:
+        return measure, list(ft.all_bipartitions(d))
+    masks = draw(st.lists(st.integers(1, 2 ** d - 2), min_size=1, max_size=6))
+    group_split = sum(1 << i for i in range(d) if groups[i] == groups[0])
+    if group_split != 2 ** d - 1:
+        masks.append(group_split)
+    return measure, [split_of_mask(d, mask) for mask in masks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(measures_with_splits())
+def test_pair_walk_matches_full_subset_walk(case):
+    measure, parts = case
+    for part in parts:
+        assert ft.check_mixed_margins(measure, part) == oracle_mixed_margins(measure, part)
+
+
+def test_pair_walk_on_object_masks():
+    # past 62 coordinates the face masks are Python ints in an object array
+    d = 70
+    a, c = list(range(35)), list(range(35, d))
+    part = bipartition(a, c)
+    omega = np.zeros((3, d))
+    omega[0, [0, 20, 34]] = 1.0
+    omega[1, [40, 69]] = 0.5
+    omega[2, [50, 66]] = 0.25
+    m = ft.ExponentMeasure(d, [ft.SpectralAtom(row, 1.0) for row in omega])
+    assert m.face_masks.dtype == object
+    assert ft.check_mixed_margins(m, part) == (True, None) == ft.check_support(m, part)
+    omega[2, 3] = 0.25
+    m = ft.ExponentMeasure(d, [ft.SpectralAtom(row, 1.0) for row in omega])
+    assert m.face_masks.dtype == object
+    got = ft.check_mixed_margins(m, part)
+    assert got == oracle_mixed_margins(m, part) == (False, frozenset({3, 50}))
 
 
 # ---- region masses ---------------------------------------------------------
@@ -195,7 +263,7 @@ def test_report_on_dependent_pair_with_witnesses(m_dep):
     assert w["cond_i"] == {"atom": 0}
     assert math.isclose(w["cond_ii"]["residual"], 2.0 / 3.0)
     assert w["cond_ii"]["point"] == [0.5, 0.5]
-    assert w["cond_iii"] == {"subset": [0, 1], "mode": "full"}
+    assert w["cond_iii"] == {"subset": [0, 1]}
     assert math.isclose(w["df"]["difference"],
                         (math.exp(-1) - math.exp(-2)) / (1 + math.exp(-1)))
     assert w["df"]["point"] == [1.0, 1.0]
