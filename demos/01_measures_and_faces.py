@@ -8,6 +8,9 @@ spreads its mass along the ray r * omega with radial density r**-2.  The
 induced max-stable distribution is P(X <= x) = exp(-tail_mass(x)).
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 import facetail as ft
@@ -45,8 +48,10 @@ pair = ft.marginalize(std, [0, 1])
 print("pair atoms:", pair.n_atoms, "of", std.n_atoms)
 
 # measures round-trip through a small JSON schema
-ft.save_measure(std, "/tmp/demo_measure.json")
-again = ft.load_measure("/tmp/demo_measure.json")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "measure.json")
+    ft.save_measure(std, path)
+    again = ft.load_measure(path)
 print("round trip equal:", ft.measures_allclose(std, again))
 
 # atoms on the same ray are merged at construction; the merged mass keeps

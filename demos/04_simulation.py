@@ -10,6 +10,9 @@ selection weight and a Pareto(1) radius.  Randomness is counter-based
 results are reproducible bit for bit and independent of chunking.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 import facetail as ft
@@ -45,7 +48,9 @@ print("reproducible:", bool(np.all(again.data == batch.data)))
 
 # CSV persistence with a metadata sidecar; 17 significant digits make the
 # round trip exact
-ft.save_batch(cond, "/tmp/demo_batch.csv")
-loaded = ft.load_batch("/tmp/demo_batch.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "batch.csv")
+    ft.save_batch(cond, path)
+    loaded = ft.load_batch(path)
 print("round trip exact:", bool(np.all(loaded.data == cond.data)),
       " sidecar kind:", loaded.kind)

@@ -11,14 +11,12 @@ block-factorization structure characterizes extremal independence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .measure import ExponentMeasure, margins
-
-if TYPE_CHECKING:  # circular at runtime only through independence.full_report
-    from .partition import Bipartition
+from .measure import ExponentMeasure, _ratio_kernel, margins
+from .partition import Bipartition, check_dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +84,11 @@ def conditional_law(measure: ExponentMeasure, k: int) -> ConditionalLaw:
 def rectangle_probability(law: ConditionalLaw, x) -> float:
     """Probability of the closed upper rectangle ``[x, inf)``, x > 0.
 
-    An included atom contributes only if its ray can dominate x in every
-    coordinate, which requires a positive direction entry wherever x is
-    positive; since x is strictly positive here, that means a full face.
-    The contribution is then the selection weight times the Pareto tail
-    ``min(1, r_min / max_i(x_i / omega_ji))``.
+    The law is the measure restricted to ``{y_k > 1}`` over ``m_k``, so this
+    is the measure's upper-rectangle mass at x with ``x_k`` raised to
+    ``max(x_k, 1)``, divided by ``m_k``: ``sum_j mass_j * min_i(omega_ji /
+    x_i) / m_k``.  An atom without a full face, which includes every atom
+    not charging k, contributes exactly 0.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (law.d,):
@@ -108,6 +106,8 @@ def marginal_rectangle_probability(law: ConditionalLaw, coords: Iterable[int], x
     drop to 0.  Point-mass components at 0 are thereby counted, which is
     what makes block-factorization statements exact rather than limiting.
     ``x[i]`` is the threshold of ``coords[i]``; coordinates must be distinct.
+    Computed like `rectangle_probability`, over ``coords`` and k, with a
+    threshold of 1 at k when k is not in ``coords``.
     """
     idx = np.array([int(i) for i in coords], dtype=int)
     if idx.size == 0:
@@ -125,13 +125,12 @@ def marginal_rectangle_probability(law: ConditionalLaw, coords: Iterable[int], x
 
 
 def _upper_rectangle(law: ConditionalLaw, coords: np.ndarray, x: np.ndarray) -> float:
-    om = law.measure.omega_matrix[np.array(law.atom_indices, dtype=int)][:, coords]
-    supported = np.all(om > 0.0, axis=1)
-    if not np.any(supported):
-        return 0.0
-    needed_radius = np.max(x[None, :] / om[supported], axis=1)
-    tail = np.minimum(1.0, law.r_min[supported] / needed_radius)
-    return float(law.weights[supported] @ tail)
+    # the measure's rectangle over coords and k, with x_k at least 1
+    point = dict(zip(coords.tolist(), x.tolist()))
+    point[law.k] = max(point.get(law.k, 1.0), 1.0)
+    mass = _ratio_kernel(law.measure.omega_matrix[:, list(point)], law.measure.mass_vector,
+                         np.array([list(point.values())]), np.minimum)[0]
+    return float(mass / law.norming_mass)
 
 
 # ---- structural factorization check ---------------------------------------
@@ -164,7 +163,7 @@ class FactorizationVerdict:
         return None
 
 
-def conditional_factorization(measure: ExponentMeasure, part: "Bipartition") -> FactorizationVerdict:
+def conditional_factorization(measure: ExponentMeasure, part: Bipartition) -> FactorizationVerdict:
     """Decide whether every conditional law splits over the two blocks.
 
     For an atomic measure, the law at coordinate k factorizes into
@@ -172,8 +171,7 @@ def conditional_factorization(measure: ExponentMeasure, part: "Bipartition") -> 
     when no atom charging k straddles both blocks.  The verdict is checked
     for every coordinate; `holds` is the conjunction.
     """
-    if part.d != measure.d:
-        raise ValueError(f"bipartition covers {part.d} coordinates, measure has {measure.d}")
+    check_dimension(part, measure.d)
     masks = measure.face_masks
     straddling = ((masks & part.a_mask) != 0) & ((masks & part.c_mask) != 0)
     offending = (measure.omega_matrix > 0.0) & straddling[:, None]  # (J, d)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import ExponentMeasure, exponent_function, is_standardized, marginalize
+from .measure import ExponentMeasure, _ratio_kernel, is_standardized
 from .partition import Bipartition
 from .simulate import SampleBatch
 
@@ -45,20 +45,17 @@ def chi_exact(measure: ExponentMeasure, i: int, j: int) -> float:
     """Tail dependence coefficient of coordinates i and j, from the measure.
 
     Requires a standardized measure (unit marginal masses, tolerance 1e-9);
-    then ``chi = 2 - exponent_{ij}(1, 1)``, which for atoms comes out as
-    ``sum_j mass_j * min(omega_ji, omega_jj')``.  Lies in [0, 1]; clipped
-    against roundoff at the ends.
+    then ``chi = 2 - exponent_{ij}(1, 1)``, the rectangle mass of the pair
+    at ``(1, 1)``: ``sum_j mass_j * min(omega_ji, omega_jj')``.  Computed as
+    that sum, with no subtraction, so it is exactly 0 when no atom charges
+    both coordinates.  Lies in [0, 1]; clipped against roundoff at the ends.
     """
     if i == j or not (0 <= i < measure.d and 0 <= j < measure.d):
         raise ValueError(f"need two distinct coordinates in range(d={measure.d})")
     if not is_standardized(measure):
         raise ValueError("chi_exact needs a standardized measure (unit margins)")
-    pair = marginalize(measure, [i, j])
-    # no atom charging both coordinates means chi is 0 exactly; skipping the
-    # subtraction avoids reporting its roundoff as spurious dependence
-    if not np.any(pair.face_masks == 0b11):
-        return 0.0
-    value = 2.0 - exponent_function(pair, np.ones(2))
+    value = _ratio_kernel(measure.omega_matrix[:, [i, j]], measure.mass_vector,
+                          np.ones((1, 2)), np.minimum)[0]
     return float(min(1.0, max(0.0, value)))
 
 

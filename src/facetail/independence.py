@@ -29,7 +29,7 @@ import numpy as np
 from .conditional import conditional_factorization
 from .measure import (
     ExponentMeasure,
-    _running_sum,
+    _ratio_kernel,
     exponent_function_extended,
     exponent_function_grid,
     marginalize,
@@ -226,10 +226,11 @@ def face_interior_mass(measure: ExponentMeasure, coords: Iterable[int],
                        threshold: float = 1.0) -> float:
     """Marginal mass above ``threshold`` in every coordinate of a subset.
 
-    Marginalizing to ``coords`` and keeping only points that exceed the
-    threshold in all kept coordinates leaves the atoms whose face contains
-    the whole subset, each contributing ``mass_j * min_i(omega_ji) /
-    threshold``.  Nondecreasing as the threshold drops; its divergence (or
+    This is the upper-rectangle mass of the ``coords`` marginal at
+    ``threshold * 1``: ``sum_j mass_j * min_{i in coords}(omega_ji /
+    threshold)``.  An atom whose face misses a coordinate of ``coords`` has
+    minimum exactly 0, so only atoms whose face contains the whole subset
+    contribute.  Nondecreasing as the threshold drops; its divergence (or
     vanishing) as threshold -> 0 is what the mixed-margins criterion
     detects, so this is the finite, testable version of that quantity.
     """
@@ -240,10 +241,9 @@ def face_interior_mass(measure: ExponentMeasure, coords: Iterable[int],
         raise ValueError(f"coordinates out of range for d={measure.d}")
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
-    imask = sum(1 << i for i in idx)
-    inside = (measure.face_masks & imask) == imask
-    terms = measure.mass_vector[inside] * np.min(measure.omega_matrix[inside][:, idx], axis=1)
-    return _running_sum(terms / threshold)
+    point = np.full((1, len(idx)), float(threshold))
+    return float(_ratio_kernel(measure.omega_matrix[:, idx], measure.mass_vector, point,
+                               np.minimum)[0])
 
 
 # ---- combined report -------------------------------------------------------

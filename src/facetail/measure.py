@@ -85,7 +85,7 @@ class ExponentMeasure:
 
     Held as read-only arrays: ``omega_matrix`` (J, d), ``mass_vector`` (J,)
     and ``face_masks`` (J,), bit i set iff coordinate i is positive, with
-    ``atoms`` and ``faces`` as views.  Construction zero-snaps directions
+    ``atoms`` as a view.  Construction zero-snaps directions
     (see `SpectralAtom`) and merges each atom into the first kept atom of
     its face whose sup-normalized direction is within ``RAY_TOL``
     componentwise, adding its intensity ``mass * omega`` to that atom's
@@ -132,10 +132,6 @@ class ExponentMeasure:
     def atoms(self) -> tuple[SpectralAtom, ...]:
         return tuple(SpectralAtom(row[:size], mass) for row, size, mass in zip(
             self.omega_matrix, self._lengths.tolist(), self.mass_vector.tolist()))
-
-    @cached_property
-    def faces(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.omega_matrix > 0.0)
 
     @property
     def n_atoms(self) -> int:
@@ -260,7 +256,7 @@ def exponent_function(measure: ExponentMeasure, x) -> float:
     of order -1: scaling x by t divides the value by t.
     """
     x = _check_positive_point(measure, x)
-    return float(_ratio_kernel(measure, x[None, :], np.maximum)[0])
+    return float(_ratio_kernel(measure.omega_matrix, measure.mass_vector, x[None, :], np.maximum)[0])
 
 
 def exponent_function_grid(measure: ExponentMeasure, points: np.ndarray) -> np.ndarray:
@@ -270,7 +266,7 @@ def exponent_function_grid(measure: ExponentMeasure, points: np.ndarray) -> np.n
         raise ValueError(f"expected (N, {measure.d}) grid, got shape {pts.shape}")
     if not np.all(pts > 0.0):
         raise ValueError("grid points must be strictly positive")
-    return _ratio_kernel(measure, pts, np.maximum)
+    return _ratio_kernel(measure.omega_matrix, measure.mass_vector, pts, np.maximum)
 
 
 def exponent_function_extended(measure: ExponentMeasure, x) -> float:
@@ -286,12 +282,12 @@ def exponent_function_extended(measure: ExponentMeasure, x) -> float:
     if np.any(x < 0.0) or np.any(np.isnan(x)):
         raise ValueError("point must be componentwise >= 0")
     zero = x == 0.0
-    if not np.any(zero):
-        return exponent_function(measure, x)
     if np.any(measure.omega_matrix[:, zero] > 0.0):
         return math.inf
-    ratios = measure.omega_matrix[:, ~zero] / x[~zero]
-    return _running_sum(measure.mass_vector * np.max(ratios, axis=1, initial=0.0))
+    if np.all(zero):
+        return 0.0
+    return float(_ratio_kernel(measure.omega_matrix[:, ~zero], measure.mass_vector,
+                               x[None, ~zero], np.maximum)[0])
 
 
 def distribution_function(measure: ExponentMeasure, x) -> float:
@@ -307,7 +303,7 @@ def rectangle_mass(measure: ExponentMeasure, x) -> float:
     ``min_i(omega_ji / x_i)``.
     """
     x = _check_positive_point(measure, x)
-    return float(_ratio_kernel(measure, x[None, :], np.minimum)[0])
+    return float(_ratio_kernel(measure.omega_matrix, measure.mass_vector, x[None, :], np.minimum)[0])
 
 
 #: cells (rows x atoms) per row block of the chunked kernels, so each of
@@ -326,11 +322,14 @@ def _row_blocks(n_rows: int, n_atoms: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _ratio_kernel(measure: ExponentMeasure, points: np.ndarray, reduce) -> np.ndarray:
+def _ratio_kernel(omega: np.ndarray, mass: np.ndarray, points: np.ndarray, reduce) -> np.ndarray:
     """``sum_j mass_j * reduce_i(omega_ji / x_i)`` per row x of ``points``, with
     ``reduce`` np.maximum (exponent) or np.minimum (rectangle mass), taking
-    one coordinate at a time into a (rows, J) accumulator per row block."""
-    omega, mass = measure.omega_matrix, measure.mass_vector
+    one coordinate at a time into a (rows, J) accumulator per row block.
+
+    The one place a mass-weighted min or max of ``omega / x`` is computed.
+    Over a coordinate subset, pass ``omega[:, cols]`` with the matching point
+    columns; ``omega`` needs at least one column."""
     # the accumulator follows the memory order of the points, which fixes how
     # BLAS sums each row: C- and F-ordered rows are summed in different orders
     order = "F" if points.flags.f_contiguous and not points.flags.c_contiguous else "C"
@@ -341,15 +340,10 @@ def _ratio_kernel(measure: ExponentMeasure, points: np.ndarray, reduce) -> np.nd
         # one ratio buffer per block, not a fresh temporary per coordinate:
         # those allocations and their page faults dominated small-J reports
         ratio = np.empty_like(acc)
-        for i in range(1, measure.d):
+        for i in range(1, omega.shape[1]):
             reduce(acc, np.divide(omega[:, i], x[:, i:i + 1], out=ratio), out=acc)
         out[lo:hi] = acc @ mass
     return out
-
-
-def _running_sum(terms: np.ndarray) -> float:
-    # left to right in atom order, as a plain accumulation loop adds them
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def _check_positive_point(measure: ExponentMeasure, x) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import facetail as ft
+from facetail.measure import _ratio_kernel
 from facetail.simulate import _conditional_rows, _max_stable_rows
 
 MB = 2**20
@@ -52,10 +53,16 @@ def test_grid_exponent_equals_the_broadcast_at_many_atoms():
 def test_point_kernels_equal_the_broadcast_bit_for_bit(d, n_atoms):
     m = ft.random_measure(d, n_atoms, seed=n_atoms)
     rng = np.random.default_rng(n_atoms)
+    # a coordinate subset in descending order, as the subset callers pass one
+    cols = list(range(d - 1, -1, -2))
+    sub = m.omega_matrix[:, cols]
     for x in rng.uniform(0.1, 10.0, size=(50, d)):
         ratios = m.omega_matrix / x
         assert ft.exponent_function(m, x) == float(np.max(ratios, axis=1) @ m.mass_vector)
         assert ft.rectangle_mass(m, x) == float(np.min(ratios, axis=1) @ m.mass_vector)
+        for reduce, fold in ((np.maximum, np.max), (np.minimum, np.min)):
+            assert _ratio_kernel(sub, m.mass_vector, x[None, cols], reduce)[0] == \
+                float(fold(sub / x[cols], axis=1) @ m.mass_vector)
 
 
 def peak_bytes(fn):
