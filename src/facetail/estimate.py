@@ -118,8 +118,8 @@ def chi_empirical(batch, q: float = 0.95) -> ChiMatrix:
     if np.min(marginal) < 20:
         bad = int(np.argmin(marginal))
         raise ValueError(
-            f"coordinate {bad} has only {int(marginal[bad])} exceedances above q={q}; "
-            "need at least 20 per pair")
+            f"column x{bad + 1} has only {int(marginal[bad])} exceedances above q={q}; "
+            "need at least 20 per coordinate")
     counts = exceed.T.astype(np.int64) @ exceed.astype(np.int64)
     chi = counts / ((1.0 - q) * n)
     np.fill_diagonal(chi, 1.0)

@@ -80,16 +80,18 @@ def certify_partition_bruteforce(measure: ExponentMeasure, max_d: int = 12) -> b
     For each of the ``2**(d-1) - 1`` bipartitions, runs the full
     independence report and demands (a) internal agreement and (b) an
     independent verdict exactly when the bipartition splits no component.
+    The reports share one full exponent on the grid, computed once.
     Exponential in d, hence the cap.
     """
-    from .independence import full_report
+    from .independence import _ExponentPlan, _report
 
     if measure.d > max_d:
         raise ValueError(f"brute force capped at d={max_d}, got d={measure.d}")
     components = [frozenset(c) for c in build_graph(measure).components]
+    plan = _ExponentPlan(measure)
     for part in all_bipartitions(measure.d):
         expected = all(c <= part.a or c <= part.c for c in components)
-        report = full_report(measure, part)
+        report = _report(plan, part)
         if not report.agree or report.independent != expected:
             return False
     return True

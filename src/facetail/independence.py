@@ -19,7 +19,6 @@ bug.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -27,13 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .conditional import conditional_factorization
-from .measure import (
-    ExponentMeasure,
-    _ratio_kernel,
-    exponent_function_extended,
-    exponent_function_grid,
-    marginalize,
-)
+from .measure import ExponentMeasure, _ratio_kernel, _work_size, marginalize
 from .partition import Bipartition, check_dimension
 
 #: relative tolerance for all additivity and factorization comparisons
@@ -83,14 +76,13 @@ def check_support(measure: ExponentMeasure, part: Bipartition) -> tuple[bool, in
 class AdditivityCheck:
     """Result of the numeric tail-exponent additivity check.
 
-    ``numeric_ok`` is the grid verdict at the stated relative tolerance;
-    ``structural_ok`` restates the exact support criterion, which for
-    atomic measures additivity is equivalent to.  The two must agree; a
-    mismatch is left visible rather than repaired.
+    ``numeric_ok`` is the grid verdict at the stated relative tolerance,
+    ``max_residual`` the largest residual and ``witness`` its grid point
+    when the check fails.  The exact support criterion is a separate
+    check; `full_report` compares the two.
     """
 
     numeric_ok: bool
-    structural_ok: bool
     max_residual: float
     witness: np.ndarray | None = field(repr=False, default=None)
     tol: float = ADDITIVITY_TOL
@@ -98,10 +90,6 @@ class AdditivityCheck:
     @property
     def ok(self) -> bool:
         return self.numeric_ok
-
-    @property
-    def consistent(self) -> bool:
-        return self.numeric_ok == self.structural_ok
 
 
 def check_additivity(
@@ -115,32 +103,11 @@ def check_additivity(
     ``grid`` defaults to `default_grid`; rows must be strictly positive.
     """
     check_dimension(part, measure.d)
-    grid = default_grid(measure.d) if grid is None else np.asarray(grid, dtype=float)
-    residuals = _additivity_residuals(*_split_exponents(measure, part, grid))
-    worst = int(np.argmax(residuals)) if residuals.size else 0
-    numeric_ok = bool(residuals.size == 0 or residuals[worst] <= ADDITIVITY_TOL)
-    structural_ok = check_support(measure, part)[0]
-    return AdditivityCheck(
-        numeric_ok=numeric_ok,
-        structural_ok=structural_ok,
-        max_residual=float(residuals[worst]) if residuals.size else 0.0,
-        witness=None if numeric_ok else grid[worst].copy(),
-    )
-
-
-def _split_exponents(measure, part, grid):
-    # one pass shared by the additivity and df checks
-    lam_a, lam_c = (exponent_function_grid(marginalize(measure, block), grid[:, list(block)])
-                    for block in (part.a_sorted, part.c_sorted))
-    return exponent_function_grid(measure, grid), lam_a + lam_c
-
-
-def _additivity_residuals(lam, lam_sum):
-    return np.abs(lam - lam_sum) / (1.0 + np.abs(lam))
-
-
-def _df_differences(lam, lam_sum):
-    return np.abs(np.exp(-lam) - np.exp(-lam_sum)) / (1.0 + np.exp(-lam))
+    plan = _ExponentPlan(measure, grid)
+    if not plan.positive:
+        raise ValueError("grid points must be strictly positive")
+    ok, residual, witness = plan.worst(_additivity_residuals(*plan.split(part)))
+    return AdditivityCheck(numeric_ok=ok, max_residual=residual, witness=witness)
 
 
 def check_df_factorization(
@@ -155,22 +122,82 @@ def check_df_factorization(
     +inf and the df to exact 0 on both sides.  Returns ``(ok, witness)``.
     """
     check_dimension(part, measure.d)
-    grid = default_grid(measure.d) if grid is None else np.asarray(grid, dtype=float)
-    if np.all(grid > 0.0):
-        diffs = _df_differences(*_split_exponents(measure, part, grid))
-    else:
-        diffs = np.array([_df_difference(measure, part, x) for x in grid])
-    worst = int(np.argmax(diffs)) if diffs.size else 0
-    ok = bool(diffs.size == 0 or diffs[worst] <= ADDITIVITY_TOL)
-    return ok, (None if ok else grid[worst].copy())
+    plan = _ExponentPlan(measure, grid)
+    ok, _, witness = plan.worst(_df_differences(*plan.split(part)))
+    return ok, witness
 
 
-def _df_difference(measure, part, x):
-    x = np.asarray(x, dtype=float)
-    lam_a, lam_c = (exponent_function_extended(marginalize(measure, block), x[list(block)])
-                    for block in (part.a_sorted, part.c_sorted))
-    full = math.exp(-exponent_function_extended(measure, x))
-    return abs(full - math.exp(-lam_a) * math.exp(-lam_c)) / (1.0 + full)
+def _additivity_residuals(lam, lam_sum):
+    return np.abs(lam - lam_sum) / (1.0 + np.abs(lam))
+
+
+def _df_differences(lam, lam_sum):
+    return np.abs(np.exp(-lam) - np.exp(-lam_sum)) / (1.0 + np.exp(-lam))
+
+
+class _ExponentPlan:
+    """Tail exponents of one measure on one grid, for any number of splits.
+
+    The grid is validated once.  The full exponent is computed on first use
+    and kept; each block exponent is computed through `marginalize` when a
+    split asks for it and then dropped (kept, all 2 * (2**(d-1) - 1) block
+    vectors of a certification at d=10 would hold 34 MB).  Every kernel
+    call runs in one work buffer that the plan keeps.
+
+    A zero grid coordinate is evaluated as +inf, so its ratios are exactly
+    0 and a zero that no atom charges stays neutral; a row with a zero
+    coordinate that some atom charges gets exponent +inf.
+    """
+
+    def __init__(self, measure: ExponentMeasure, grid: np.ndarray | None = None):
+        grid = default_grid(measure.d) if grid is None else np.asarray(grid, dtype=float)
+        if grid.ndim != 2 or grid.shape[1] != measure.d:
+            raise ValueError(f"expected (N, {measure.d}) grid, got shape {grid.shape}")
+        if not np.all(grid >= 0.0):
+            raise ValueError("grid points must be componentwise >= 0")
+        self.measure, self.grid = measure, grid
+        zero = grid == 0.0
+        self.positive = not zero.any()
+        self._points, self._charged_zero = grid, None
+        if not self.positive:
+            self._points = grid.copy(order="K")
+            self._points[zero] = np.inf
+            self._charged_zero = zero & np.any(measure.omega_matrix > 0.0, axis=0)
+        self._work = np.empty(_work_size(len(grid), measure.n_atoms))
+        self._lam = None
+
+    def split(self, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
+        """``(exponent, exponent_A + exponent_C)`` at every grid point."""
+        lam_a, lam_c = (self._exponent(marginalize(self.measure, block), list(block))
+                        for block in (part.a_sorted, part.c_sorted))
+        if self._lam is None:
+            self._lam = self._exponent(self.measure, None)
+        return self._lam, lam_a + lam_c
+
+    def _exponent(self, measure, cols):
+        # the full grid itself for the whole measure: a column gather would
+        # be F-ordered, which changes how BLAS sums each row
+        points = self._points if cols is None else self._points[:, cols]
+        need = _work_size(len(points), measure.n_atoms)
+        if self._work.size < need:  # a block wider in cells than the full call
+            self._work = np.empty(need)
+        lam = _ratio_kernel(measure.omega_matrix, measure.mass_vector, points, np.maximum,
+                            self._work)
+        if self._charged_zero is not None:
+            charged = self._charged_zero if cols is None else self._charged_zero[:, cols]
+            lam[charged.any(axis=1)] = np.inf
+        return lam
+
+    def worst(self, defects: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
+        """``(ok, largest defect, its grid point unless ok)`` against
+        ``ADDITIVITY_TOL``.  A NaN defect, where the exponent overflowed to
+        +inf on both sides, decides nothing and is skipped; a grid of NaN
+        defects only fails."""
+        if not defects.size:
+            return True, 0.0, None
+        worst = int(np.argmax(np.where(np.isnan(defects), -np.inf, defects)))
+        ok = bool(defects[worst] <= ADDITIVITY_TOL)
+        return ok, float(defects[worst]), None if ok else self.grid[worst].copy()
 
 
 def check_mixed_margins(
@@ -295,36 +322,35 @@ class IndependenceReport:
 def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceReport:
     """Run every independence check and collect the verdicts.
 
-    The two numeric criteria share one evaluation of the split exponents
-    on `default_grid`.  Never raises on disagreement; the ``agree`` flag
-    and the witnesses carry the evidence either way.
+    The two numeric criteria share one evaluation of the full and block
+    exponents on `default_grid`.  Never raises on disagreement; the
+    ``agree`` flag and the witnesses carry the evidence either way.
     """
+    return _report(_ExponentPlan(measure), part)
+
+
+def _report(plan: _ExponentPlan, part: Bipartition) -> IndependenceReport:
+    # full_report on a plan that certification and the battery keep per measure
+    measure = plan.measure
     check_dimension(part, measure.d)
-    grid = default_grid(measure.d)
+    witnesses: dict = {}
 
     support_ok, support_witness = check_support(measure, part)
-
-    lam, lam_sum = _split_exponents(measure, part, grid)
-    add_residuals = _additivity_residuals(lam, lam_sum)
-    df_diffs = _df_differences(lam, lam_sum)
-
-    witnesses: dict = {}
     if not support_ok:
         witnesses["cond_i"] = {"atom": support_witness}
 
-    cond_ii = not (add_residuals.max() > ADDITIVITY_TOL)
+    lam, lam_sum = plan.split(part)
+    cond_ii, residual, point = plan.worst(_additivity_residuals(lam, lam_sum))
     if not cond_ii:
-        witnesses["cond_ii"] = {"residual": float(add_residuals.max()),
-                                "point": grid[int(np.argmax(add_residuals))].tolist()}
+        witnesses["cond_ii"] = {"residual": residual, "point": point.tolist()}
 
     mixed_ok, mixed_witness = check_mixed_margins(measure, part)
     if not mixed_ok:
         witnesses["cond_iii"] = {"subset": sorted(mixed_witness)}
 
-    df_ok = not (df_diffs.max() > ADDITIVITY_TOL)
+    df_ok, difference, point = plan.worst(_df_differences(lam, lam_sum))
     if not df_ok:
-        witnesses["df"] = {"difference": float(df_diffs.max()),
-                           "point": grid[int(np.argmax(df_diffs))].tolist()}
+        witnesses["df"] = {"difference": difference, "point": point.tolist()}
 
     factorization = conditional_factorization(measure, part)
     if not factorization.holds:
@@ -396,7 +422,8 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
     ``n_atoms`` atoms; every even-numbered trial is block structured along
     a random bipartition.  All bipartitions are tested for d <= 4,
     otherwise 10 random ones (plus, for block trials, the generating
-    split).  Deterministic in ``seed``.
+    split).  Each trial's reports share one full exponent on the grid,
+    computed once per measure.  Deterministic in ``seed``.
     """
     from .measure import random_measure
     from .partition import all_bipartitions, random_bipartition
@@ -427,8 +454,9 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
         if generating is not None and generating not in parts:
             parts.insert(0, generating)
 
+        plan = _ExponentPlan(measure)
         for part in parts:
-            rep = full_report(measure, part)
+            rep = _report(plan, part)
             instances += 1
             flags = {"cond_i": rep.cond_i, "cond_ii": rep.cond_ii,
                      "cond_iii": rep.cond_iii, "df": rep.df,

@@ -322,24 +322,37 @@ def _row_blocks(n_rows: int, n_atoms: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _ratio_kernel(omega: np.ndarray, mass: np.ndarray, points: np.ndarray, reduce) -> np.ndarray:
+def _work_size(n_rows: int, n_atoms: int) -> int:
+    """Doubles of `_ratio_kernel` work space over ``n_rows`` points: an
+    accumulator and a ratio buffer for the largest of its row blocks."""
+    return 2 * n_atoms * max((hi - lo for lo, hi in _row_blocks(n_rows, n_atoms)), default=0)
+
+
+def _ratio_kernel(omega: np.ndarray, mass: np.ndarray, points: np.ndarray, reduce,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """``sum_j mass_j * reduce_i(omega_ji / x_i)`` per row x of ``points``, with
     ``reduce`` np.maximum (exponent) or np.minimum (rectangle mass), taking
     one coordinate at a time into a (rows, J) accumulator per row block.
 
     The one place a mass-weighted min or max of ``omega / x`` is computed.
     Over a coordinate subset, pass ``omega[:, cols]`` with the matching point
-    columns; ``omega`` needs at least one column."""
+    columns; ``omega`` needs at least one column.  ``work`` is a float buffer
+    of at least `_work_size` doubles that a caller making many calls keeps
+    across them; without it one is allocated per call."""
     # the accumulator follows the memory order of the points, which fixes how
     # BLAS sums each row: C- and F-ordered rows are summed in different orders
     order = "F" if points.flags.f_contiguous and not points.flags.c_contiguous else "C"
+    if work is None:
+        work = np.empty(_work_size(len(points), len(mass)))
     out = np.empty(len(points))
     for lo, hi in _row_blocks(len(points), len(mass)):
-        x = points[lo:hi]
-        acc = np.divide(omega[:, 0], x[:, :1], out=np.empty((hi - lo, len(mass)), order=order))
-        # one ratio buffer per block, not a fresh temporary per coordinate:
-        # those allocations and their page faults dominated small-J reports
-        ratio = np.empty_like(acc)
+        x, shape = points[lo:hi], (hi - lo, len(mass))
+        # the accumulator and one ratio buffer are views of the work space, not
+        # fresh temporaries: their allocations and page faults dominated
+        # small-J reports
+        acc = work[:shape[0] * shape[1]].reshape(shape, order=order)
+        ratio = work[acc.size:2 * acc.size].reshape(shape, order=order)
+        np.divide(omega[:, 0], x[:, :1], out=acc)
         for i in range(1, omega.shape[1]):
             reduce(acc, np.divide(omega[:, i], x[:, i:i + 1], out=ratio), out=acc)
         out[lo:hi] = acc @ mass

@@ -240,6 +240,16 @@ def test_estimate_rejects_non_finite_samples(capsys, tmp_path, dep_file):
     assert "non-finite" in err
 
 
+def test_estimate_names_the_short_column_one_based(capsys, tmp_path, measure_file):
+    out_csv = tmp_path / "batch.csv"
+    run_cli(capsys, "simulate", measure_file, "--n", "1000", "--seed", "107",
+            "--out", str(out_csv))
+    code, out, err = run_cli(capsys, "estimate", "--in", str(out_csv), "--q", "0.999")
+    assert code == 1 and out == ""
+    assert err == ("error: column x1 has only 1 exceedances above q=0.999; "
+                   "need at least 20 per coordinate\n")
+
+
 def test_estimate_missing_input(capsys):
     code, _, err = run_cli(capsys, "estimate", "--in", "/nonexistent/b.csv")
     assert code == 1 and "error" in err

@@ -164,6 +164,11 @@ def test_chi_empirical_input_checks(m_ind):
         chi_empirical(batch, q=1.0)
     with pytest.raises(ValueError):
         chi_empirical(batch, q=0.999)   # < 20 marginal exceedances
+    # the short column is named by its 1-based CSV header
+    tied = np.column_stack([batch.data[:, 0], np.ones(2000)])
+    with pytest.raises(ValueError, match=r"^column x2 has only 0 exceedances above q=0\.95; "
+                                         r"need at least 20 per coordinate$"):
+        chi_empirical(tied)
     with pytest.raises(ValueError):
         chi_empirical(np.zeros(5))
     # plain arrays are accepted

@@ -44,12 +44,12 @@ def test_support_criterion(m_ind, m_dep, m_blk):
 
 def test_additivity_verdicts(m_ind, m_dep, m_blk):
     good = ft.check_additivity(m_ind, PART2)
-    assert good.ok and good.structural_ok and good.consistent
+    assert good.ok
     assert good.max_residual <= good.tol
     assert good.witness is None
 
     bad = ft.check_additivity(m_dep, PART2)
-    assert not bad.ok and not bad.structural_ok and bad.consistent
+    assert not bad.ok
     assert bad.witness is not None
 
     assert ft.check_additivity(m_blk, SPLIT_01_2).ok
@@ -297,7 +297,7 @@ def test_report_symmetric_under_block_swap(m_blk):
 
 
 def test_numeric_and_structural_routes_stay_consistent():
-    # AdditivityCheck carries both the grid verdict and the exact one
+    # the grid verdict of additivity against the exact support criterion
     rng = np.random.default_rng(41)
     for seed in range(15):
         d = int(rng.integers(2, 6))
@@ -307,7 +307,26 @@ def test_numeric_and_structural_routes_stay_consistent():
             split = (part0.a_sorted, part0.c_sorted)
         m = ft.random_measure(d, 8, split=split, seed=seed)
         for part in ft.all_bipartitions(d):
-            assert ft.check_additivity(m, part).consistent
+            assert ft.check_additivity(m, part).ok == ft.check_support(m, part)[0]
+
+
+def test_overflowed_grid_points_decide_nothing():
+    # masses near the float maximum overflow the exponent to +inf at small
+    # points, where the residual is inf - inf; the other points decide
+    part = bipartition([0], [1])
+    dep = ft.ExponentMeasure(2, [ft.SpectralAtom([1.0, 1.0], 1e308)])
+    ind = ft.ExponentMeasure(2, [ft.SpectralAtom([1.0, 0.0], 1e308),
+                                 ft.SpectralAtom([0.0, 1.0], 1e308)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad, good = ft.check_additivity(dep, part), ft.check_additivity(ind, part)
+        rep_dep, rep_ind = ft.full_report(dep, part), ft.full_report(ind, part)
+        lonely = ft.check_additivity(dep, part, grid=np.array([[0.5, 0.5]]))
+    assert not bad.ok and bad.max_residual >= 0.5
+    assert not rep_dep.cond_ii and rep_dep.witnesses["cond_ii"]["residual"] == bad.max_residual
+    assert good.ok and good.max_residual <= good.tol
+    assert rep_ind.cond_ii and rep_ind.agree
+    # with no point left to decide, the check fails
+    assert not lonely.ok and math.isnan(lonely.max_residual)
 
 
 # ---- randomized battery ----------------------------------------------------
