@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -43,7 +44,19 @@ EXIT_DISAGREE = 4
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False))
+
+
+def _strict(value):
+    # strict JSON has no Infinity or NaN: a non-finite number (an overflowed
+    # witness residual) is written as the string "inf", "-inf" or "nan"
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
 
 
 def _coords(text: str) -> frozenset[int]:

@@ -189,10 +189,16 @@ def permutation_independence_test(
     rv /= norm_v
     statistic = float(ru @ rv)
 
+    # Generator.permutation(n) shuffles a fresh arange(n); shuffling a copy
+    # of rv in place draws the same stream and gives the same permuted vector
+    # without the index array and the gather
     rng = np.random.default_rng(seed)
+    buf = np.empty_like(rv)
     hits = 0
     for _ in range(n_perm):
-        if abs(float(ru @ rv[rng.permutation(rv.size)])) >= abs(statistic):
+        np.copyto(buf, rv)
+        rng.shuffle(buf)
+        if abs(float(ru @ buf)) >= abs(statistic):
             hits += 1
     p_value = (1.0 + hits) / (n_perm + 1.0)
     return TestResult(reject=p_value <= alpha, p_value=p_value, statistic=statistic,

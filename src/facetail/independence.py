@@ -37,6 +37,19 @@ _GRID_CAP = 4096
 _GRID_RANDOM = 64
 _GRID_SEED = 0
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _grid_layout(d: int) -> tuple[int, int]:
+    """``(first, k)`` for the tensor part of `default_grid(d)`: the lex
+    product of ``_GRID_AXIS`` over coordinates ``first, ..., d - 1``, with
+    ``k = d - first`` the most that fit in ``_GRID_CAP`` rows, and every
+    coordinate before ``first`` fixed at ``_GRID_AXIS[0]``."""
+    k = 0
+    while k < d and len(_GRID_AXIS) ** (k + 1) <= _GRID_CAP:
+        k += 1
+    return d - k, k
+
 
 @lru_cache(maxsize=32)
 def default_grid(d: int) -> np.ndarray:
@@ -44,17 +57,49 @@ def default_grid(d: int) -> np.ndarray:
 
     The tensor grid over ``{0.5, 1, 2, 5}`` per coordinate, truncated to
     4096 points, plus 64 reproducible uniform points in ``(0.1, 10)^d``.
-    Deterministic in d, returned read-only.
+    Truncation keeps the lex-first rows: the last ``k = min(d, 6)``
+    coordinates run over the full product and the others stay at 0.5 (see
+    `_grid_layout`), which lets `_ExponentPlan` evaluate a block exponent
+    once per distinct point of the block's projection.  Deterministic in d,
+    returned read-only.
     """
     if d < 1:
         raise ValueError("grid needs d >= 1")
-    tensor = np.array(list(itertools.islice(
-        itertools.product(_GRID_AXIS, repeat=d), _GRID_CAP)))
+    first, k = _grid_layout(d)
+    tensor = np.full((len(_GRID_AXIS) ** k, d), _GRID_AXIS[0])
+    tensor[:, first:] = list(itertools.product(_GRID_AXIS, repeat=k))
     rng = np.random.default_rng(_GRID_SEED)
     random_part = rng.uniform(0.1, 10.0, size=(_GRID_RANDOM, d))
     grid = np.vstack([tensor, random_part])
     grid.flags.writeable = False
     return grid
+
+
+@lru_cache(maxsize=None)
+def _projected_rows(k: int, pattern: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(rows, spread)`` for a block of a `default_grid` whose tensor part
+    varies ``k`` coordinates, of which the block holds those in the bit mask
+    ``pattern`` (bit i: the i-th varying coordinate), or None where ``rows``
+    would not halve the grid, so that gathering and spreading cost more than
+    they save.
+
+    ``rows`` are the distinct points of the block's projection: the tensor
+    rows whose varying digits outside the block are 0, then the random rows,
+    padded by repeating the last to a multiple of 8 rows (so BLAS sums each
+    row as in the full-grid call, see `_row_blocks`).  ``spread`` maps the
+    values at ``rows`` back onto every grid row.  Both are int16: at most 64
+    patterns per k are cached, whatever the block."""
+    base = len(_GRID_AXIS)
+    digits = np.arange(base ** k)[:, None] // base ** np.arange(k - 1, -1, -1) % base
+    inside = [(pattern >> i & 1) == 1 for i in range(k)]
+    kept = np.flatnonzero(~digits[:, np.logical_not(inside)].any(axis=1))
+    spread = digits[:, inside] @ base ** np.arange(sum(inside) - 1, -1, -1)
+    rows = np.concatenate([kept, base ** k + np.arange(_GRID_RANDOM)])
+    rows = np.concatenate([rows, np.full(-len(rows) % 8, rows[-1])])
+    if 2 * len(rows) > base ** k + _GRID_RANDOM:
+        return None
+    spread = np.concatenate([spread, len(kept) + np.arange(_GRID_RANDOM)])
+    return rows.astype(np.int16), spread.astype(np.int16)
 
 
 # ---- the individual criteria ----------------------------------------------
@@ -106,7 +151,7 @@ def check_additivity(
     plan = _ExponentPlan(measure, grid)
     if not plan.positive:
         raise ValueError("grid points must be strictly positive")
-    ok, residual, witness = plan.worst(_additivity_residuals(*plan.split(part)))
+    ok, residual, witness = plan.worst(_additivity_residuals, *plan.split(part))
     return AdditivityCheck(numeric_ok=ok, max_residual=residual, witness=witness)
 
 
@@ -123,7 +168,7 @@ def check_df_factorization(
     """
     check_dimension(part, measure.d)
     plan = _ExponentPlan(measure, grid)
-    ok, _, witness = plan.worst(_df_differences(*plan.split(part)))
+    ok, _, witness = plan.worst(_df_differences, *plan.split(part))
     return ok, witness
 
 
@@ -135,6 +180,13 @@ def _df_differences(lam, lam_sum):
     return np.abs(np.exp(-lam) - np.exp(-lam_sum)) / (1.0 + np.exp(-lam))
 
 
+def _quietly(method):
+    def call(*args):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return method(*args)
+    return call
+
+
 class _ExponentPlan:
     """Tail exponents of one measure on one grid, for any number of splits.
 
@@ -143,6 +195,14 @@ class _ExponentPlan:
     split asks for it and then dropped (kept, all 2 * (2**(d-1) - 1) block
     vectors of a certification at d=10 would hold 34 MB).  Every kernel
     call runs in one work buffer that the plan keeps.
+
+    On `default_grid` a block exponent is evaluated once per distinct point
+    of the block's projection and spread back over the grid: the grid's
+    tensor part varies only its last k = min(d, 6) coordinates, so a block
+    holding j of them sees 4**j distinct tensor points, plus the 64 random
+    rows (`_projected_rows`).  The values are bit-identical to a full-grid
+    evaluation.  Other grids have no known product structure and are
+    evaluated row by row.
 
     A zero grid coordinate is evaluated as +inf, so its ratios are exactly
     0 and a zero that no atom charges stays neutral; a row with a zero
@@ -153,46 +213,74 @@ class _ExponentPlan:
         grid = default_grid(measure.d) if grid is None else np.asarray(grid, dtype=float)
         if grid.ndim != 2 or grid.shape[1] != measure.d:
             raise ValueError(f"expected (N, {measure.d}) grid, got shape {grid.shape}")
-        if not np.all(grid >= 0.0):
+        low = float(grid.min(initial=np.inf))
+        if not low >= 0.0:
             raise ValueError("grid points must be componentwise >= 0")
         self.measure, self.grid = measure, grid
-        zero = grid == 0.0
-        self.positive = not zero.any()
+        self.positive = low > 0.0
         self._points, self._charged_zero = grid, None
         if not self.positive:
+            zero = grid == 0.0
+            low = float(grid.min(where=~zero, initial=np.inf))
             self._points = grid.copy(order="K")
             self._points[zero] = np.inf
             self._charged_zero = zero & np.any(measure.omega_matrix > 0.0, axis=0)
+        self._layout = _grid_layout(measure.d) if grid is default_grid(measure.d) else None
+        # an exponent is at most sum_j mass_j * max_i omega_ji over the least
+        # positive grid coordinate (Python floats overflow to inf silently).
+        # Where that may overflow, split and worst run under errstate, so +inf
+        # and the NaN of inf - inf come without warnings; elsewhere they run
+        # without it, as entering it and every ufunc call inside it cost time.
+        top = sum(w * m for w, m in zip(measure.mass_vector.tolist(),
+                                        measure.omega_matrix.max(axis=1, initial=0.0).tolist()))
+        if not top / low < _FLOAT_MAX / 4:
+            self.split, self.worst = _quietly(self.split), _quietly(self.worst)
         self._work = np.empty(_work_size(len(grid), measure.n_atoms))
         self._lam = None
 
     def split(self, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-        """``(exponent, exponent_A + exponent_C)`` at every grid point."""
-        lam_a, lam_c = (self._exponent(marginalize(self.measure, block), list(block))
-                        for block in (part.a_sorted, part.c_sorted))
+        """``(exponent, exponent_A + exponent_C)`` at every grid point.  A
+        value beyond the float range is +inf, without a warning."""
+        lam_a, lam_c = (self._exponent(marginalize(self.measure, block), list(block), mask)
+                        for block, mask in ((part.a_sorted, part.a_mask),
+                                            (part.c_sorted, part.c_mask)))
         if self._lam is None:
-            self._lam = self._exponent(self.measure, None)
+            self._lam = self._exponent(self.measure, None, None)
         return self._lam, lam_a + lam_c
 
-    def _exponent(self, measure, cols):
-        # the full grid itself for the whole measure: a column gather would
-        # be F-ordered, which changes how BLAS sums each row
-        points = self._points if cols is None else self._points[:, cols]
+    def _exponent(self, measure, cols, mask):
+        # the full grid itself for the whole measure; for a block a column
+        # gather, which is F-ordered on the C-ordered default grid and fixes
+        # how BLAS sums each row, so the projected rows are gathered F-ordered
+        projected = None
+        if cols is not None and self._layout is not None:
+            first, k = self._layout
+            projected = _projected_rows(k, mask >> first)
+        if cols is None:
+            points = self._points
+        elif projected is None:
+            points = self._points[:, cols]
+        else:
+            points = self._points.take(projected[0], axis=0).T.take(cols, axis=0).T
         need = _work_size(len(points), measure.n_atoms)
         if self._work.size < need:  # a block wider in cells than the full call
             self._work = np.empty(need)
         lam = _ratio_kernel(measure.omega_matrix, measure.mass_vector, points, np.maximum,
                             self._work)
+        if projected is not None:
+            return lam.take(projected[1])
         if self._charged_zero is not None:
             charged = self._charged_zero if cols is None else self._charged_zero[:, cols]
             lam[charged.any(axis=1)] = np.inf
         return lam
 
-    def worst(self, defects: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
-        """``(ok, largest defect, its grid point unless ok)`` against
-        ``ADDITIVITY_TOL``.  A NaN defect, where the exponent overflowed to
-        +inf on both sides, decides nothing and is skipped; a grid of NaN
-        defects only fails."""
+    def worst(self, defect, lam: np.ndarray, lam_sum: np.ndarray
+              ) -> tuple[bool, float, np.ndarray | None]:
+        """``(ok, largest defect, its grid point unless ok)`` of the defects
+        ``defect(lam, lam_sum)`` against ``ADDITIVITY_TOL``.  A NaN defect,
+        where the exponent overflowed to +inf on both sides, decides nothing
+        and is skipped; a grid of NaN defects only fails."""
+        defects = defect(lam, lam_sum)
         if not defects.size:
             return True, 0.0, None
         worst = int(np.argmax(np.where(np.isnan(defects), -np.inf, defects)))
@@ -340,7 +428,7 @@ def _report(plan: _ExponentPlan, part: Bipartition) -> IndependenceReport:
         witnesses["cond_i"] = {"atom": support_witness}
 
     lam, lam_sum = plan.split(part)
-    cond_ii, residual, point = plan.worst(_additivity_residuals(lam, lam_sum))
+    cond_ii, residual, point = plan.worst(_additivity_residuals, lam, lam_sum)
     if not cond_ii:
         witnesses["cond_ii"] = {"residual": residual, "point": point.tolist()}
 
@@ -348,7 +436,7 @@ def _report(plan: _ExponentPlan, part: Bipartition) -> IndependenceReport:
     if not mixed_ok:
         witnesses["cond_iii"] = {"subset": sorted(mixed_witness)}
 
-    df_ok, difference, point = plan.worst(_df_differences(lam, lam_sum))
+    df_ok, difference, point = plan.worst(_df_differences, lam, lam_sum)
     if not df_ok:
         witnesses["df"] = {"difference": difference, "point": point.tolist()}
 

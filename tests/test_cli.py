@@ -115,6 +115,23 @@ def test_check_rejects_malformed_coords(capsys, measure_file):
     capsys.readouterr()
 
 
+def test_check_overflow_prints_strict_json_and_no_warnings(tmp_path):
+    # the exponent overflows to +inf: no numpy warning on stderr, and the
+    # infinite residual is the string "inf", not the non-JSON Infinity
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"d": 2, "atoms": [{"omega": [1, 1], "mass": 1e308}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "facetail", "check", str(path), "--A", "1", "--C", "2"],
+        capture_output=True, text=True)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(proc.stdout, parse_constant=reject)
+    assert proc.stderr == ""
+    assert payload["witnesses"]["cond_ii"]["residual"] == "inf"
+
+
 def test_check_output_is_byte_stable(capsys, measure_file):
     _, first, _ = run_cli(capsys, "check", measure_file, "--A", "1,2", "--C", "3")
     _, second, _ = run_cli(capsys, "check", measure_file, "--A", "1,2", "--C", "3")

@@ -245,6 +245,48 @@ def test_permutation_test_rejects_non_finite_samples():
         permutation_independence_test(np.full(100, -math.inf), u, seed=1)
 
 
+def oracle_permutation_loop(u, v, n_perm, seed):
+    # the earlier loop, which gathered rv through rng.permutation's index
+    # array; returns (statistic, p_value, hits)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    v = np.asarray(v, dtype=float).reshape(-1)
+    ru = _midranks(u)
+    rv = _midranks(v)
+    ru -= ru.mean()
+    rv -= rv.mean()
+    ru /= float(np.linalg.norm(ru))
+    rv /= float(np.linalg.norm(rv))
+    statistic = float(ru @ rv)
+
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_perm):
+        if abs(float(ru @ rv[rng.permutation(rv.size)])) >= abs(statistic):
+            hits += 1
+    p_value = (1.0 + hits) / (n_perm + 1.0)
+    return statistic, p_value, hits
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 50, 333, 5000])
+@pytest.mark.parametrize("ties", [False, True])
+def test_permutation_test_equals_the_index_array_loop(n, ties):
+    # shuffling a copy of rv in place draws the same Fisher-Yates stream as
+    # rng.permutation, so statistic, p-value and hit count are identical
+    rng = np.random.default_rng(1000 * n + ties)
+    u = rng.uniform(size=n)
+    v = 0.3 * u + rng.uniform(size=n)
+    if ties:
+        u, v = np.floor(4 * u), np.floor(3 * v)
+        u[:2], v[:2] = (0.0, 3.0), (2.0, 0.0)   # neither sample constant
+    n_perm = 499 if n < 1000 else 99
+    for seed in (0, 1, 2, 12345):
+        res = permutation_independence_test(u, v, n_perm=n_perm, seed=seed)
+        statistic, p_value, hits = oracle_permutation_loop(u, v, n_perm, seed)
+        assert res.statistic == statistic
+        assert res.p_value == p_value
+        assert round(res.p_value * (n_perm + 1)) - 1 == hits
+
+
 # ---- block factorization test ----------------------------------------------
 
 

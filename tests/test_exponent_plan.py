@@ -1,18 +1,25 @@
 """One exponent plan per (measure, grid) against the per-report code it replaced.
 
 Certification and the agreement battery run every bipartition of a measure
-through one `_ExponentPlan`, which computes the full exponent once and keeps
-one kernel work buffer.  The ``oracle_*`` functions below are the earlier
+through one `_ExponentPlan`, which computes the full exponent once, keeps
+one kernel work buffer and, on `default_grid`, evaluates each block exponent
+only at the distinct points of the block's projection.  The ``oracle_*`` functions below are the earlier
 per-report split exponents, the report built on them and the per-point df
 difference for grids with zero coordinates, kept verbatim.  Reports must
 equal the oracle's bit for bit; zero-coordinate df differences, now computed
 by the kernel over whole grids, must be within a few ulps of it.
 """
 
+import inspect
+import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,8 +141,28 @@ def test_plan_reports_equal_the_per_report_split_bit_for_bit(drawn, data):
         masks.append(a_mask)
     parts = data.draw(st.permutations([split_of_mask(d, mask) for mask in masks]))
     plan = _ExponentPlan(m)
+    grid = ft.default_grid(d)
     for part in parts:
         assert _report(plan, part).to_dict() == oracle_full_report(m, part).to_dict()
+        # to_dict hides the residual bits of an independent split
+        for got, want in zip(plan.split(part), oracle_split_exponents(m, part, grid)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_default_grid_is_the_truncated_lex_product(d):
+    # the layout the plan relies on: the lex-first 4096 rows of the product,
+    # so only the last min(d, 6) coordinates vary, then the random rows
+    grid = ft.default_grid(d)
+    tensor = np.array(list(itertools.islice(
+        itertools.product(independence._GRID_AXIS, repeat=d), independence._GRID_CAP)))
+    random_part = np.random.default_rng(independence._GRID_SEED).uniform(
+        0.1, 10.0, size=(independence._GRID_RANDOM, d))
+    assert np.array_equal(grid, np.vstack([tensor, random_part]))
+    assert grid.flags.c_contiguous and not grid.flags.writeable
+    first, k = independence._grid_layout(d)
+    assert (first, k) == (d - min(d, 6), min(d, 6))
+    assert np.all(grid[:4 ** k, :first] == 0.5)
 
 
 @st.composite
@@ -184,10 +211,13 @@ def test_certification_evaluates_the_full_exponent_once(monkeypatch):
     m = ft.random_measure(10, 16, seed=3)
     kernel = measure_module._ratio_kernel
     full_width = []
+    block_rows = []
 
-    def counting(omega, *args, **kwargs):
+    def counting(omega, mass, points, *args, **kwargs):
         full_width.append(omega.shape[1] == m.d)
-        return kernel(omega, *args, **kwargs)
+        if omega.shape[1] < m.d:
+            block_rows.append(len(points))
+        return kernel(omega, mass, points, *args, **kwargs)
 
     monkeypatch.setattr(measure_module, "_ratio_kernel", counting)
     monkeypatch.setattr(independence, "_ratio_kernel", counting)
@@ -201,4 +231,48 @@ def test_certification_evaluates_the_full_exponent_once(monkeypatch):
     # block exponent as well would add about 34 MB
     assert sum(full_width) == 1
     assert len(full_width) == 1 + 2 * 511
+    # each block exponent at the distinct points of its projection only:
+    # 1022 blocks of 4160 rows were 4,251,520
+    assert sum(block_rows) == 311_800
     assert peak < 4 * MB
+
+
+SPLIT_HASH = """
+import hashlib
+import numpy as np
+import facetail as ft
+from facetail.independence import _ExponentPlan
+from facetail.measure import exponent_function_grid, marginalize
+
+{oracle}
+
+plan_hash, oracle_hash = hashlib.sha256(), hashlib.sha256()
+for d, n_atoms, seed in [(4, 8, 1), (4, 300, 2), (6, 8, 3), (6, 120, 4),
+                         (8, 8, 5), (8, 300, 6), (10, 10, 7), (10, 16, 8), (10, 300, 9)]:
+    rng = np.random.default_rng(seed)
+    block = seed % 2 == 0
+    a = sorted(rng.choice(d, size=d // 2, replace=False).tolist())
+    m = ft.random_measure(d, n_atoms, split=(a, sorted(set(range(d)) - set(a))) if block
+                          else None, seed=seed)
+    plan = _ExponentPlan(m)
+    for mask in rng.integers(1, 2 ** d - 1, size=12).tolist():
+        a = [i for i in range(d) if mask >> i & 1]
+        part = ft.bipartition(a, sorted(set(range(d)) - set(a)))
+        for h, arrays in ((plan_hash, plan.split(part)),
+                          (oracle_hash, oracle_split_exponents(m, part, ft.default_grid(d)))):
+            for array in arrays:
+                h.update(array.tobytes())
+print(plan_hash.hexdigest(), oracle_hash.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_plan_split_is_bit_identical_under_blas_threads(threads):
+    # how BLAS sums a row may depend on the thread count and the rows around
+    # it; the projected rows must reproduce the full-grid call either way
+    code = SPLIT_HASH.format(oracle=inspect.getsource(oracle_split_exponents))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    plan_hash, oracle_hash = proc.stdout.split()
+    assert plan_hash == oracle_hash

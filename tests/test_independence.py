@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,26 @@ def test_overflowed_grid_points_decide_nothing():
     assert rep_ind.cond_ii and rep_ind.agree
     # with no point left to decide, the check fails
     assert not lonely.ok and math.isnan(lonely.max_residual)
+
+
+def test_overflow_to_inf_raises_no_numpy_warning():
+    # an exponent past the float range, from huge masses or from tiny grid
+    # coordinates, is +inf without a warning on every entry point
+    part = bipartition([0, 1], [2])
+    huge = ft.ExponentMeasure(3, [ft.SpectralAtom([1.0, 1.0, 0.0], 1e308),
+                                  ft.SpectralAtom([0.0, 1.0, 1.0], 1e308)])
+    plain = ft.ExponentMeasure(3, [ft.SpectralAtom([1.0, 1.0, 0.0], 1.0),
+                                   ft.SpectralAtom([0.0, 0.0, 1.0], 1.0)])
+    tiny = np.array([[1e-320, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not ft.full_report(huge, part).cond_ii
+        assert not ft.check_additivity(huge, part).ok
+        # the df verdict here is the underflow of ROADMAP item 1(b)
+        ft.check_df_factorization(huge, part, np.vstack([tiny, np.zeros(3)]))
+        # 1/1e-320 overflows: that point decides nothing, the other one does
+        assert ft.check_additivity(plain, part, tiny).ok
+        assert ft.check_df_factorization(plain, part, tiny)[0]
 
 
 # ---- randomized battery ----------------------------------------------------
