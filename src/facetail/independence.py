@@ -37,9 +37,6 @@ _GRID_CAP = 4096
 _GRID_RANDOM = 64
 _GRID_SEED = 0
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
 def _grid_layout(d: int) -> tuple[int, int]:
     """``(first, k)`` for the tensor part of `default_grid(d)`: the lex
     product of ``_GRID_AXIS`` over coordinates ``first, ..., d - 1``, with
@@ -76,12 +73,10 @@ def default_grid(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _projected_rows(k: int, pattern: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _projected_rows(k: int, pattern: int) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, spread)`` for a block of a `default_grid` whose tensor part
     varies ``k`` coordinates, of which the block holds those in the bit mask
-    ``pattern`` (bit i: the i-th varying coordinate), or None where ``rows``
-    would not halve the grid, so that gathering and spreading cost more than
-    they save.
+    ``pattern`` (bit i: the i-th varying coordinate).
 
     ``rows`` are the distinct points of the block's projection: the tensor
     rows whose varying digits outside the block are 0, then the random rows,
@@ -96,8 +91,6 @@ def _projected_rows(k: int, pattern: int) -> tuple[np.ndarray, np.ndarray] | Non
     spread = digits[:, inside] @ base ** np.arange(sum(inside) - 1, -1, -1)
     rows = np.concatenate([kept, base ** k + np.arange(_GRID_RANDOM)])
     rows = np.concatenate([rows, np.full(-len(rows) % 8, rows[-1])])
-    if 2 * len(rows) > base ** k + _GRID_RANDOM:
-        return None
     spread = np.concatenate([spread, len(kept) + np.arange(_GRID_RANDOM)])
     return rows.astype(np.int16), spread.astype(np.int16)
 
@@ -180,13 +173,6 @@ def _df_differences(lam, lam_sum):
     return np.abs(np.exp(-lam) - np.exp(-lam_sum)) / (1.0 + np.exp(-lam))
 
 
-def _quietly(method):
-    def call(*args):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return method(*args)
-    return call
-
-
 class _ExponentPlan:
     """Tail exponents of one measure on one grid, for any number of splits.
 
@@ -221,54 +207,44 @@ class _ExponentPlan:
         self._points, self._charged_zero = grid, None
         if not self.positive:
             zero = grid == 0.0
-            low = float(grid.min(where=~zero, initial=np.inf))
             self._points = grid.copy(order="K")
             self._points[zero] = np.inf
             self._charged_zero = zero & np.any(measure.omega_matrix > 0.0, axis=0)
         self._layout = _grid_layout(measure.d) if grid is default_grid(measure.d) else None
-        # an exponent is at most sum_j mass_j * max_i omega_ji over the least
-        # positive grid coordinate (Python floats overflow to inf silently).
-        # Where that may overflow, split and worst run under errstate, so +inf
-        # and the NaN of inf - inf come without warnings; elsewhere they run
-        # without it, as entering it and every ufunc call inside it cost time.
-        top = sum(w * m for w, m in zip(measure.mass_vector.tolist(),
-                                        measure.omega_matrix.max(axis=1, initial=0.0).tolist()))
-        if not top / low < _FLOAT_MAX / 4:
-            self.split, self.worst = _quietly(self.split), _quietly(self.worst)
         self._work = np.empty(_work_size(len(grid), measure.n_atoms))
         self._lam = None
 
     def split(self, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
         """``(exponent, exponent_A + exponent_C)`` at every grid point.  A
         value beyond the float range is +inf, without a warning."""
-        lam_a, lam_c = (self._exponent(marginalize(self.measure, block), list(block), mask)
-                        for block, mask in ((part.a_sorted, part.a_mask),
-                                            (part.c_sorted, part.c_mask)))
-        if self._lam is None:
-            self._lam = self._exponent(self.measure, None, None)
-        return self._lam, lam_a + lam_c
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam_a, lam_c = (self._exponent(marginalize(self.measure, block), list(block), mask)
+                            for block, mask in ((part.a_sorted, part.a_mask),
+                                                (part.c_sorted, part.c_mask)))
+            if self._lam is None:
+                self._lam = self._exponent(self.measure, None, None)
+            return self._lam, lam_a + lam_c
 
     def _exponent(self, measure, cols, mask):
         # the full grid itself for the whole measure; for a block a column
         # gather, which is F-ordered on the C-ordered default grid and fixes
         # how BLAS sums each row, so the projected rows are gathered F-ordered
-        projected = None
-        if cols is not None and self._layout is not None:
-            first, k = self._layout
-            projected = _projected_rows(k, mask >> first)
+        spread = None
         if cols is None:
             points = self._points
-        elif projected is None:
+        elif self._layout is None:
             points = self._points[:, cols]
         else:
-            points = self._points.take(projected[0], axis=0).T.take(cols, axis=0).T
+            first, k = self._layout
+            rows, spread = _projected_rows(k, mask >> first)
+            points = self._points.take(rows, axis=0).T.take(cols, axis=0).T
         need = _work_size(len(points), measure.n_atoms)
         if self._work.size < need:  # a block wider in cells than the full call
             self._work = np.empty(need)
         lam = _ratio_kernel(measure.omega_matrix, measure.mass_vector, points, np.maximum,
                             self._work)
-        if projected is not None:
-            return lam.take(projected[1])
+        if spread is not None:
+            return lam.take(spread)
         if self._charged_zero is not None:
             charged = self._charged_zero if cols is None else self._charged_zero[:, cols]
             lam[charged.any(axis=1)] = np.inf
@@ -280,7 +256,8 @@ class _ExponentPlan:
         ``defect(lam, lam_sum)`` against ``ADDITIVITY_TOL``.  A NaN defect,
         where the exponent overflowed to +inf on both sides, decides nothing
         and is skipped; a grid of NaN defects only fails."""
-        defects = defect(lam, lam_sum)
+        with np.errstate(over="ignore", invalid="ignore"):
+            defects = defect(lam, lam_sum)
         if not defects.size:
             return True, 0.0, None
         worst = int(np.argmax(np.where(np.isnan(defects), -np.inf, defects)))

@@ -116,20 +116,25 @@ def test_check_rejects_malformed_coords(capsys, measure_file):
 
 
 def test_check_overflow_prints_strict_json_and_no_warnings(tmp_path):
-    # the exponent overflows to +inf: no numpy warning on stderr, and the
+    # the exponent overflows to +inf, from a huge mass or from a huge omega
+    # over a small grid coordinate: no numpy warning on stderr, and an
     # infinite residual is the string "inf", not the non-JSON Infinity
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"d": 2, "atoms": [{"omega": [1, 1], "mass": 1e308}]}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "facetail", "check", str(path), "--A", "1", "--C", "2"],
-        capture_output=True, text=True)
-
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
 
-    payload = json.loads(proc.stdout, parse_constant=reject)
-    assert proc.stderr == ""
-    assert payload["witnesses"]["cond_ii"]["residual"] == "inf"
+    residuals = []
+    for name, atom in (("huge_mass", {"omega": [1, 1], "mass": 1e308}),
+                       ("huge_omega", {"omega": [1e308, 1e308], "mass": 1e-308})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"d": 2, "atoms": [atom]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "facetail", "check", str(path), "--A", "1", "--C", "2"],
+            capture_output=True, text=True)
+        payload = json.loads(proc.stdout, parse_constant=reject)
+        assert proc.stderr == ""
+        residuals.append(payload["witnesses"]["cond_ii"]["residual"])
+    # the huge omega overflows only below the grid point (1, 1), which decides
+    assert residuals[0] == "inf" and 0.49 < residuals[1] < 0.51
 
 
 def test_check_output_is_byte_stable(capsys, measure_file):

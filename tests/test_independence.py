@@ -336,6 +336,10 @@ def test_overflow_to_inf_raises_no_numpy_warning():
     part = bipartition([0, 1], [2])
     huge = ft.ExponentMeasure(3, [ft.SpectralAtom([1.0, 1.0, 0.0], 1e308),
                                   ft.SpectralAtom([0.0, 1.0, 1.0], 1e308)])
+    # a huge omega with a tiny mass: the ratio omega / x overflows before
+    # the mass scales it down
+    stretched = ft.ExponentMeasure(3, [ft.SpectralAtom([1e308, 1e308, 0.0], 1e-308),
+                                       ft.SpectralAtom([0.0, 1e308, 1e308], 1e-308)])
     plain = ft.ExponentMeasure(3, [ft.SpectralAtom([1.0, 1.0, 0.0], 1.0),
                                    ft.SpectralAtom([0.0, 0.0, 1.0], 1.0)])
     tiny = np.array([[1e-320, 1.0, 1.0], [1.0, 1.0, 1.0]])
@@ -343,6 +347,9 @@ def test_overflow_to_inf_raises_no_numpy_warning():
         warnings.simplefilter("error")
         assert not ft.full_report(huge, part).cond_ii
         assert not ft.check_additivity(huge, part).ok
+        assert not ft.full_report(stretched, part).cond_ii
+        assert not ft.check_additivity(stretched, part).ok
+        assert not ft.check_df_factorization(stretched, part)[0]
         # the df verdict here is the underflow of ROADMAP item 1(b)
         ft.check_df_factorization(huge, part, np.vstack([tiny, np.zeros(3)]))
         # 1/1e-320 overflows: that point decides nothing, the other one does
