@@ -199,14 +199,13 @@ class _ExponentPlan:
         grid = default_grid(measure.d) if grid is None else np.asarray(grid, dtype=float)
         if grid.ndim != 2 or grid.shape[1] != measure.d:
             raise ValueError(f"expected (N, {measure.d}) grid, got shape {grid.shape}")
-        low = float(grid.min(initial=np.inf))
-        if not low >= 0.0:
+        if not np.all(grid >= 0.0):
             raise ValueError("grid points must be componentwise >= 0")
         self.measure, self.grid = measure, grid
-        self.positive = low > 0.0
+        zero = grid == 0.0
+        self.positive = not zero.any()
         self._points, self._charged_zero = grid, None
         if not self.positive:
-            zero = grid == 0.0
             self._points = grid.copy(order="K")
             self._points[zero] = np.inf
             self._charged_zero = zero & np.any(measure.omega_matrix > 0.0, axis=0)
