@@ -114,20 +114,15 @@ def check_support(measure: ExponentMeasure, part: Bipartition) -> tuple[bool, in
 class AdditivityCheck:
     """Result of the numeric tail-exponent additivity check.
 
-    ``numeric_ok`` is the grid verdict at the stated relative tolerance,
+    ``ok`` is the grid verdict at relative tolerance ``ADDITIVITY_TOL``,
     ``max_residual`` the largest residual and ``witness`` its grid point
     when the check fails.  The exact support criterion is a separate
     check; `full_report` compares the two.
     """
 
-    numeric_ok: bool
+    ok: bool
     max_residual: float
     witness: np.ndarray | None = field(repr=False, default=None)
-    tol: float = ADDITIVITY_TOL
-
-    @property
-    def ok(self) -> bool:
-        return self.numeric_ok
 
 
 def check_additivity(
@@ -145,7 +140,7 @@ def check_additivity(
     if not plan.positive:
         raise ValueError("grid points must be strictly positive")
     ok, residual, witness = plan.worst(_additivity_residuals, *plan.split(part))
-    return AdditivityCheck(numeric_ok=ok, max_residual=residual, witness=witness)
+    return AdditivityCheck(ok=ok, max_residual=residual, witness=witness)
 
 
 def check_df_factorization(

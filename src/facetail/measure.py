@@ -21,8 +21,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: entries of omega with absolute value at or below this are snapped to 0.0
-#: at construction, so face membership is an exact zero test afterwards.
+#: an entry of omega at or below this times its direction's largest absolute
+#: entry is snapped to 0.0 at construction, so face membership is an exact
+#: and scale-free zero test afterwards.
 ZERO_TOL = 1e-12
 
 #: two atoms are the same ray when their faces agree and their sup-norm
@@ -50,14 +51,14 @@ class SpectralAtom:
     Parameters
     ----------
     omega : array_like
-        Nonnegative direction vector of length d.  Entries with absolute
-        value at or below ``ZERO_TOL`` are snapped to exact zeros.
+        Nonnegative direction vector of length d, zero-snapped relative to
+        its largest entry (see ``ZERO_TOL``).
     mass : float
         Total mass carried by the ray.
 
     The direction is stored as given (no normalization): every operation in
-    this package depends only on the products ``mass * omega``, so the
-    parameterization ``(c * omega, mass / c)`` describes the same measure.
+    this package depends only on the products ``mass * omega`` and the snap
+    is scale-free, so ``(c * omega, mass / c)`` is the same measure, faces too.
     """
 
     omega: np.ndarray
@@ -65,8 +66,7 @@ class SpectralAtom:
 
     def __post_init__(self):
         om = np.array(self.omega, dtype=float).reshape(-1)
-        with np.errstate(invalid="ignore"):
-            om[np.abs(om) <= ZERO_TOL] = 0.0
+        _snap_zeros(om)
         om.flags.writeable = False
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "mass", float(self.mass))
@@ -91,47 +91,44 @@ class ExponentMeasure:
     componentwise, adding its intensity ``mass * omega`` to that atom's
     mass; kept atoms keep first-occurrence order.  Only kept atoms whose
     normalized entries have a sum within a window are compared, so the
-    merge is O(J) for distinct directions.  A direction of the wrong length
-    is zero-padded, keeps its length in ``atoms`` and fails
-    `validate_measure`.  The class uses identity semantics; compare
-    measures with `measures_allclose`.
+    merge is O(J) for distinct directions.  An atom whose direction is not
+    of length d raises `MeasureFormatError`.  The class uses identity
+    semantics; compare measures with `measures_allclose`.
     """
 
     def __init__(self, d: int, atoms: Iterable[SpectralAtom]):
         atoms = tuple(atoms)
-        for atom in atoms:
+        for j, atom in enumerate(atoms):
             if not isinstance(atom, SpectralAtom):
                 raise TypeError(f"expected SpectralAtom, got {type(atom).__name__}")
-        lengths = np.array([atom.omega.size for atom in atoms], dtype=int)
-        omega = np.zeros((len(atoms), max([int(d), *lengths.tolist()])))
-        for row, atom in zip(omega, atoms):
-            row[:atom.omega.size] = atom.omega
-        self._canonicalize(int(d), omega, [atom.mass for atom in atoms], lengths)
+            if atom.omega.size != d:
+                raise MeasureFormatError(f"atom {j}: omega has length {atom.omega.size}, not {d}")
+        omega = np.array([atom.omega for atom in atoms]).reshape(len(atoms), int(d))
+        self._canonicalize(int(d), omega, [atom.mass for atom in atoms])
 
     @classmethod
     def _from_arrays(cls, d: int, omega, mass) -> "ExponentMeasure":
         measure = cls.__new__(cls)
-        measure._canonicalize(d, omega, mass, np.full(len(omega), d))
+        measure._canonicalize(d, omega, mass)
         return measure
 
-    def _canonicalize(self, d, omega, mass, lengths) -> None:
+    def _canonicalize(self, d, omega, mass) -> None:
         omega = np.array(omega, dtype=float)
-        with np.errstate(invalid="ignore"):
-            omega[np.abs(omega) <= ZERO_TOL] = 0.0
+        _snap_zeros(omega)
         # int64 bit masks; Python ints (object dtype) past 62 coordinates
-        dtype = np.int64 if omega.shape[1] < 63 else object
-        masks = (omega > 0.0).astype(dtype) @ np.array([1 << i for i in range(omega.shape[1])], dtype)
+        dtype = np.int64 if d < 63 else object
+        masks = (omega > 0.0).astype(dtype) @ np.array([1 << i for i in range(d)], dtype)
         mass = np.array(mass, dtype=float)
-        keep = _merge_rays(omega, mass, masks, lengths)
-        self.d, self._lengths = d, lengths[keep]
+        keep = _merge_rays(omega, mass, masks)
+        self.d = d
         self.omega_matrix, self.mass_vector, self.face_masks = omega[keep], mass[keep], masks[keep]
         for array in (self.omega_matrix, self.mass_vector, self.face_masks):
             array.flags.writeable = False
 
     @cached_property
     def atoms(self) -> tuple[SpectralAtom, ...]:
-        return tuple(SpectralAtom(row[:size], mass) for row, size, mass in zip(
-            self.omega_matrix, self._lengths.tolist(), self.mass_vector.tolist()))
+        return tuple(SpectralAtom(row, mass)
+                     for row, mass in zip(self.omega_matrix, self.mass_vector.tolist()))
 
     @property
     def n_atoms(self) -> int:
@@ -141,7 +138,15 @@ class ExponentMeasure:
         return f"ExponentMeasure(d={self.d}, atoms={list(self.atoms)!r})"
 
 
-def _merge_rays(omega, mass, masks, lengths):
+def _snap_zeros(omega: np.ndarray) -> None:
+    """Zero-snap each direction (last axis) in place, by ``ZERO_TOL``; its largest
+    entry is never snapped, and a direction with a NaN or an infinity is left alone."""
+    size = np.abs(omega)
+    peak = size.max(axis=-1, keepdims=True, initial=0.0)
+    omega[size <= ZERO_TOL * np.where(peak < np.inf, peak, np.nan)] = 0.0
+
+
+def _merge_rays(omega, mass, masks):
     """Indices of the kept atoms; merges the absorbed masses into ``mass``."""
     width = omega.shape[1]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -153,7 +158,7 @@ def _merge_rays(omega, mass, masks, lengths):
     slack = 2.0 * width * (RAY_TOL + width * 2.0 ** -52)
     cells = np.floor(np.maximum(unit, 0.0).sum(axis=1) / slack).tolist()
     mergeable = np.flatnonzero((masks != 0) & np.all(np.isfinite(unit), axis=1))
-    rows, faces = unit.tolist(), list(zip(masks.tolist(), lengths.tolist()))
+    rows, faces = unit.tolist(), masks.tolist()
     target, kept = np.arange(len(mass)), {}  # kept: (face, cell) -> kept atoms
     for a in mergeable.tolist():
         near = [k for cell in (cells[a] - 1, cells[a], cells[a] + 1)
@@ -199,7 +204,7 @@ def validate_measure(measure: ExponentMeasure) -> list[Violation]:
     """Collect every invariant violation of ``measure``.
 
     Checks, in order: the dimension is a positive integer, every atom's
-    direction has length d with nonnegative finite entries, every mass is
+    direction has nonnegative finite entries, every mass is
     strictly positive and finite, no direction is identically zero, and
     every coordinate is charged by at least one atom.  An empty list means
     the measure is valid.
@@ -209,18 +214,14 @@ def validate_measure(measure: ExponentMeasure) -> list[Violation]:
     if d < 1:
         out.append(Violation("invalid_dimension", detail=f"d={d}"))
         return out
-    omega, mass, lengths = measure.omega_matrix, measure.mass_vector, measure._lengths
-    misshapen = lengths != d
+    omega, mass = measure.omega_matrix, measure.mass_vector
     nonfinite = ~np.all(np.isfinite(omega), axis=1)
     negative = np.any(omega < 0.0, axis=1)
     bad_mass = ~(np.isfinite(mass) & (mass > 0.0))
     no_face = measure.face_masks == 0
-    direction_ok = ~(misshapen | nonfinite | negative)
+    direction_ok = ~(nonfinite | negative)
     for j in np.flatnonzero(~direction_ok | bad_mass | no_face).tolist():
-        if misshapen[j]:
-            out.append(Violation("dimension_mismatch", atom=j,
-                                 detail=f"omega has length {lengths[j]}, expected {d}"))
-        elif nonfinite[j]:
+        if nonfinite[j]:
             out.append(Violation("nonfinite_direction", atom=j))
         elif negative[j]:
             out.append(Violation("negative_direction", atom=j,
@@ -230,7 +231,7 @@ def validate_measure(measure: ExponentMeasure) -> list[Violation]:
                 out.append(Violation("nonpositive_mass", atom=j, detail=f"mass={float(mass[j])}"))
             if no_face[j]:
                 out.append(Violation("all_zero_direction", atom=j))
-    charged = np.any(omega[direction_ok, :d] > 0.0, axis=0)
+    charged = np.any(omega[direction_ok] > 0.0, axis=0)
     for i in np.nonzero(~charged)[0]:
         out.append(Violation("dead_coordinate", coordinate=int(i),
                              detail="no atom charges this coordinate"))
@@ -401,9 +402,12 @@ def marginalize(measure: ExponentMeasure, coords: Iterable[int]) -> ExponentMeas
 def standardize(measure: ExponentMeasure) -> ExponentMeasure:
     """Rescale coordinates so every marginal mass equals 1.
 
-    Each direction entry is divided by its coordinate's marginal mass;
-    masses are untouched, faces are preserved.  Requires a valid measure
-    (in particular no dead coordinate, so every ``m_i`` is positive).
+    Each direction entry is divided by its coordinate's marginal mass and
+    masses are untouched.  Faces are preserved unless the division shrinks
+    an entry to ``ZERO_TOL`` of its direction's largest entry or below:
+    the zero-snap then drops it, and its share of the margin with it.
+    Requires a valid measure (in particular no dead coordinate, so every
+    ``m_i`` is positive).
     """
     m = margins(measure)
     if np.any(~np.isfinite(m)) or np.any(m <= 0.0):
@@ -554,7 +558,6 @@ def measures_allclose(a: ExponentMeasure, b: ExponentMeasure,
                       rtol: float = 1e-9, atol: float = 1e-12) -> bool:
     """Equality up to floating tolerance: same d, same atoms in order."""
     return (a.d == b.d and a.omega_matrix.shape == b.omega_matrix.shape
-            and np.array_equal(a._lengths, b._lengths)
             and bool(np.allclose(a.omega_matrix, b.omega_matrix, rtol=rtol, atol=atol))
             and all(math.isclose(x, y, rel_tol=rtol, abs_tol=atol)
                     for x, y in zip(a.mass_vector.tolist(), b.mass_vector.tolist())))

@@ -131,15 +131,13 @@ def test_scaled_duplicates_add_masses_in_input_order():
 
 
 def test_invalid_atoms_merge_like_the_loop():
-    # negative, non-finite and misshapen directions never break the merge
+    # negative and non-finite directions never break the merge
     atoms = (
         SpectralAtom(np.array([1.0, -0.5, 0.0]), 1.0),
         SpectralAtom(np.array([2.0, -1.0, 0.0]), 1.0),
         SpectralAtom(np.array([1.0, np.nan, 0.0]), 1.0),
         SpectralAtom(np.array([1.0, np.nan, 0.0]), 1.0),
         SpectralAtom(np.array([np.inf, 1.0, 0.0]), 1.0),
-        SpectralAtom(np.array([1.0, 1.0]), 1.0),
-        SpectralAtom(np.array([2.0, 2.0]), 3.0),
         SpectralAtom(np.array([0.0, 0.0, 0.0]), 1.0),
         SpectralAtom(np.array([0.0, 0.0, 0.0]), 2.0),
     )

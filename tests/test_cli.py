@@ -50,6 +50,17 @@ def test_validate_reports_violations(capsys, tmp_path):
     assert payload["violations"][0]["coordinate"] == 2
 
 
+def test_validate_snaps_relative_to_the_direction(capsys, tmp_path):
+    # [0, 1e-14] is the ray e_2 at a small scale, not the zero direction
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"d": 2, "atoms": [{"omega": [0, 1e-14], "mass": 1},
+                                                  {"omega": [1, 1], "mass": 1}]}))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0
+    assert '"valid": true' in out
+    assert json.loads(out) == {"valid": True, "violations": []}
+
+
 def test_validate_coordinates_are_one_based(capsys, tmp_path):
     # both coordinates dead: the payload must say 1 and 2, not 0 and 1
     path = tmp_path / "empty.json"

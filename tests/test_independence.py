@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import facetail as ft
 from facetail import bipartition
-from facetail.independence import _GRID_CAP, _GRID_RANDOM
+from facetail.independence import _GRID_CAP, _GRID_RANDOM, ADDITIVITY_TOL
 
 
 PART2 = bipartition([0], [1])
@@ -46,7 +46,7 @@ def test_support_criterion(m_ind, m_dep, m_blk):
 def test_additivity_verdicts(m_ind, m_dep, m_blk):
     good = ft.check_additivity(m_ind, PART2)
     assert good.ok
-    assert good.max_residual <= good.tol
+    assert good.max_residual <= ADDITIVITY_TOL
     assert good.witness is None
 
     bad = ft.check_additivity(m_dep, PART2)
@@ -324,7 +324,7 @@ def test_overflowed_grid_points_decide_nothing():
         lonely = ft.check_additivity(dep, part, grid=np.array([[0.5, 0.5]]))
     assert not bad.ok and bad.max_residual >= 0.5
     assert not rep_dep.cond_ii and rep_dep.witnesses["cond_ii"]["residual"] == bad.max_residual
-    assert good.ok and good.max_residual <= good.tol
+    assert good.ok and good.max_residual <= ADDITIVITY_TOL
     assert rep_ind.cond_ii and rep_ind.agree
     # with no point left to decide, the check fails
     assert not lonely.ok and math.isnan(lonely.max_residual)

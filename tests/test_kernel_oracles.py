@@ -11,7 +11,7 @@ direction entries down to 1e-11.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facetail as ft
@@ -127,9 +127,6 @@ def test_extended_exponent_matches_the_running_sum_code(m, data):
 @given(measures(d_min=2, cover=True), st.data())
 def test_chi_exact_matches_two_minus_the_pair_exponent(m, data):
     m = ft.standardize(m)
-    # standardizing can snap an entry below ZERO_TOL and lose its share of
-    # the margin, so the result is not always standardized
-    assume(ft.is_standardized(m))
     i, j = data.draw(st.lists(st.integers(0, m.d - 1), min_size=2, max_size=2, unique=True))
     got, want = ft.chi_exact(m, i, j), oracle_chi_exact(m, i, j)
     if np.any((m.omega_matrix[:, i] > 0.0) & (m.omega_matrix[:, j] > 0.0)):

@@ -84,10 +84,11 @@ def test_canonical_measures_are_valid(m_ind, m_dep, m_blk):
         assert ft.validate_measure(m) == []
 
 
-def test_validate_flags_dimension_mismatch():
-    m = ExponentMeasure(3, (SpectralAtom(np.array([1.0, 1.0]), 1.0),))
-    codes = [v.code for v in ft.validate_measure(m)]
-    assert "dimension_mismatch" in codes
+def test_wrong_length_atom_raises():
+    good = SpectralAtom(np.array([1.0, 1.0]), 1.0)
+    for wrong in (SpectralAtom(np.array([1.0]), 1.0), SpectralAtom(np.array([1.0, 1.0, 1.0]), 1.0)):
+        with pytest.raises(ft.MeasureFormatError, match="atom 1"):
+            ExponentMeasure(2, (good, wrong))
 
 
 def test_validate_flags_nonpositive_mass():
@@ -101,11 +102,19 @@ def test_validate_flags_nonpositive_mass():
 
 def test_validate_flags_all_zero_direction():
     m = ExponentMeasure(2, (
-        SpectralAtom(np.array([0.0, 1e-14]), 1.0),
+        SpectralAtom(np.array([0.0, 0.0]), 1.0),
         SpectralAtom(np.array([1.0, 1.0]), 1.0),
     ))
     violations = ft.validate_measure(m)
     assert any(v.code == "all_zero_direction" and v.atom == 0 for v in violations)
+    # the snap is relative to the direction's largest entry: a tiny direction
+    # is still the ray e_2, not the zero vector
+    tiny = ExponentMeasure(2, (
+        SpectralAtom(np.array([0.0, 1e-14]), 1.0),
+        SpectralAtom(np.array([1.0, 1.0]), 1.0),
+    ))
+    assert tiny.atoms[0].face == frozenset({1})
+    assert ft.validate_measure(tiny) == []
 
 
 def test_validate_flags_dead_coordinate():
@@ -118,6 +127,17 @@ def test_validate_flags_negative_direction():
     m = ExponentMeasure(2, (SpectralAtom(np.array([1.0, -0.5]), 1.0),))
     codes = [v.code for v in ft.validate_measure(m)]
     assert "negative_direction" in codes
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_validate_flags_nonfinite_direction(bad):
+    # the zero-snap leaves such a direction alone, so it is reported as
+    # non-finite and keeps its finite entries, however small
+    m = ExponentMeasure(3, (SpectralAtom(np.array([bad, 1.0, 1e-300]), 1.0),
+                            SpectralAtom(np.array([1.0, 1.0, 1.0]), 1.0)))
+    assert m.atoms[0].omega[1:].tolist() == [1.0, 1e-300]
+    violations = ft.validate_measure(m)
+    assert [(v.code, v.atom) for v in violations] == [("nonfinite_direction", 0)]
 
 
 def test_require_valid_raises_with_violation_list():
