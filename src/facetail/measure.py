@@ -21,9 +21,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: an entry of omega at or below this times its direction's largest absolute
-#: entry is snapped to 0.0 at construction, so face membership is an exact
-#: and scale-free zero test afterwards.
+#: an entry of omega whose absolute value is at or below this times the
+#: largest absolute entry of its direction is snapped to 0.0 at construction,
+#: so face membership is an exact and scale-free zero test afterwards.
 ZERO_TOL = 1e-12
 
 #: two atoms are the same ray when their faces agree and their sup-norm
