@@ -80,6 +80,15 @@ def _disjoint_blocks(a: frozenset[int], c: frozenset[int]) -> bool:
     return not overlap
 
 
+def _bipartition(a: frozenset[int], c: frozenset[int], d: int, source: str) -> Bipartition:
+    # coverage errors in the numbering the user typed
+    found = {"missing": set(range(d)) - a - c, "out of range": {i for i in a | c if i >= d}}
+    if any(found.values()):
+        raise ValueError(f"--A/--C must cover 1..{d} of the {source}: " + ", ".join(
+            f"{label} {sorted(i + 1 for i in coords)}" for label, coords in found.items() if coords))
+    return Bipartition(a, c)
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -123,11 +132,8 @@ def cmd_check(args) -> int:
     measure = load_measure(args.measure)
     if not _disjoint_blocks(args.A, args.C):
         return EXIT_USAGE
-    part = Bipartition(args.A, args.C)
-    if part.d != measure.d:
-        raise ValueError(f"--A/--C cover {part.d} coordinates, measure has {measure.d}")
-    report = full_report(measure, part)
-    _emit(report.to_dict(one_based=True))
+    report = full_report(measure, _bipartition(args.A, args.C, measure.d, "measure"))
+    _emit(report.to_dict())
     if not report.agree:
         return EXIT_DISAGREE
     return EXIT_OK if report.independent else EXIT_DEPENDENT
@@ -169,9 +175,7 @@ def cmd_estimate(args) -> int:
             return EXIT_USAGE
         if not _disjoint_blocks(args.A, args.C):
             return EXIT_USAGE
-        part = Bipartition(args.A, args.C)
-        if part.d != batch.d:
-            raise ValueError(f"--A/--C cover {part.d} coordinates, batch has {batch.d}")
+        part = _bipartition(args.A, args.C, batch.d, "batch")
         result = factorization_test(batch, part, n_perm=args.n_perm,
                                     alpha=args.alpha, seed=args.seed)
         _emit({

@@ -125,37 +125,28 @@ class AdditivityCheck:
     witness: np.ndarray | None = field(repr=False, default=None)
 
 
-def check_additivity(
-    measure: ExponentMeasure,
-    part: Bipartition,
-    grid: np.ndarray | None = None,
-) -> AdditivityCheck:
+def check_additivity(measure: ExponentMeasure, part: Bipartition) -> AdditivityCheck:
     """Check ``exponent(x) == exponent_A(x_A) + exponent_C(x_C)`` on a grid.
 
-    The residual is measured relative to ``1 + exponent(x)`` pointwise.
-    ``grid`` defaults to `default_grid`; rows must be strictly positive.
+    The residual is measured relative to ``1 + exponent(x)`` at each point
+    of `default_grid`.
     """
     check_dimension(part, measure.d)
-    plan = _ExponentPlan(measure, grid)
-    if not plan.positive:
-        raise ValueError("grid points must be strictly positive")
+    plan = _ExponentPlan(measure)
     ok, residual, witness = plan.worst(_additivity_residuals, *plan.split(part))
     return AdditivityCheck(ok=ok, max_residual=residual, witness=witness)
 
 
-def check_df_factorization(
-    measure: ExponentMeasure,
-    part: Bipartition,
-    grid: np.ndarray | None = None,
-) -> tuple[bool, np.ndarray | None]:
+def check_df_factorization(measure: ExponentMeasure,
+                           part: Bipartition) -> tuple[bool, np.ndarray | None]:
     """Check that the induced df factorizes: F(x) = F_A(x_A) * F_C(x_C).
 
-    Unlike `check_additivity` this accepts grid points with zero
-    coordinates; a zero coordinate that carries mass sends the exponent to
-    +inf and the df to exact 0 on both sides.  Returns ``(ok, witness)``.
+    The points are those of `default_grid`, none with a zero coordinate: at
+    such a point F is 0 on both sides when every coordinate is charged.
+    Returns ``(ok, witness)``.
     """
     check_dimension(part, measure.d)
-    plan = _ExponentPlan(measure, grid)
+    plan = _ExponentPlan(measure)
     ok, _, witness = plan.worst(_df_differences, *plan.split(part))
     return ok, witness
 
@@ -169,80 +160,50 @@ def _df_differences(lam, lam_sum):
 
 
 class _ExponentPlan:
-    """Tail exponents of one measure on one grid, for any number of splits.
+    """Tail exponents of one measure on `default_grid`, for many splits.
 
-    The grid is validated once.  The full exponent is computed on first use
-    and kept; each block exponent is computed through `marginalize` when a
-    split asks for it and then dropped (kept, all 2 * (2**(d-1) - 1) block
-    vectors of a certification at d=10 would hold 34 MB).  Every kernel
-    call runs in one work buffer that the plan keeps.
+    The full exponent is computed once, on construction; each block
+    exponent is computed through `marginalize` when a split asks for it and
+    then dropped (kept, all 2 * (2**(d-1) - 1) block vectors of a
+    certification at d=10 would hold 34 MB).  Every kernel call runs in one
+    work buffer that the plan keeps.
 
-    On `default_grid` a block exponent is evaluated once per distinct point
-    of the block's projection and spread back over the grid: the grid's
-    tensor part varies only its last k = min(d, 6) coordinates, so a block
-    holding j of them sees 4**j distinct tensor points, plus the 64 random
-    rows (`_projected_rows`).  The values are bit-identical to a full-grid
-    evaluation.  Other grids have no known product structure and are
-    evaluated row by row.
-
-    A zero grid coordinate is evaluated as +inf, so its ratios are exactly
-    0 and a zero that no atom charges stays neutral; a row with a zero
-    coordinate that some atom charges gets exponent +inf.
+    A block exponent is evaluated once per distinct point of the block's
+    projection and spread back over the grid: the grid's tensor part varies
+    only its last k = min(d, 6) coordinates, so a block holding j of them
+    sees 4**j distinct tensor points, plus the 64 random rows
+    (`_projected_rows`).  The values are bit-identical to a full-grid
+    evaluation.  A value beyond the float range is +inf, without a warning.
     """
 
-    def __init__(self, measure: ExponentMeasure, grid: np.ndarray | None = None):
-        grid = default_grid(measure.d) if grid is None else np.asarray(grid, dtype=float)
-        if grid.ndim != 2 or grid.shape[1] != measure.d:
-            raise ValueError(f"expected (N, {measure.d}) grid, got shape {grid.shape}")
-        if not np.all(grid >= 0.0):
-            raise ValueError("grid points must be componentwise >= 0")
-        self.measure, self.grid = measure, grid
-        zero = grid == 0.0
-        self.positive = not zero.any()
-        self._points, self._charged_zero = grid, None
-        if not self.positive:
-            self._points = grid.copy(order="K")
-            self._points[zero] = np.inf
-            self._charged_zero = zero & np.any(measure.omega_matrix > 0.0, axis=0)
-        self._layout = _grid_layout(measure.d) if grid is default_grid(measure.d) else None
-        self._work = np.empty(_work_size(len(grid), measure.n_atoms))
-        self._lam = None
+    def __init__(self, measure: ExponentMeasure):
+        self.measure, self.grid = measure, default_grid(measure.d)
+        self._first, self._k = _grid_layout(measure.d)
+        self._work = np.empty(_work_size(len(self.grid), measure.n_atoms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._lam = self._kernel(measure, self.grid)
 
     def split(self, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-        """``(exponent, exponent_A + exponent_C)`` at every grid point.  A
-        value beyond the float range is +inf, without a warning."""
+        """``(exponent, exponent_A + exponent_C)`` at every grid point."""
         with np.errstate(over="ignore", invalid="ignore"):
-            lam_a, lam_c = (self._exponent(marginalize(self.measure, block), list(block), mask)
+            lam_a, lam_c = (self._block_exponent(block, mask)
                             for block, mask in ((part.a_sorted, part.a_mask),
                                                 (part.c_sorted, part.c_mask)))
-            if self._lam is None:
-                self._lam = self._exponent(self.measure, None, None)
             return self._lam, lam_a + lam_c
 
-    def _exponent(self, measure, cols, mask):
-        # the full grid itself for the whole measure; for a block a column
-        # gather, which is F-ordered on the C-ordered default grid and fixes
-        # how BLAS sums each row, so the projected rows are gathered F-ordered
-        spread = None
-        if cols is None:
-            points = self._points
-        elif self._layout is None:
-            points = self._points[:, cols]
-        else:
-            first, k = self._layout
-            rows, spread = _projected_rows(k, mask >> first)
-            points = self._points.take(rows, axis=0).T.take(cols, axis=0).T
+    def _block_exponent(self, block, mask):
+        # the projected rows are gathered F-ordered, as a column gather of
+        # the C-ordered grid is, which fixes how BLAS sums each row
+        rows, spread = _projected_rows(self._k, mask >> self._first)
+        points = self.grid.take(rows, axis=0).T.take(list(block), axis=0).T
+        return self._kernel(marginalize(self.measure, block), points).take(spread)
+
+    def _kernel(self, measure, points):
         need = _work_size(len(points), measure.n_atoms)
         if self._work.size < need:  # a block wider in cells than the full call
             self._work = np.empty(need)
-        lam = _ratio_kernel(measure.omega_matrix, measure.mass_vector, points, np.maximum,
-                            self._work)
-        if spread is not None:
-            return lam.take(spread)
-        if self._charged_zero is not None:
-            charged = self._charged_zero if cols is None else self._charged_zero[:, cols]
-            lam[charged.any(axis=1)] = np.inf
-        return lam
+        return _ratio_kernel(measure.omega_matrix, measure.mass_vector, points, np.maximum,
+                             self._work)
 
     def worst(self, defect, lam: np.ndarray, lam_sum: np.ndarray
               ) -> tuple[bool, float, np.ndarray | None]:
@@ -252,8 +213,6 @@ class _ExponentPlan:
         and is skipped; a grid of NaN defects only fails."""
         with np.errstate(over="ignore", invalid="ignore"):
             defects = defect(lam, lam_sum)
-        if not defects.size:
-            return True, 0.0, None
         worst = int(np.argmax(np.where(np.isnan(defects), -np.inf, defects)))
         ok = bool(defects[worst] <= ADDITIVITY_TOL)
         return ok, float(defects[worst]), None if ok else self.grid[worst].copy()
@@ -357,15 +316,14 @@ class IndependenceReport:
         """The headline verdict (meaningful when ``agree`` is True)."""
         return self.cond_i
 
-    def to_dict(self, one_based: bool = True) -> dict:
-        shift = 1 if one_based else 0
+    def to_dict(self) -> dict:
         witnesses = {}
         for key, value in self.witnesses.items():
             value = dict(value)
             if "subset" in value:
-                value["subset"] = [i + shift for i in value["subset"]]
+                value["subset"] = [i + 1 for i in value["subset"]]
             if "k" in value:
-                value["k"] = value["k"] + shift
+                value["k"] = value["k"] + 1
             witnesses[key] = value
         return {
             "cond_i": self.cond_i,

@@ -93,9 +93,11 @@ def all_bipartitions(d: int) -> Iterator[Bipartition]:
 
 
 def random_bipartition(d: int, rng: np.random.Generator) -> Bipartition:
-    """One uniform draw from `all_bipartitions`."""
+    """One uniform draw from `all_bipartitions`, for ``2 <= d <= 64``."""
     if d < 2:
         raise ValueError("bipartitions need d >= 2")
+    if d > 64:  # the draw's bound 2**(d-1) - 1 must fit numpy's int64
+        raise ValueError(f"random bipartitions need d <= 64, got d={d}")
     rest = int(rng.integers(0, 2 ** (d - 1) - 1))
     a = {0} | {i + 1 for i in range(d - 1) if rest >> i & 1}
     return Bipartition(frozenset(a), frozenset(set(range(d)) - a))

@@ -112,6 +112,17 @@ def test_check_rejects_bad_partition(capsys, measure_file):
     assert "error" in err
 
 
+@pytest.mark.parametrize("a, c, problems", [
+    ("1", "3", "missing [2]"),
+    ("1,2", "4", "missing [3], out of range [4]"),
+    ("1", "2", "missing [3]"),
+])
+def test_check_names_uncovered_coordinates_one_based(capsys, measure_file, a, c, problems):
+    code, out, err = run_cli(capsys, "check", measure_file, "--A", a, "--C", c)
+    assert code == 1 and out == ""
+    assert err == f"error: --A/--C must cover 1..3 of the measure: {problems}\n"
+
+
 def test_check_rejects_overlapping_blocks(capsys, measure_file):
     code, _, err = run_cli(capsys, "check", measure_file, "--A", "1,2", "--C", "2,3")
     assert code == 2
@@ -250,6 +261,16 @@ def test_estimate_conditional_needs_blocks_and_seed(capsys, tmp_path, dep_file):
     assert code == 2 and "--seed" in err
 
 
+def test_estimate_names_uncovered_coordinates_one_based(capsys, tmp_path, dep_file):
+    out_csv = tmp_path / "cond.csv"
+    run_cli(capsys, "simulate", dep_file, "--conditional", "1",
+            "--n", "2000", "--seed", "11", "--out", str(out_csv))
+    code, out, err = run_cli(capsys, "estimate", "--in", str(out_csv),
+                             "--A", "1", "--C", "3", "--seed", "5")
+    assert code == 1 and out == ""
+    assert err == "error: --A/--C must cover 1..2 of the batch: missing [2], out of range [3]\n"
+
+
 def test_estimate_rejects_test_flags_on_max_stable_batch(capsys, tmp_path, measure_file):
     out_csv = tmp_path / "batch.csv"
     run_cli(capsys, "simulate", measure_file, "--n", "1000", "--seed", "107",
@@ -298,6 +319,14 @@ def test_crosscheck_clean_battery(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True and payload["trials"] == 5
     assert payload["disagreements"] == []
+
+
+def test_crosscheck_names_the_dimension_limit(capsys):
+    # a random bipartition is drawn as an int64 below 2**(d-1) - 1
+    code, out, err = run_cli(capsys, "crosscheck", "--d", "65", "--atoms", "65",
+                             "--trials", "1", "--seed", "1")
+    assert code == 1 and out == ""
+    assert err == "error: random bipartitions need d <= 64, got d=65\n"
 
 
 def test_crosscheck_requires_all_flags(capsys):

@@ -76,6 +76,13 @@ def test_random_bipartition_is_well_formed():
         assert part.a and part.c
 
 
+def test_random_bipartition_up_to_64_coordinates():
+    part = random_bipartition(64, np.random.default_rng(3))
+    assert part.d == 64 and 0 in part.a
+    with pytest.raises(ValueError, match="d <= 64"):
+        random_bipartition(65, np.random.default_rng(3))
+
+
 def test_random_bipartition_reproducible():
     first = [random_bipartition(5, np.random.default_rng(8)) for _ in range(10)]
     second = [random_bipartition(5, np.random.default_rng(8)) for _ in range(10)]
