@@ -166,6 +166,10 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     batch = load_batch(getattr(args, "in"))
     if batch.kind == "conditional":
+        if args.graph or args.csv is not None:
+            print("error: --graph/--csv come from the chi matrix, which needs "
+                  "max-stable samples (this batch is conditional)", file=sys.stderr)
+            return EXIT_USAGE
         if args.A is None or args.C is None:
             print("error: conditional batches need --A and --C for the factorization test",
                   file=sys.stderr)

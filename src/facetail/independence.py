@@ -19,6 +19,7 @@ bug.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -147,7 +148,7 @@ def check_df_factorization(measure: ExponentMeasure,
     """
     check_dimension(part, measure.d)
     plan = _ExponentPlan(measure)
-    ok, _, witness = plan.worst(_df_differences, *plan.split(part))
+    ok, _, witness = plan.worst(_df_differences, plan.df, plan.split(part)[1])
     return ok, witness
 
 
@@ -155,18 +156,29 @@ def _additivity_residuals(lam, lam_sum):
     return np.abs(lam - lam_sum) / (1.0 + np.abs(lam))
 
 
-def _df_differences(lam, lam_sum):
-    return np.abs(np.exp(-lam) - np.exp(-lam_sum)) / (1.0 + np.exp(-lam))
+def _df_differences(df, lam_sum):
+    # df is exp(-lam), which the plan keeps per measure
+    return np.abs(df - np.exp(-lam_sum)) / (1.0 + df)
+
+
+#: ``(exponent, exp(-exponent))`` on `default_grid`, read-only, per live
+#: measure; an entry goes when its measure is freed
+_FULL_EXPONENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class _ExponentPlan:
     """Tail exponents of one measure on `default_grid`, for many splits.
 
-    The full exponent is computed once, on construction; each block
+    The full exponent is computed once per measure, by the first plan built
+    on it, and kept read-only with ``exp(-exponent)`` in `_FULL_EXPONENTS`
+    (33 KB each at 4160 grid rows) until the measure is freed: every later
+    plan, and so every `full_report`, `check_additivity` and
+    `check_df_factorization` on that measure, reads it back.  Each block
     exponent is computed through `marginalize` when a split asks for it and
     then dropped (kept, all 2 * (2**(d-1) - 1) block vectors of a
     certification at d=10 would hold 34 MB).  Every kernel call runs in one
-    work buffer that the plan keeps.
+    work buffer that the plan keeps, on a column-major copy of the
+    directions, so the kernel reads each coordinate from contiguous memory.
 
     A block exponent is evaluated once per distinct point of the block's
     projection and spread back over the grid: the grid's tensor part varies
@@ -180,8 +192,15 @@ class _ExponentPlan:
         self.measure, self.grid = measure, default_grid(measure.d)
         self._first, self._k = _grid_layout(measure.d)
         self._work = np.empty(_work_size(len(self.grid), measure.n_atoms))
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._lam = self._kernel(measure, self.grid)
+        full = _FULL_EXPONENTS.get(measure)
+        if full is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                lam = self._kernel(measure, self.grid)
+                full = lam, np.exp(-lam)
+            for array in full:
+                array.flags.writeable = False
+            _FULL_EXPONENTS[measure] = full
+        self.lam, self.df = full
 
     def split(self, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
         """``(exponent, exponent_A + exponent_C)`` at every grid point."""
@@ -189,7 +208,7 @@ class _ExponentPlan:
             lam_a, lam_c = (self._block_exponent(block, mask)
                             for block, mask in ((part.a_sorted, part.a_mask),
                                                 (part.c_sorted, part.c_mask)))
-            return self._lam, lam_a + lam_c
+            return self.lam, lam_a + lam_c
 
     def _block_exponent(self, block, mask):
         # the projected rows are gathered F-ordered, as a column gather of
@@ -202,17 +221,20 @@ class _ExponentPlan:
         need = _work_size(len(points), measure.n_atoms)
         if self._work.size < need:  # a block wider in cells than the full call
             self._work = np.empty(need)
-        return _ratio_kernel(measure.omega_matrix, measure.mass_vector, points, np.maximum,
-                             self._work)
+        # the order of omega does not change the bits: the kernel divides and
+        # reduces elementwise, and its accumulator follows the points
+        return _ratio_kernel(np.asfortranarray(measure.omega_matrix), measure.mass_vector,
+                             points, np.maximum, self._work)
 
-    def worst(self, defect, lam: np.ndarray, lam_sum: np.ndarray
+    def worst(self, defect, full: np.ndarray, lam_sum: np.ndarray
               ) -> tuple[bool, float, np.ndarray | None]:
         """``(ok, largest defect, its grid point unless ok)`` of the defects
-        ``defect(lam, lam_sum)`` against ``ADDITIVITY_TOL``.  A NaN defect,
-        where the exponent overflowed to +inf on both sides, decides nothing
-        and is skipped; a grid of NaN defects only fails."""
+        ``defect(full, lam_sum)`` against ``ADDITIVITY_TOL``, with ``full``
+        the plan's ``lam`` or ``df``.  A NaN defect, where the exponent
+        overflowed to +inf on both sides, decides nothing and is skipped; a
+        grid of NaN defects only fails."""
         with np.errstate(over="ignore", invalid="ignore"):
-            defects = defect(lam, lam_sum)
+            defects = defect(full, lam_sum)
         worst = int(np.argmax(np.where(np.isnan(defects), -np.inf, defects)))
         ok = bool(defects[worst] <= ADDITIVITY_TOL)
         return ok, float(defects[worst]), None if ok else self.grid[worst].copy()
@@ -340,7 +362,8 @@ def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceRepo
     """Run every independence check and collect the verdicts.
 
     The two numeric criteria share one evaluation of the full and block
-    exponents on `default_grid`.  Never raises on disagreement; the
+    exponents on `default_grid`; the full exponent is computed once per
+    measure and reused by every later report on it.  Never raises on disagreement; the
     ``agree`` flag and the witnesses carry the evidence either way.
     """
     return _report(_ExponentPlan(measure), part)
@@ -365,7 +388,7 @@ def _report(plan: _ExponentPlan, part: Bipartition) -> IndependenceReport:
     if not mixed_ok:
         witnesses["cond_iii"] = {"subset": sorted(mixed_witness)}
 
-    df_ok, difference, point = plan.worst(_df_differences, lam, lam_sum)
+    df_ok, difference, point = plan.worst(_df_differences, plan.df, lam_sum)
     if not df_ok:
         witnesses["df"] = {"difference": difference, "point": point.tolist()}
 

@@ -123,13 +123,15 @@ def _max_stable_rows(measure: ExponentMeasure, seed: int, start: int, stop: int)
     n_atoms = measure.n_atoms
     key = _batch_key(seed, _KIND_MAX_STABLE, None)
     ticks = max(1, math.ceil(n_atoms / _WORDS_PER_TICK))
-    rays = measure.omega_matrix * measure.mass_vector[:, None]
+    # rays coordinate-major, so each coordinate's row is contiguous
+    rays = np.ascontiguousarray((measure.omega_matrix * measure.mass_vector[:, None]).T)
     out = np.empty((stop - start, measure.d))
     for lo, hi in _row_blocks(stop - start, n_atoms):
         words = _sample_words(key, ticks, start + lo, start + hi, n_atoms)
         exponentials = -np.log(_open_uniform(words))  # (rows, n_atoms), finite positive
+        ratio = np.empty_like(exponentials)  # one division buffer for every coordinate
         for i in range(measure.d):
-            out[lo:hi, i] = np.max(rays[:, i] / exponentials, axis=1)
+            np.max(np.divide(rays[i], exponentials, out=ratio), axis=1, out=out[lo:hi, i])
     return out
 
 

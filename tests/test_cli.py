@@ -261,6 +261,21 @@ def test_estimate_conditional_needs_blocks_and_seed(capsys, tmp_path, dep_file):
     assert code == 2 and "--seed" in err
 
 
+@pytest.mark.parametrize("flags", [("--graph",), ("--csv", "chi.csv"),
+                                   ("--graph", "--csv", "chi.csv")])
+def test_estimate_rejects_chi_flags_on_conditional_batch(capsys, tmp_path, dep_file, flags):
+    # the factorization test has no chi matrix to draw a graph from or save
+    out_csv = tmp_path / "cond.csv"
+    run_cli(capsys, "simulate", dep_file, "--conditional", "1",
+            "--n", "2000", "--seed", "11", "--out", str(out_csv))
+    flags = [str(tmp_path / flag) if flag.endswith(".csv") else flag for flag in flags]
+    code, out, err = run_cli(capsys, "estimate", "--in", str(out_csv),
+                             "--A", "1", "--C", "2", "--seed", "5", *flags)
+    assert code == 2 and out == ""
+    assert "--graph/--csv" in err and "conditional" in err
+    assert not (tmp_path / "chi.csv").exists()
+
+
 def test_estimate_names_uncovered_coordinates_one_based(capsys, tmp_path, dep_file):
     out_csv = tmp_path / "cond.csv"
     run_cli(capsys, "simulate", dep_file, "--conditional", "1",

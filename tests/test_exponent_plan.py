@@ -1,21 +1,24 @@
 """One exponent plan per measure against the per-report code it replaced.
 
 Certification and the agreement battery run every bipartition of a measure
-through one `_ExponentPlan`, which computes the full exponent on
-`default_grid` once, keeps one kernel work buffer and evaluates each block
-exponent only at the distinct points of the block's projection.  The
+through one `_ExponentPlan`, which keeps one kernel work buffer and
+evaluates each block exponent only at the distinct points of the block's
+projection; the full exponent on `default_grid` is computed once per
+measure, by its first plan, and freed with the measure.  The
 ``oracle_*`` functions below are the earlier per-report split exponents and
 the report built on them, kept verbatim; reports must equal the oracle's
 bit for bit.  The grid has no zero coordinate, and a property test shows
 that such points could decide nothing.
 """
 
+import gc
 import inspect
 import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -170,20 +173,23 @@ def test_boundary_points_decide_nothing(drawn, data):
         assert product == 0.0
 
 
-def test_certification_evaluates_the_full_exponent_once(monkeypatch):
-    m = ft.random_measure(10, 16, seed=3)
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record ``(columns, rows)`` of every `_ratio_kernel` call."""
     kernel = measure_module._ratio_kernel
-    full_width = []
-    block_rows = []
+    calls = []
 
     def counting(omega, mass, points, *args, **kwargs):
-        full_width.append(omega.shape[1] == m.d)
-        if omega.shape[1] < m.d:
-            block_rows.append(len(points))
+        calls.append((omega.shape[1], len(points)))
         return kernel(omega, mass, points, *args, **kwargs)
 
     monkeypatch.setattr(measure_module, "_ratio_kernel", counting)
     monkeypatch.setattr(independence, "_ratio_kernel", counting)
+    return calls
+
+
+def test_certification_evaluates_the_full_exponent_once(kernel_calls):
+    m = ft.random_measure(10, 16, seed=3)
     tracemalloc.start()
     try:
         assert ft.certify_partition_bruteforce(m)
@@ -192,12 +198,57 @@ def test_certification_evaluates_the_full_exponent_once(monkeypatch):
         tracemalloc.stop()
     # one report per bipartition recomputed it 511 times; keeping every
     # block exponent as well would add about 34 MB
-    assert sum(full_width) == 1
-    assert len(full_width) == 1 + 2 * 511
+    assert sum(cols == m.d for cols, _ in kernel_calls) == 1
+    assert len(kernel_calls) == 1 + 2 * 511
     # each block exponent at the distinct points of its projection only:
     # 1022 blocks of 4160 rows were 4,251,520
-    assert sum(block_rows) == 311_800
+    assert sum(rows for cols, rows in kernel_calls if cols < m.d) == 311_800
     assert peak < 4 * MB
+
+
+def test_full_exponent_is_computed_once_per_measure(kernel_calls):
+    m = ft.random_measure(8, 40, seed=5)
+    dependent, other = ft.bipartition([0, 1, 2], [3, 4, 5, 6, 7]), ft.bipartition([0], range(1, 8))
+    reports = [ft.full_report(m, part).to_dict() for part in (dependent, other)]
+    additivity = ft.check_additivity(m, dependent)
+    df_ok, _ = ft.check_df_factorization(m, other)
+    assert [cols for cols, _ in kernel_calls].count(m.d) == 1
+    assert reports[0]["cond_ii"] == additivity.ok and reports[1]["df"] == df_ok
+    # the cached vectors are shared read-only, never handed out writable
+    lam, df = independence._FULL_EXPONENTS[m]
+    assert not lam.flags.writeable and not df.flags.writeable
+    plan = _ExponentPlan(m)
+    assert plan.lam is lam and plan.df is df
+    with pytest.raises(ValueError):
+        plan.split(dependent)[0][0] = 0.0
+    assert np.array_equal(df, np.exp(-exponent_function_grid(m, ft.default_grid(8))))
+
+
+def test_full_exponent_is_freed_with_its_measure():
+    # the cache holds a measure weakly, so memory stays bounded in the
+    # number of measures a process has seen
+    cache = independence._FULL_EXPONENTS
+    gc.collect()
+    before = len(cache)
+    m = ft.random_measure(8, 40, seed=6)
+    ft.full_report(m, ft.bipartition([0, 1], range(2, 8)))
+    assert len(cache) == before + 1
+    refs = [weakref.ref(m), *(weakref.ref(array) for array in cache[m])]
+    del m
+    gc.collect()
+    assert all(ref() is None for ref in refs) and len(cache) == before
+
+
+def oracle_max_stable_rows(measure, seed, n):
+    # the sampler before its row blocks, coordinate-major rays and division
+    # buffer: one (n, J) temporary per coordinate
+    from facetail.simulate import _batch_key, _open_uniform, _sample_words
+    ticks = max(1, -(-measure.n_atoms // 4))
+    words = _sample_words(_batch_key(seed, "max_stable", None), ticks, 0, n, measure.n_atoms)
+    exponentials = -np.log(_open_uniform(words))
+    rays = measure.omega_matrix * measure.mass_vector[:, None]
+    return np.stack([np.max(rays[:, i] / exponentials, axis=1) for i in range(measure.d)],
+                    axis=1)
 
 
 SPLIT_HASH = """
@@ -206,8 +257,11 @@ import numpy as np
 import facetail as ft
 from facetail.independence import _ExponentPlan
 from facetail.measure import exponent_function_grid, marginalize
+from facetail.simulate import _max_stable_rows
 
 {oracle}
+
+{sampler_oracle}
 
 plan_hash, oracle_hash = hashlib.sha256(), hashlib.sha256()
 for d, n_atoms, seed in [(4, 8, 1), (4, 300, 2), (6, 8, 3), (6, 120, 4),
@@ -217,14 +271,18 @@ for d, n_atoms, seed in [(4, 8, 1), (4, 300, 2), (6, 8, 3), (6, 120, 4),
     a = sorted(rng.choice(d, size=d // 2, replace=False).tolist())
     m = ft.random_measure(d, n_atoms, split=(a, sorted(set(range(d)) - set(a))) if block
                           else None, seed=seed)
-    plan = _ExponentPlan(m)
+    # the first plan computes the full exponent, the second reads it back
+    plans = _ExponentPlan(m), _ExponentPlan(m)
     for mask in rng.integers(1, 2 ** d - 1, size=12).tolist():
         a = [i for i in range(d) if mask >> i & 1]
         part = ft.bipartition(a, sorted(set(range(d)) - set(a)))
-        for h, arrays in ((plan_hash, plan.split(part)),
-                          (oracle_hash, oracle_split_exponents(m, part, ft.default_grid(d)))):
-            for array in arrays:
-                h.update(array.tobytes())
+        oracle = oracle_split_exponents(m, part, ft.default_grid(d))
+        for plan in plans:
+            for h, arrays in ((plan_hash, plan.split(part)), (oracle_hash, oracle)):
+                for array in arrays:
+                    h.update(array.tobytes())
+    plan_hash.update(_max_stable_rows(m, seed, 0, 1001).tobytes())
+    oracle_hash.update(oracle_max_stable_rows(m, seed, 1001).tobytes())
 print(plan_hash.hexdigest(), oracle_hash.hexdigest())
 """
 
@@ -232,8 +290,10 @@ print(plan_hash.hexdigest(), oracle_hash.hexdigest())
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_plan_split_is_bit_identical_under_blas_threads(threads):
     # how BLAS sums a row may depend on the thread count and the rows around
-    # it; the projected rows must reproduce the full-grid call either way
-    code = SPLIT_HASH.format(oracle=inspect.getsource(oracle_split_exponents))
+    # it; the projected rows, a cached full exponent and the sampler must
+    # reproduce the full-grid call and the unchunked draw either way
+    code = SPLIT_HASH.format(oracle=inspect.getsource(oracle_split_exponents),
+                             sampler_oracle=inspect.getsource(oracle_max_stable_rows))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

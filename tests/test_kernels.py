@@ -18,8 +18,8 @@ from facetail.simulate import _conditional_rows, _max_stable_rows
 MB = 2**20
 
 
-def old_exponent_grid(measure, points):
-    return (measure.omega_matrix[None, :, :] / points[:, None, :]).max(axis=2) @ measure.mass_vector
+def old_exponent_grid(measure, points, fold=np.max):
+    return fold(measure.omega_matrix[None, :, :] / points[:, None, :], axis=2) @ measure.mass_vector
 
 
 def grids(d):
@@ -38,6 +38,12 @@ def test_grid_exponent_equals_the_broadcast_bit_for_bit(d, n_atoms):
     m = ft.marginalize(m, range(d))
     for grid in grids(d):
         assert ft.exponent_function_grid(m, grid).tobytes() == old_exponent_grid(m, grid).tobytes()
+        # the directions' memory order must not change a bit, for either
+        # reduction: the exponent plan passes them column-major
+        for omega in (m.omega_matrix, np.asfortranarray(m.omega_matrix)):
+            for reduce, fold in ((np.maximum, np.max), (np.minimum, np.min)):
+                assert _ratio_kernel(omega, m.mass_vector, grid, reduce).tobytes() == \
+                    old_exponent_grid(m, grid, fold).tobytes()
 
 
 def test_grid_exponent_equals_the_broadcast_at_many_atoms():
@@ -61,8 +67,9 @@ def test_point_kernels_equal_the_broadcast_bit_for_bit(d, n_atoms):
         assert ft.exponent_function(m, x) == float(np.max(ratios, axis=1) @ m.mass_vector)
         assert ft.rectangle_mass(m, x) == float(np.min(ratios, axis=1) @ m.mass_vector)
         for reduce, fold in ((np.maximum, np.max), (np.minimum, np.min)):
-            assert _ratio_kernel(sub, m.mass_vector, x[None, cols], reduce)[0] == \
-                float(fold(sub / x[cols], axis=1) @ m.mass_vector)
+            want = float(fold(sub / x[cols], axis=1) @ m.mass_vector)
+            for omega in (sub, np.asfortranarray(sub)):
+                assert _ratio_kernel(omega, m.mass_vector, x[None, cols], reduce)[0] == want
 
 
 def peak_bytes(fn):
