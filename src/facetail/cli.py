@@ -42,6 +42,11 @@ EXIT_USAGE = 2
 EXIT_DEPENDENT = 3
 EXIT_DISAGREE = 4
 
+#: defaults of `estimate`'s chi flags (--q, --threshold) and test flags
+#: (--n-perm, --alpha), applied in `cmd_estimate` so that a flag the batch
+#: cannot use is refused whenever it is given
+Q, THRESHOLD, N_PERM, ALPHA = 0.95, 0.1, 499, 0.05
+
 
 def _emit(payload: dict) -> None:
     print(json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False))
@@ -87,6 +92,10 @@ def _bipartition(a: frozenset[int], c: frozenset[int], d: int, source: str) -> B
         raise ValueError(f"--A/--C must cover 1..{d} of the {source}: " + ", ".join(
             f"{label} {sorted(i + 1 for i in coords)}" for label, coords in found.items() if coords))
     return Bipartition(a, c)
+
+
+def _or_default(value, default):
+    return default if value is None else value
 
 
 def _positive_int(text: str) -> int:
@@ -166,8 +175,9 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     batch = load_batch(getattr(args, "in"))
     if batch.kind == "conditional":
-        if args.graph or args.csv is not None:
-            print("error: --graph/--csv come from the chi matrix, which needs "
+        if args.graph or args.csv is not None or args.q is not None \
+                or args.threshold is not None:
+            print("error: --graph/--csv/--q/--threshold are for the chi matrix, which needs "
                   "max-stable samples (this batch is conditional)", file=sys.stderr)
             return EXIT_USAGE
         if args.A is None or args.C is None:
@@ -180,8 +190,8 @@ def cmd_estimate(args) -> int:
         if not _disjoint_blocks(args.A, args.C):
             return EXIT_USAGE
         part = _bipartition(args.A, args.C, batch.d, "batch")
-        result = factorization_test(batch, part, n_perm=args.n_perm,
-                                    alpha=args.alpha, seed=args.seed)
+        result = factorization_test(batch, part, n_perm=_or_default(args.n_perm, N_PERM),
+                                    alpha=_or_default(args.alpha, ALPHA), seed=args.seed)
         _emit({
             "kind": "factorization_test",
             "k": batch.k + 1 if batch.k is not None else None,
@@ -194,15 +204,17 @@ def cmd_estimate(args) -> int:
         })
         return EXIT_OK
 
-    if args.A is not None or args.C is not None or args.seed is not None:
-        print(f"error: --A/--C/--seed run the factorization test, which needs "
-              f"conditional samples (this batch is {batch.kind})", file=sys.stderr)
+    if args.A is not None or args.C is not None or args.seed is not None \
+            or args.n_perm is not None or args.alpha is not None:
+        print(f"error: --A/--C/--seed/--n-perm/--alpha run the factorization test, which "
+              f"needs conditional samples (this batch is {batch.kind})", file=sys.stderr)
         return EXIT_USAGE
-    chi = chi_empirical(batch, q=args.q)
+    chi = chi_empirical(batch, q=_or_default(args.q, Q))
     payload = {"kind": "chi_matrix", **chi.to_dict()}
     if args.graph:
-        payload["graph"] = {"threshold": args.threshold,
-                            **empirical_graph(chi, args.threshold).to_dict()}
+        threshold = _or_default(args.threshold, THRESHOLD)
+        payload["graph"] = {"threshold": threshold,
+                            **empirical_graph(chi, threshold).to_dict()}
     if args.csv is not None:
         chi.to_csv(args.csv)
         payload["csv"] = args.csv
@@ -258,9 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="chi matrix or factorization test from samples")
     p.add_argument("--in", required=True, metavar="PATH", help="CSV written by simulate")
-    p.add_argument("--q", type=float, default=0.95, help="exceedance level (default 0.95)")
-    p.add_argument("--threshold", type=float, default=0.1,
-                   help="edge threshold for --graph (default 0.1)")
+    p.add_argument("--q", type=float, help=f"exceedance level (default {Q})")
+    p.add_argument("--threshold", type=float,
+                   help=f"edge threshold for --graph (default {THRESHOLD})")
     p.add_argument("--graph", action="store_true",
                    help="also derive the dependence graph from the chi matrix")
     p.add_argument("--csv", metavar="PATH", help="write the chi matrix as CSV")
@@ -268,10 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="first block for the factorization test (conditional batches)")
     p.add_argument("--C", type=_coords, metavar="I,J,...",
                    help="second block for the factorization test")
-    p.add_argument("--n-perm", type=_positive_int, default=499,
-                   help="permutations for the factorization test (default 499)")
-    p.add_argument("--alpha", type=float, default=0.05,
-                   help="test level (default 0.05)")
+    p.add_argument("--n-perm", type=_positive_int,
+                   help=f"permutations for the factorization test (default {N_PERM})")
+    p.add_argument("--alpha", type=float, help=f"test level (default {ALPHA})")
     p.add_argument("--seed", type=_nonnegative_int,
                    help="seed for the permutation stream (required for the test)")
     p.set_defaults(func=cmd_estimate)

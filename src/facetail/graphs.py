@@ -6,8 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .independence import full_report
 from .measure import ExponentMeasure
-from .partition import Bipartition, all_bipartitions
+from .partition import all_bipartitions
+
+#: the largest d that `certify_partition_bruteforce` takes: 2**(d-1) - 1
+#: reports, 2047 at d=12
+CERTIFY_MAX_D = 12
 
 
 class _UnionFind:
@@ -74,24 +79,22 @@ def finest_partition(measure: ExponentMeasure) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(c) for c in build_graph(measure).components)
 
 
-def certify_partition_bruteforce(measure: ExponentMeasure, max_d: int = 12) -> bool:
+def certify_partition_bruteforce(measure: ExponentMeasure) -> bool:
     """Verify `finest_partition` against every bipartition, exhaustively.
 
-    For each of the ``2**(d-1) - 1`` bipartitions, runs the full
-    independence report and demands (a) internal agreement and (b) an
-    independent verdict exactly when the bipartition splits no component.
-    The reports share one full exponent on the grid, computed once.
-    Exponential in d, hence the cap.
+    For each of the ``2**(d-1) - 1`` bipartitions, runs `full_report` and
+    demands (a) internal agreement and (b) an independent verdict exactly
+    when the bipartition splits no component.  The reports share one full
+    exponent on the grid, computed once.  Exponential in d, hence the cap
+    ``CERTIFY_MAX_D``.
     """
-    from .independence import _ExponentPlan, _report
-
-    if measure.d > max_d:
-        raise ValueError(f"brute force capped at d={max_d}, got d={measure.d}")
+    if measure.d > CERTIFY_MAX_D:
+        raise ValueError(f"brute force capped at d={CERTIFY_MAX_D} (CERTIFY_MAX_D), "
+                         f"got d={measure.d}")
     components = [frozenset(c) for c in build_graph(measure).components]
-    plan = _ExponentPlan(measure)
     for part in all_bipartitions(measure.d):
         expected = all(c <= part.a or c <= part.c for c in components)
-        report = _report(plan, part)
+        report = full_report(measure, part)
         if not report.agree or report.independent != expected:
             return False
     return True

@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .conditional import conditional_factorization
-from .measure import ExponentMeasure, _ratio_kernel, _work_size, marginalize
+from .measure import ExponentMeasure, _ratio_kernel, marginalize
 from .partition import Bipartition, check_dimension
 
 #: relative tolerance for all additivity and factorization comparisons
@@ -57,7 +57,7 @@ def default_grid(d: int) -> np.ndarray:
     4096 points, plus 64 reproducible uniform points in ``(0.1, 10)^d``.
     Truncation keeps the lex-first rows: the last ``k = min(d, 6)``
     coordinates run over the full product and the others stay at 0.5 (see
-    `_grid_layout`), which lets `_ExponentPlan` evaluate a block exponent
+    `_grid_layout`), which lets `_split_sum` evaluate a block exponent
     once per distinct point of the block's projection.  Deterministic in d,
     returned read-only.
     """
@@ -133,8 +133,9 @@ def check_additivity(measure: ExponentMeasure, part: Bipartition) -> AdditivityC
     of `default_grid`.
     """
     check_dimension(part, measure.d)
-    plan = _ExponentPlan(measure)
-    ok, residual, witness = plan.worst(_additivity_residuals, *plan.split(part))
+    lam = _full_exponents(measure)[0]
+    ok, residual, witness = _worst(_additivity_residuals(lam, _split_sum(measure, part)),
+                                   measure.d)
     return AdditivityCheck(ok=ok, max_residual=residual, witness=witness)
 
 
@@ -147,18 +148,30 @@ def check_df_factorization(measure: ExponentMeasure,
     Returns ``(ok, witness)``.
     """
     check_dimension(part, measure.d)
-    plan = _ExponentPlan(measure)
-    ok, _, witness = plan.worst(_df_differences, plan.df, plan.split(part)[1])
+    df = _full_exponents(measure)[1]
+    ok, _, witness = _worst(_df_differences(df, _split_sum(measure, part)), measure.d)
     return ok, witness
 
 
 def _additivity_residuals(lam, lam_sum):
-    return np.abs(lam - lam_sum) / (1.0 + np.abs(lam))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(lam - lam_sum) / (1.0 + np.abs(lam))
 
 
 def _df_differences(df, lam_sum):
-    # df is exp(-lam), which the plan keeps per measure
-    return np.abs(df - np.exp(-lam_sum)) / (1.0 + df)
+    # df is exp(-lam), which `_full_exponents` keeps per measure
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(df - np.exp(-lam_sum)) / (1.0 + df)
+
+
+def _worst(defects: np.ndarray, d: int) -> tuple[bool, float, np.ndarray | None]:
+    """``(ok, largest defect, its point of `default_grid` unless ok)`` of the
+    grid ``defects`` against ``ADDITIVITY_TOL``.  A NaN defect, where the
+    exponent overflowed to +inf on both sides, decides nothing and is
+    skipped; a grid of NaN defects only fails."""
+    worst = int(np.argmax(np.where(np.isnan(defects), -np.inf, defects)))
+    ok = bool(defects[worst] <= ADDITIVITY_TOL)
+    return ok, float(defects[worst]), None if ok else default_grid(d)[worst].copy()
 
 
 #: ``(exponent, exp(-exponent))`` on `default_grid`, read-only, per live
@@ -166,78 +179,60 @@ def _df_differences(df, lam_sum):
 _FULL_EXPONENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-class _ExponentPlan:
-    """Tail exponents of one measure on `default_grid`, for many splits.
+def _full_exponents(measure: ExponentMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """``(exponent, exp(-exponent))`` of ``measure`` on `default_grid`.
 
-    The full exponent is computed once per measure, by the first plan built
-    on it, and kept read-only with ``exp(-exponent)`` in `_FULL_EXPONENTS`
-    (33 KB each at 4160 grid rows) until the measure is freed: every later
-    plan, and so every `full_report`, `check_additivity` and
-    `check_df_factorization` on that measure, reads it back.  Each block
-    exponent is computed through `marginalize` when a split asks for it and
-    then dropped (kept, all 2 * (2**(d-1) - 1) block vectors of a
-    certification at d=10 would hold 34 MB).  Every kernel call runs in one
-    work buffer that the plan keeps, on a column-major copy of the
-    directions, so the kernel reads each coordinate from contiguous memory.
+    Computed by the first call on a measure and kept read-only in
+    `_FULL_EXPONENTS` (33 KB each at 4160 grid rows) until the measure is
+    freed: every later `full_report`, `check_additivity` and
+    `check_df_factorization` on that measure reads it back.  Nothing else
+    is kept between calls, so reports on one measure share no writable
+    memory and may run concurrently; threads that meet a cold cache each
+    compute the same bits, and the last one stores them.  A value beyond
+    the float range is +inf, without a warning.
+    """
+    full = _FULL_EXPONENTS.get(measure)
+    if full is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = _grid_exponent(measure, default_grid(measure.d))
+            full = lam, np.exp(-lam)
+        for array in full:
+            array.flags.writeable = False
+        _FULL_EXPONENTS[measure] = full
+    return full
 
-    A block exponent is evaluated once per distinct point of the block's
-    projection and spread back over the grid: the grid's tensor part varies
-    only its last k = min(d, 6) coordinates, so a block holding j of them
-    sees 4**j distinct tensor points, plus the 64 random rows
+
+def _split_sum(measure: ExponentMeasure, part: Bipartition) -> np.ndarray:
+    """``exponent_A + exponent_C`` at every point of `default_grid`.
+
+    Each block exponent is computed through `marginalize` and dropped after
+    the sum (kept, all 2 * (2**(d-1) - 1) block vectors of a certification
+    at d=10 would hold 34 MB).  It is evaluated once per distinct point of
+    the block's projection and spread back over the grid: the grid's tensor
+    part varies only its last k = min(d, 6) coordinates, so a block holding
+    j of them sees 4**j distinct tensor points, plus the 64 random rows
     (`_projected_rows`).  The values are bit-identical to a full-grid
     evaluation.  A value beyond the float range is +inf, without a warning.
     """
+    grid = default_grid(measure.d)
+    first, k = _grid_layout(measure.d)
+    exponents = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, mask in ((part.a_sorted, part.a_mask), (part.c_sorted, part.c_mask)):
+            rows, spread = _projected_rows(k, mask >> first)
+            # the projected rows are gathered F-ordered, as a column gather
+            # of the C-ordered grid is, which fixes how BLAS sums each row
+            points = grid.take(rows, axis=0).T.take(list(block), axis=0).T
+            exponents.append(_grid_exponent(marginalize(measure, block), points).take(spread))
+        return exponents[0] + exponents[1]
 
-    def __init__(self, measure: ExponentMeasure):
-        self.measure, self.grid = measure, default_grid(measure.d)
-        self._first, self._k = _grid_layout(measure.d)
-        self._work = np.empty(_work_size(len(self.grid), measure.n_atoms))
-        full = _FULL_EXPONENTS.get(measure)
-        if full is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                lam = self._kernel(measure, self.grid)
-                full = lam, np.exp(-lam)
-            for array in full:
-                array.flags.writeable = False
-            _FULL_EXPONENTS[measure] = full
-        self.lam, self.df = full
 
-    def split(self, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-        """``(exponent, exponent_A + exponent_C)`` at every grid point."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            lam_a, lam_c = (self._block_exponent(block, mask)
-                            for block, mask in ((part.a_sorted, part.a_mask),
-                                                (part.c_sorted, part.c_mask)))
-            return self.lam, lam_a + lam_c
-
-    def _block_exponent(self, block, mask):
-        # the projected rows are gathered F-ordered, as a column gather of
-        # the C-ordered grid is, which fixes how BLAS sums each row
-        rows, spread = _projected_rows(self._k, mask >> self._first)
-        points = self.grid.take(rows, axis=0).T.take(list(block), axis=0).T
-        return self._kernel(marginalize(self.measure, block), points).take(spread)
-
-    def _kernel(self, measure, points):
-        need = _work_size(len(points), measure.n_atoms)
-        if self._work.size < need:  # a block wider in cells than the full call
-            self._work = np.empty(need)
-        # the order of omega does not change the bits: the kernel divides and
-        # reduces elementwise, and its accumulator follows the points
-        return _ratio_kernel(np.asfortranarray(measure.omega_matrix), measure.mass_vector,
-                             points, np.maximum, self._work)
-
-    def worst(self, defect, full: np.ndarray, lam_sum: np.ndarray
-              ) -> tuple[bool, float, np.ndarray | None]:
-        """``(ok, largest defect, its grid point unless ok)`` of the defects
-        ``defect(full, lam_sum)`` against ``ADDITIVITY_TOL``, with ``full``
-        the plan's ``lam`` or ``df``.  A NaN defect, where the exponent
-        overflowed to +inf on both sides, decides nothing and is skipped; a
-        grid of NaN defects only fails."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            defects = defect(full, lam_sum)
-        worst = int(np.argmax(np.where(np.isnan(defects), -np.inf, defects)))
-        ok = bool(defects[worst] <= ADDITIVITY_TOL)
-        return ok, float(defects[worst]), None if ok else self.grid[worst].copy()
+def _grid_exponent(measure: ExponentMeasure, points: np.ndarray) -> np.ndarray:
+    # column-major directions let the kernel read each coordinate
+    # contiguously, with the same bits: it divides and reduces elementwise,
+    # and its accumulator follows the points
+    return _ratio_kernel(np.asfortranarray(measure.omega_matrix), measure.mass_vector,
+                         points, np.maximum)
 
 
 def check_mixed_margins(
@@ -361,17 +356,12 @@ class IndependenceReport:
 def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceReport:
     """Run every independence check and collect the verdicts.
 
-    The two numeric criteria share one evaluation of the full and block
-    exponents on `default_grid`; the full exponent is computed once per
-    measure and reused by every later report on it.  Never raises on disagreement; the
-    ``agree`` flag and the witnesses carry the evidence either way.
+    The two numeric criteria share one evaluation of the block exponents on
+    `default_grid`; the full exponent is computed once per measure and
+    reused by every later report on it (`_full_exponents`).  Never raises on
+    disagreement; the ``agree`` flag and the witnesses carry the evidence
+    either way.
     """
-    return _report(_ExponentPlan(measure), part)
-
-
-def _report(plan: _ExponentPlan, part: Bipartition) -> IndependenceReport:
-    # full_report on a plan that certification and the battery keep per measure
-    measure = plan.measure
     check_dimension(part, measure.d)
     witnesses: dict = {}
 
@@ -379,8 +369,9 @@ def _report(plan: _ExponentPlan, part: Bipartition) -> IndependenceReport:
     if not support_ok:
         witnesses["cond_i"] = {"atom": support_witness}
 
-    lam, lam_sum = plan.split(part)
-    cond_ii, residual, point = plan.worst(_additivity_residuals, lam, lam_sum)
+    lam, df = _full_exponents(measure)
+    lam_sum = _split_sum(measure, part)
+    cond_ii, residual, point = _worst(_additivity_residuals(lam, lam_sum), measure.d)
     if not cond_ii:
         witnesses["cond_ii"] = {"residual": residual, "point": point.tolist()}
 
@@ -388,7 +379,7 @@ def _report(plan: _ExponentPlan, part: Bipartition) -> IndependenceReport:
     if not mixed_ok:
         witnesses["cond_iii"] = {"subset": sorted(mixed_witness)}
 
-    df_ok, difference, point = plan.worst(_df_differences, plan.df, lam_sum)
+    df_ok, difference, point = _worst(_df_differences(df, lam_sum), measure.d)
     if not df_ok:
         witnesses["df"] = {"difference": difference, "point": point.tolist()}
 
@@ -494,9 +485,8 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
         if generating is not None and generating not in parts:
             parts.insert(0, generating)
 
-        plan = _ExponentPlan(measure)
         for part in parts:
-            rep = _report(plan, part)
+            rep = full_report(measure, part)
             instances += 1
             flags = {"cond_i": rep.cond_i, "cond_ii": rep.cond_ii,
                      "cond_iii": rep.cond_iii, "df": rep.df,

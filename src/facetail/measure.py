@@ -323,34 +323,25 @@ def _row_blocks(n_rows: int, n_atoms: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _work_size(n_rows: int, n_atoms: int) -> int:
-    """Doubles of `_ratio_kernel` work space over ``n_rows`` points: an
-    accumulator and a ratio buffer for the largest of its row blocks."""
-    return 2 * n_atoms * max((hi - lo for lo, hi in _row_blocks(n_rows, n_atoms)), default=0)
-
-
-def _ratio_kernel(omega: np.ndarray, mass: np.ndarray, points: np.ndarray, reduce,
-                  work: np.ndarray | None = None) -> np.ndarray:
+def _ratio_kernel(omega: np.ndarray, mass: np.ndarray, points: np.ndarray, reduce) -> np.ndarray:
     """``sum_j mass_j * reduce_i(omega_ji / x_i)`` per row x of ``points``, with
     ``reduce`` np.maximum (exponent) or np.minimum (rectangle mass), taking
     one coordinate at a time into a (rows, J) accumulator per row block.
 
     The one place a mass-weighted min or max of ``omega / x`` is computed.
     Over a coordinate subset, pass ``omega[:, cols]`` with the matching point
-    columns; ``omega`` needs at least one column.  ``work`` is a float buffer
-    of at least `_work_size` doubles that a caller making many calls keeps
-    across them; without it one is allocated per call."""
+    columns; ``omega`` needs at least one column."""
     # the accumulator follows the memory order of the points, which fixes how
     # BLAS sums each row: C- and F-ordered rows are summed in different orders
     order = "F" if points.flags.f_contiguous and not points.flags.c_contiguous else "C"
-    if work is None:
-        work = np.empty(_work_size(len(points), len(mass)))
+    blocks = _row_blocks(len(points), len(mass))
+    # one work space per call, sized for its largest row block, holds the
+    # accumulator and one ratio buffer of every block: fresh temporaries per
+    # block, their allocations and page faults, dominated small-J calls
+    work = np.empty(2 * len(mass) * max((hi - lo for lo, hi in blocks), default=0))
     out = np.empty(len(points))
-    for lo, hi in _row_blocks(len(points), len(mass)):
+    for lo, hi in blocks:
         x, shape = points[lo:hi], (hi - lo, len(mass))
-        # the accumulator and one ratio buffer are views of the work space, not
-        # fresh temporaries: their allocations and page faults dominated
-        # small-J reports
         acc = work[:shape[0] * shape[1]].reshape(shape, order=order)
         ratio = work[acc.size:2 * acc.size].reshape(shape, order=order)
         np.divide(omega[:, 0], x[:, :1], out=acc)

@@ -1,7 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from facetail import ExponentMeasure, SpectralAtom
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def child_env() -> dict:
+    """Environment for a child Python process: this one's, with the source
+    tree first on PYTHONPATH, so the child imports the facetail under test
+    without an install."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture

@@ -137,7 +137,7 @@ def test_check_rejects_malformed_coords(capsys, measure_file):
     capsys.readouterr()
 
 
-def test_check_overflow_prints_strict_json_and_no_warnings(tmp_path):
+def test_check_overflow_prints_strict_json_and_no_warnings(tmp_path, child_env):
     # the exponent overflows to +inf, from a huge mass or from a huge omega
     # over a small grid coordinate: no numpy warning on stderr, and an
     # infinite residual is the string "inf", not the non-JSON Infinity
@@ -151,7 +151,7 @@ def test_check_overflow_prints_strict_json_and_no_warnings(tmp_path):
         path.write_text(json.dumps({"d": 2, "atoms": [atom]}))
         proc = subprocess.run(
             [sys.executable, "-m", "facetail", "check", str(path), "--A", "1", "--C", "2"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env)
         payload = json.loads(proc.stdout, parse_constant=reject)
         assert proc.stderr == ""
         residuals.append(payload["witnesses"]["cond_ii"]["residual"])
@@ -276,6 +276,20 @@ def test_estimate_rejects_chi_flags_on_conditional_batch(capsys, tmp_path, dep_f
     assert not (tmp_path / "chi.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [("--q", "0.95"), ("--threshold", "0.1"),
+                                   ("--q", "0.9", "--threshold", "0.2")])
+def test_estimate_rejects_chi_levels_on_conditional_batch(capsys, tmp_path, dep_file, flags):
+    # the chi defaults are applied only to max-stable batches, so a given
+    # value is refused here even when it equals the default
+    out_csv = tmp_path / "cond.csv"
+    run_cli(capsys, "simulate", dep_file, "--conditional", "1",
+            "--n", "2000", "--seed", "11", "--out", str(out_csv))
+    code, out, err = run_cli(capsys, "estimate", "--in", str(out_csv),
+                             "--A", "1", "--C", "2", "--seed", "5", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--q/--threshold" in err and "conditional" in err
+
+
 def test_estimate_names_uncovered_coordinates_one_based(capsys, tmp_path, dep_file):
     out_csv = tmp_path / "cond.csv"
     run_cli(capsys, "simulate", dep_file, "--conditional", "1",
@@ -294,6 +308,18 @@ def test_estimate_rejects_test_flags_on_max_stable_batch(capsys, tmp_path, measu
                            "--A", "1,2", "--C", "3", "--seed", "5")
     assert code == 2
     assert "max_stable" in err and "conditional" in err
+
+
+@pytest.mark.parametrize("flags", [("--n-perm", "499"), ("--alpha", "0.05"),
+                                   ("--n-perm", "99", "--alpha", "0.1")])
+def test_estimate_rejects_test_levels_on_max_stable_batch(capsys, tmp_path, measure_file,
+                                                          flags):
+    out_csv = tmp_path / "batch.csv"
+    run_cli(capsys, "simulate", measure_file, "--n", "1000", "--seed", "107",
+            "--out", str(out_csv))
+    code, out, err = run_cli(capsys, "estimate", "--in", str(out_csv), *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--n-perm/--alpha" in err and "max_stable" in err
 
 
 def test_estimate_rejects_non_finite_samples(capsys, tmp_path, dep_file):
@@ -361,11 +387,11 @@ def test_version_flag(capsys):
     assert ft.__version__ in capsys.readouterr().out
 
 
-def test_module_entry_point(tmp_path, m_ind):
+def test_module_entry_point(tmp_path, m_ind, child_env):
     path = tmp_path / "ind.json"
     ft.save_measure(m_ind, path)
     proc = subprocess.run(
         [sys.executable, "-m", "facetail", "check", str(path), "--A", "1", "--C", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["agree"] is True

@@ -1,6 +1,5 @@
 """Every demo script runs to completion without writing to stderr."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +11,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+def test_demo_runs_cleanly(demo, child_env):
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=child_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

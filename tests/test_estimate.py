@@ -96,9 +96,10 @@ def test_midranks_average_tied_positions():
     assert _midranks(x).tolist() == [5.0, 1.5, 5.0, 3.0, 1.5, 5.0]
 
 
-def test_import_does_not_load_scipy():
+def test_import_does_not_load_scipy(child_env):
     code = "import sys, facetail; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -1,22 +1,23 @@
-"""One exponent plan per measure against the per-report code it replaced.
+"""How reports evaluate exponents, against the per-report code it replaced.
 
-Certification and the agreement battery run every bipartition of a measure
-through one `_ExponentPlan`, which keeps one kernel work buffer and
-evaluates each block exponent only at the distinct points of the block's
-projection; the full exponent on `default_grid` is computed once per
-measure, by its first plan, and freed with the measure.  The
-``oracle_*`` functions below are the earlier per-report split exponents and
-the report built on them, kept verbatim; reports must equal the oracle's
-bit for bit.  The grid has no zero coordinate, and a property test shows
-that such points could decide nothing.
+Every `full_report`, `check_additivity` and `check_df_factorization` on a
+measure reads one full exponent on `default_grid`, computed by the first
+of them (`_full_exponents`) and freed with the measure, and evaluates each
+block exponent only at the distinct points of the block's projection
+(`_split_sum`).  Reports on one measure share no writable memory, so they
+may run concurrently.  The ``oracle_*`` functions below are the earlier
+per-report split exponents and the report built on them, kept verbatim;
+reports must equal the oracle's bit for bit.  The grid has no zero
+coordinate, and a property test shows that such points could decide
+nothing.
 """
 
 import gc
 import inspect
 import itertools
-import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -32,8 +33,8 @@ from facetail.conditional import conditional_factorization
 from facetail.independence import (
     ADDITIVITY_TOL,
     IndependenceReport,
-    _ExponentPlan,
-    _report,
+    _full_exponents,
+    _split_sum,
     check_mixed_margins,
     check_support,
 )
@@ -130,18 +131,18 @@ def test_plan_reports_equal_the_per_report_split_bit_for_bit(drawn, data):
     if a_mask is not None:
         masks.append(a_mask)
     parts = data.draw(st.permutations([split_of_mask(d, mask) for mask in masks]))
-    plan = _ExponentPlan(m)
     grid = ft.default_grid(d)
     for part in parts:
-        assert _report(plan, part).to_dict() == oracle_full_report(m, part).to_dict()
+        assert ft.full_report(m, part).to_dict() == oracle_full_report(m, part).to_dict()
         # to_dict hides the residual bits of an independent split
-        for got, want in zip(plan.split(part), oracle_split_exponents(m, part, grid)):
+        split = _full_exponents(m)[0], _split_sum(m, part)
+        for got, want in zip(split, oracle_split_exponents(m, part, grid)):
             assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_default_grid_is_the_truncated_lex_product(d):
-    # the layout the plan relies on: the lex-first 4096 rows of the product,
+    # the layout _split_sum relies on: the lex-first 4096 rows of the product,
     # so only the last min(d, 6) coordinates vary, then the random rows
     grid = ft.default_grid(d)
     tensor = np.array(list(itertools.islice(
@@ -217,10 +218,9 @@ def test_full_exponent_is_computed_once_per_measure(kernel_calls):
     # the cached vectors are shared read-only, never handed out writable
     lam, df = independence._FULL_EXPONENTS[m]
     assert not lam.flags.writeable and not df.flags.writeable
-    plan = _ExponentPlan(m)
-    assert plan.lam is lam and plan.df is df
+    assert _full_exponents(m)[0] is lam and _full_exponents(m)[1] is df
     with pytest.raises(ValueError):
-        plan.split(dependent)[0][0] = 0.0
+        _full_exponents(m)[0][0] = 0.0
     assert np.array_equal(df, np.exp(-exponent_function_grid(m, ft.default_grid(8))))
 
 
@@ -239,6 +239,35 @@ def test_full_exponent_is_freed_with_its_measure():
     assert all(ref() is None for ref in refs) and len(cache) == before
 
 
+def test_concurrent_reports_on_one_measure():
+    # reports on one measure share only the read-only full exponent, so two
+    # threads racing through every bipartition, the cache cold at the start,
+    # each get what one thread gets alone on a fresh measure
+    m = ft.random_measure(8, 40, seed=5)
+    parts = list(ft.all_bipartitions(8))
+    assert len(parts) == 127
+    start, results = threading.Barrier(2), [None, None]
+
+    def run(slot):
+        start.wait()
+        results[slot] = [ft.full_report(m, part).to_dict() for part in parts]
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside reports too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    fresh = ft.random_measure(8, 40, seed=5)
+    expected = [ft.full_report(fresh, part).to_dict() for part in parts]
+    assert results == [expected, expected]
+
+
 def oracle_max_stable_rows(measure, seed, n):
     # the sampler before its row blocks, coordinate-major rays and division
     # buffer: one (n, J) temporary per coordinate
@@ -255,7 +284,7 @@ SPLIT_HASH = """
 import hashlib
 import numpy as np
 import facetail as ft
-from facetail.independence import _ExponentPlan
+from facetail.independence import _full_exponents, _split_sum
 from facetail.measure import exponent_function_grid, marginalize
 from facetail.simulate import _max_stable_rows
 
@@ -263,7 +292,7 @@ from facetail.simulate import _max_stable_rows
 
 {sampler_oracle}
 
-plan_hash, oracle_hash = hashlib.sha256(), hashlib.sha256()
+split_hash, oracle_hash = hashlib.sha256(), hashlib.sha256()
 for d, n_atoms, seed in [(4, 8, 1), (4, 300, 2), (6, 8, 3), (6, 120, 4),
                          (8, 8, 5), (8, 300, 6), (10, 10, 7), (10, 16, 8), (10, 300, 9)]:
     rng = np.random.default_rng(seed)
@@ -271,31 +300,32 @@ for d, n_atoms, seed in [(4, 8, 1), (4, 300, 2), (6, 8, 3), (6, 120, 4),
     a = sorted(rng.choice(d, size=d // 2, replace=False).tolist())
     m = ft.random_measure(d, n_atoms, split=(a, sorted(set(range(d)) - set(a))) if block
                           else None, seed=seed)
-    # the first plan computes the full exponent, the second reads it back
-    plans = _ExponentPlan(m), _ExponentPlan(m)
+    # the first call computes the full exponent, every later one reads it back
+    _full_exponents(m)
     for mask in rng.integers(1, 2 ** d - 1, size=12).tolist():
         a = [i for i in range(d) if mask >> i & 1]
         part = ft.bipartition(a, sorted(set(range(d)) - set(a)))
         oracle = oracle_split_exponents(m, part, ft.default_grid(d))
-        for plan in plans:
-            for h, arrays in ((plan_hash, plan.split(part)), (oracle_hash, oracle)):
+        for _ in range(2):
+            split = _full_exponents(m)[0], _split_sum(m, part)
+            for h, arrays in ((split_hash, split), (oracle_hash, oracle)):
                 for array in arrays:
                     h.update(array.tobytes())
-    plan_hash.update(_max_stable_rows(m, seed, 0, 1001).tobytes())
+    split_hash.update(_max_stable_rows(m, seed, 0, 1001).tobytes())
     oracle_hash.update(oracle_max_stable_rows(m, seed, 1001).tobytes())
-print(plan_hash.hexdigest(), oracle_hash.hexdigest())
+print(split_hash.hexdigest(), oracle_hash.hexdigest())
 """
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_plan_split_is_bit_identical_under_blas_threads(threads):
+def test_plan_split_is_bit_identical_under_blas_threads(threads, child_env):
     # how BLAS sums a row may depend on the thread count and the rows around
     # it; the projected rows, a cached full exponent and the sampler must
     # reproduce the full-grid call and the unchunked draw either way
     code = SPLIT_HASH.format(oracle=inspect.getsource(oracle_split_exponents),
                              sampler_oracle=inspect.getsource(oracle_max_stable_rows))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    env = {**child_env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    plan_hash, oracle_hash = proc.stdout.split()
-    assert plan_hash == oracle_hash
+    split_hash, oracle_hash = proc.stdout.split()
+    assert split_hash == oracle_hash

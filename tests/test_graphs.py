@@ -78,9 +78,10 @@ def test_certify_random_measures():
 
 
 def test_certify_dimension_cap():
-    m = ft.random_measure(4, 6, seed=0)
-    with pytest.raises(ValueError):
-        certify_partition_bruteforce(m, max_d=3)
+    m = ft.random_measure(13, 13, seed=0)
+    with pytest.raises(ValueError, match=r"^brute force capped at d=12 \(CERTIFY_MAX_D\), "
+                                         r"got d=13$"):
+        certify_partition_bruteforce(m)
 
 
 def test_empirical_graph_thresholding():
