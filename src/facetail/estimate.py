@@ -44,7 +44,7 @@ def _require_finite(data: np.ndarray, what: str) -> None:
 def chi_exact(measure: ExponentMeasure, i: int, j: int) -> float:
     """Tail dependence coefficient of coordinates i and j, from the measure.
 
-    Requires a standardized measure (unit marginal masses, tolerance 1e-9);
+    Requires a standardized measure (unit marginal masses, to `MARGIN_TOL`);
     then ``chi = 2 - exponent_{ij}(1, 1)``, the rectangle mass of the pair
     at ``(1, 1)``: ``sum_j mass_j * min(omega_ji, omega_jj')``.  Computed as
     that sum, with no subtraction, so it is exactly 0 when no atom charges

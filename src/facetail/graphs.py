@@ -115,9 +115,10 @@ def empirical_graph(chi_matrix, threshold: float = 0.1) -> ExtremalGraph:
     return _assemble(d, edges)
 
 
-def to_dot(graph: ExtremalGraph, name: str = "extremal_structure") -> str:
-    """Render the graph in DOT, one cluster per independent component."""
-    lines = [f"graph {name} {{"]
+def to_dot(graph: ExtremalGraph) -> str:
+    """Render the graph in DOT as ``graph extremal_structure``, one cluster
+    per independent component."""
+    lines = ["graph extremal_structure {"]
     for idx, comp in enumerate(graph.components):
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append(f'    label="component {idx}";')

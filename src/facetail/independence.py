@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .conditional import conditional_factorization
-from .measure import ExponentMeasure, _ratio_kernel, marginalize
+from .measure import ExponentMeasure, _ratio_kernel
 from .partition import Bipartition, check_dimension
 
 #: relative tolerance for all additivity and factorization comparisons
@@ -49,6 +49,14 @@ def _grid_layout(d: int) -> tuple[int, int]:
     return d - k, k
 
 
+def _grid_digits(k: int) -> np.ndarray:
+    """The base-4 digits of rows ``0, ..., 4**k - 1``, most significant
+    first: row r of the lex product of ``_GRID_AXIS`` over k coordinates is
+    ``_GRID_AXIS[digits[r]]``."""
+    base = len(_GRID_AXIS)
+    return np.arange(base ** k)[:, None] // base ** np.arange(k - 1, -1, -1) % base
+
+
 @lru_cache(maxsize=32)
 def default_grid(d: int) -> np.ndarray:
     """Evaluation grid for numeric checks in dimension d.
@@ -65,7 +73,7 @@ def default_grid(d: int) -> np.ndarray:
         raise ValueError("grid needs d >= 1")
     first, k = _grid_layout(d)
     tensor = np.full((len(_GRID_AXIS) ** k, d), _GRID_AXIS[0])
-    tensor[:, first:] = list(itertools.product(_GRID_AXIS, repeat=k))
+    tensor[:, first:] = np.array(_GRID_AXIS)[_grid_digits(k)]
     rng = np.random.default_rng(_GRID_SEED)
     random_part = rng.uniform(0.1, 10.0, size=(_GRID_RANDOM, d))
     grid = np.vstack([tensor, random_part])
@@ -86,7 +94,7 @@ def _projected_rows(k: int, pattern: int) -> tuple[np.ndarray, np.ndarray]:
     values at ``rows`` back onto every grid row.  Both are int16: at most 64
     patterns per k are cached, whatever the block."""
     base = len(_GRID_AXIS)
-    digits = np.arange(base ** k)[:, None] // base ** np.arange(k - 1, -1, -1) % base
+    digits = _grid_digits(k)
     inside = [(pattern >> i & 1) == 1 for i in range(k)]
     kept = np.flatnonzero(~digits[:, np.logical_not(inside)].any(axis=1))
     spread = digits[:, inside] @ base ** np.arange(sum(inside) - 1, -1, -1)
@@ -194,7 +202,7 @@ def _full_exponents(measure: ExponentMeasure) -> tuple[np.ndarray, np.ndarray]:
     full = _FULL_EXPONENTS.get(measure)
     if full is None:
         with np.errstate(over="ignore", invalid="ignore"):
-            lam = _grid_exponent(measure, default_grid(measure.d))
+            lam = _exponent(measure, list(range(measure.d)), default_grid(measure.d))
             full = lam, np.exp(-lam)
         for array in full:
             array.flags.writeable = False
@@ -205,7 +213,8 @@ def _full_exponents(measure: ExponentMeasure) -> tuple[np.ndarray, np.ndarray]:
 def _split_sum(measure: ExponentMeasure, part: Bipartition) -> np.ndarray:
     """``exponent_A + exponent_C`` at every point of `default_grid`.
 
-    Each block exponent is computed through `marginalize` and dropped after
+    Each block exponent is a sum over the measure's own atoms (`_exponent`
+    over the block's columns; an atom off the block adds 0), dropped after
     the sum (kept, all 2 * (2**(d-1) - 1) block vectors of a certification
     at d=10 would hold 34 MB).  It is evaluated once per distinct point of
     the block's projection and spread back over the grid: the grid's tensor
@@ -223,16 +232,15 @@ def _split_sum(measure: ExponentMeasure, part: Bipartition) -> np.ndarray:
             # the projected rows are gathered F-ordered, as a column gather
             # of the C-ordered grid is, which fixes how BLAS sums each row
             points = grid.take(rows, axis=0).T.take(list(block), axis=0).T
-            exponents.append(_grid_exponent(marginalize(measure, block), points).take(spread))
+            exponents.append(_exponent(measure, list(block), points).take(spread))
         return exponents[0] + exponents[1]
 
 
-def _grid_exponent(measure: ExponentMeasure, points: np.ndarray) -> np.ndarray:
-    # column-major directions let the kernel read each coordinate
-    # contiguously, with the same bits: it divides and reduces elementwise,
-    # and its accumulator follows the points
-    return _ratio_kernel(np.asfortranarray(measure.omega_matrix), measure.mass_vector,
-                         points, np.maximum)
+def _exponent(measure: ExponentMeasure, cols: list[int], points: np.ndarray) -> np.ndarray:
+    """Exponent of the ``cols`` marginal at each row of ``points``: the
+    kernel over the column-major gather ``omega[:, cols]``, which it reads a
+    coordinate at a time, with the same bits as row-major directions."""
+    return _ratio_kernel(measure.omega_matrix[:, cols], measure.mass_vector, points, np.maximum)
 
 
 def check_mixed_margins(

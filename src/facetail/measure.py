@@ -30,6 +30,10 @@ ZERO_TOL = 1e-12
 #: normalized directions differ by at most this, componentwise.
 RAY_TOL = 1e-9
 
+#: how far a marginal mass may lie from 1 in `is_standardized`: a fixed
+#: constant, not yet derived from the rounding bound of the margin sums
+MARGIN_TOL = 1e-9
+
 
 class MeasureFormatError(ValueError):
     """Raised when serialized measure data does not match the schema."""
@@ -406,10 +410,10 @@ def standardize(measure: ExponentMeasure) -> ExponentMeasure:
     return ExponentMeasure._from_arrays(measure.d, measure.omega_matrix / m, measure.mass_vector)
 
 
-def is_standardized(measure: ExponentMeasure, tol: float = 1e-9) -> bool:
-    """True when every marginal mass is within ``tol`` of 1."""
+def is_standardized(measure: ExponentMeasure) -> bool:
+    """True when every marginal mass is within ``MARGIN_TOL`` of 1."""
     m = margins(measure)
-    return bool(np.all(np.abs(m - 1.0) <= tol))
+    return bool(np.all(np.abs(m - 1.0) <= MARGIN_TOL))
 
 
 # ---- random generation -----------------------------------------------------

@@ -3,13 +3,14 @@
 Every `full_report`, `check_additivity` and `check_df_factorization` on a
 measure reads one full exponent on `default_grid`, computed by the first
 of them (`_full_exponents`) and freed with the measure, and evaluates each
-block exponent only at the distinct points of the block's projection
-(`_split_sum`).  Reports on one measure share no writable memory, so they
-may run concurrently.  The ``oracle_*`` functions below are the earlier
-per-report split exponents and the report built on them, kept verbatim;
-reports must equal the oracle's bit for bit.  The grid has no zero
-coordinate, and a property test shows that such points could decide
-nothing.
+block exponent over the measure's own columns, only at the distinct points
+of the block's projection (`_split_sum`).  Reports on one measure share no
+writable memory, so they may run concurrently.  The ``oracle_*`` functions
+below are full-grid evaluations and the per-report code built on them;
+reports must equal the column-subset oracle bit for bit, and the earlier
+split through `marginalize`, which re-canonicalises each block, to within
+the rounding of its sums.  The grid has no zero coordinate, and a property
+test shows that such points could decide nothing.
 """
 
 import gc
@@ -38,16 +39,30 @@ from facetail.independence import (
     check_mixed_margins,
     check_support,
 )
-from facetail.measure import exponent_function_grid, marginalize
+from facetail.measure import _ratio_kernel, exponent_function_grid, marginalize
 
 MB = 2**20
 
 
+def oracle_column_split(measure, part, grid):
+    # one pass shared by the additivity and df checks: each block exponent
+    # over the whole grid and the measure's own columns of the block
+    lam_a, lam_c = (_ratio_kernel(measure.omega_matrix[:, list(block)], measure.mass_vector,
+                                  grid[:, list(block)], np.maximum)
+                    for block in (part.a_sorted, part.c_sorted))
+    return exponent_function_grid(measure, grid), lam_a + lam_c
+
+
 def oracle_split_exponents(measure, part, grid):
-    # one pass shared by the additivity and df checks
+    # the same through the block marginals, which drop the atoms that miss
+    # the block and merge the rest anew, so the sums round differently
     lam_a, lam_c = (exponent_function_grid(marginalize(measure, block), grid[:, list(block)])
                     for block in (part.a_sorted, part.c_sorted))
     return exponent_function_grid(measure, grid), lam_a + lam_c
+
+
+def within_ulps(got, want, ulps):
+    return bool(np.all((got == want) | (np.abs(got - want) <= ulps * np.spacing(np.abs(want)))))
 
 
 def oracle_full_report(measure, part):
@@ -55,7 +70,7 @@ def oracle_full_report(measure, part):
 
     support_ok, support_witness = check_support(measure, part)
 
-    lam, lam_sum = oracle_split_exponents(measure, part, grid)
+    lam, lam_sum = oracle_column_split(measure, part, grid)
     add_residuals = np.abs(lam - lam_sum) / (1.0 + np.abs(lam))
     df_diffs = np.abs(np.exp(-lam) - np.exp(-lam_sum)) / (1.0 + np.exp(-lam))
 
@@ -136,8 +151,13 @@ def test_plan_reports_equal_the_per_report_split_bit_for_bit(drawn, data):
         assert ft.full_report(m, part).to_dict() == oracle_full_report(m, part).to_dict()
         # to_dict hides the residual bits of an independent split
         split = _full_exponents(m)[0], _split_sum(m, part)
-        for got, want in zip(split, oracle_split_exponents(m, part, grid)):
+        for got, want in zip(split, oracle_column_split(m, part, grid)):
             assert np.array_equal(got, want)
+        # the marginals' sums run over other atoms in another order: two
+        # sums of at most J nonnegative terms each, a few ulps for the merges
+        lam, lam_sum = oracle_split_exponents(m, part, grid)
+        assert np.array_equal(split[0], lam)
+        assert within_ulps(split[1], lam_sum, 2 * m.n_atoms + 8)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -189,8 +209,16 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_certification_evaluates_the_full_exponent_once(kernel_calls):
+def test_certification_evaluates_the_full_exponent_once(kernel_calls, monkeypatch):
     m = ft.random_measure(10, 16, seed=3)
+    merges = []
+    merge_rays = measure_module._merge_rays
+
+    def counting_merges(omega, mass, masks):
+        merges.append(len(mass))
+        return merge_rays(omega, mass, masks)
+
+    monkeypatch.setattr(measure_module, "_merge_rays", counting_merges)
     tracemalloc.start()
     try:
         assert ft.certify_partition_bruteforce(m)
@@ -205,6 +233,9 @@ def test_certification_evaluates_the_full_exponent_once(kernel_calls):
     # 1022 blocks of 4160 rows were 4,251,520
     assert sum(rows for cols, rows in kernel_calls if cols < m.d) == 311_800
     assert peak < 4 * MB
+    # block exponents are sums over the measure's own atoms: no report
+    # builds a marginal measure, so none re-canonicalises one
+    assert merges == []
 
 
 def test_full_exponent_is_computed_once_per_measure(kernel_calls):
@@ -285,7 +316,7 @@ import hashlib
 import numpy as np
 import facetail as ft
 from facetail.independence import _full_exponents, _split_sum
-from facetail.measure import exponent_function_grid, marginalize
+from facetail.measure import _ratio_kernel, exponent_function_grid
 from facetail.simulate import _max_stable_rows
 
 {oracle}
@@ -305,7 +336,7 @@ for d, n_atoms, seed in [(4, 8, 1), (4, 300, 2), (6, 8, 3), (6, 120, 4),
     for mask in rng.integers(1, 2 ** d - 1, size=12).tolist():
         a = [i for i in range(d) if mask >> i & 1]
         part = ft.bipartition(a, sorted(set(range(d)) - set(a)))
-        oracle = oracle_split_exponents(m, part, ft.default_grid(d))
+        oracle = oracle_column_split(m, part, ft.default_grid(d))
         for _ in range(2):
             split = _full_exponents(m)[0], _split_sum(m, part)
             for h, arrays in ((split_hash, split), (oracle_hash, oracle)):
@@ -322,7 +353,7 @@ def test_plan_split_is_bit_identical_under_blas_threads(threads, child_env):
     # how BLAS sums a row may depend on the thread count and the rows around
     # it; the projected rows, a cached full exponent and the sampler must
     # reproduce the full-grid call and the unchunked draw either way
-    code = SPLIT_HASH.format(oracle=inspect.getsource(oracle_split_exponents),
+    code = SPLIT_HASH.format(oracle=inspect.getsource(oracle_column_split),
                              sampler_oracle=inspect.getsource(oracle_max_stable_rows))
     env = {**child_env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

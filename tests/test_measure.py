@@ -6,7 +6,7 @@ import pytest
 
 import facetail as ft
 from facetail import ExponentMeasure, SpectralAtom
-from facetail.measure import ZERO_TOL
+from facetail.measure import MARGIN_TOL, ZERO_TOL
 
 
 def random_point(rng, d, lo=0.1, hi=10.0):
@@ -358,6 +358,15 @@ def test_standardize_scales_the_argument():
         x = random_point(rng, 2)
         assert math.isclose(ft.exponent_function(std, x),
                             ft.exponent_function(m, x * mg), rel_tol=1e-12)
+
+
+def test_is_standardized_allows_margin_tol_only():
+    def measure(margin):
+        return ExponentMeasure(2, (SpectralAtom(np.array([1.0, 0.0]), margin),
+                                   SpectralAtom(np.array([0.0, 1.0]), 1.0)))
+
+    assert ft.is_standardized(measure(1.0 + 0.5 * MARGIN_TOL))
+    assert not ft.is_standardized(measure(1.0 + 2.0 * MARGIN_TOL))
 
 
 def test_standardize_rejects_dead_coordinates():
