@@ -34,7 +34,7 @@ from .measure import (
     validate_measure,
 )
 from .partition import Bipartition
-from .simulate import load_batch, sample_conditional, sample_max_stable, save_batch
+from .simulate import load_batch, write_samples
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -160,15 +160,14 @@ def cmd_graph(args) -> int:
 
 def cmd_simulate(args) -> int:
     measure = load_measure(args.measure)
+    k = None
     if args.conditional is not None:
         k = args.conditional - 1
         if not 0 <= k < measure.d:
             raise ValueError(f"--conditional {args.conditional} out of range for d={measure.d}")
-        batch = sample_conditional(measure, k, args.n, args.seed)
-    else:
-        batch = sample_max_stable(measure, args.n, args.seed)
-    save_batch(batch, args.out)
-    _emit({"out": args.out, **batch.metadata()})
+    # drawn and written block by block: the (n, d) batch is never held
+    meta = write_samples(measure, args.n, args.seed, args.out, k=k)
+    _emit({"out": args.out, **meta})
     return EXIT_OK
 
 

@@ -112,15 +112,21 @@ def chi_empirical(batch, q: float = 0.95) -> ChiMatrix:
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     _require_finite(data, "sample")
-    ranks = np.column_stack([_midranks(column) for column in data.T])
-    exceed = ranks / (n + 1.0) > q
+    # one column of midranks at a time, scaled in place: the (n, d) ranks
+    # and their quotient are never held, only the boolean exceedances
+    exceed = np.empty((n, d), dtype=bool, order="F")
+    for i, column in enumerate(data.T):
+        ranks = _midranks(column)
+        ranks /= n + 1.0
+        np.greater(ranks, q, out=exceed[:, i])
     marginal = exceed.sum(axis=0)
     if np.min(marginal) < 20:
         bad = int(np.argmin(marginal))
         raise ValueError(
             f"column x{bad + 1} has only {int(marginal[bad])} exceedances above q={q}; "
             "need at least 20 per coordinate")
-    counts = exceed.T.astype(np.int64) @ exceed.astype(np.int64)
+    hits = exceed.astype(np.int64)
+    counts = hits.T @ hits
     chi = counts / ((1.0 - q) * n)
     np.fill_diagonal(chi, 1.0)
     chi = np.clip(chi, 0.0, 1.0)

@@ -17,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +43,9 @@ class SampleBatch:
 
     ``kind`` is "max_stable" or "conditional"; ``k`` is the conditioning
     coordinate (0-based) for conditional batches, None otherwise.  The
-    data array is read-only.  `metadata` mirrors the sidecar JSON written
+    data array is read-only: a read-only array is kept as is, without a
+    copy (the samplers and `load_batch` hand theirs over that way), and a
+    writeable one is copied.  `metadata` mirrors the sidecar JSON written
     next to CSV exports, where ``k`` appears 1-based.
     """
 
@@ -68,28 +71,35 @@ class SampleBatch:
         return self.data.shape[1]
 
     def metadata(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": None if self.k is None else self.k + 1,
-            "n": self.n,
-            "seed": self.seed,
-            "rng": self.rng,
-        }
+        return _metadata(self.kind, self.k, self.n, self.seed, self.rng)
+
+
+def _metadata(kind: str, k: int | None, n: int, seed: int, rng: str = RNG_ID) -> dict:
+    return {"kind": kind, "k": None if k is None else k + 1, "n": n, "seed": seed, "rng": rng}
 
 
 # ---- stream plumbing -------------------------------------------------------
 
 
-def _batch_key(seed: int, kind: str, k: int | None) -> np.ndarray:
+def _check_seed(seed: int) -> None:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+
+
+def _batch_key(seed: int, kind: str, k: int | None) -> np.ndarray:
+    _check_seed(seed)
     entropy = [int(seed), _KIND_CODES[kind], 0 if k is None else int(k) + 1]
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
-def _open_uniform(words: np.ndarray) -> np.ndarray:
-    # top 53 bits, centered: values in (0, 1) strictly
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+def _open_uniform(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # top 53 bits, centered: values in (0, 1) strictly; the words are shifted
+    # in place and out takes the conversion, the offset and the scale
+    np.right_shift(words, np.uint64(11), out=words)
+    np.copyto(out, words, casting="unsafe")
+    out += 0.5
+    out *= 2.0 ** -53
+    return out
 
 
 def _sample_words(key: np.ndarray, ticks_per_sample: int,
@@ -98,6 +108,10 @@ def _sample_words(key: np.ndarray, ticks_per_sample: int,
     bg = np.random.Philox(key=key, counter=start * ticks_per_sample)
     raw = bg.random_raw(_WORDS_PER_TICK * ticks_per_sample * (stop - start))
     return raw.reshape(stop - start, _WORDS_PER_TICK * ticks_per_sample)[:, :words_per_sample]
+
+
+def _largest(blocks) -> int:
+    return max((hi - lo for lo, hi in blocks), default=0)
 
 
 # ---- samplers --------------------------------------------------------------
@@ -111,11 +125,41 @@ def sample_max_stable(measure: ExponentMeasure, n: int, seed: int) -> SampleBatc
     the coordinatewise maximum.  The resulting distribution function is
     exactly ``exp(-exponent_function(x))``, no approximation involved.
     """
-    require_valid(measure)
+    return _sample(measure, None, n, seed)
+
+
+def sample_conditional(measure: ExponentMeasure, k: int, n: int, seed: int) -> SampleBatch:
+    """Draw n samples of the conditional law at coordinate k.
+
+    Per sample: pick an atom by its selection weight, then a radius from
+    the Pareto(1) tail above that atom's ``r_min``.  Coordinates off the
+    chosen atom's face are exact zeros.
+    """
+    return _sample(measure, k, n, seed)
+
+
+def _sample(measure: ExponentMeasure, k: int | None, n: int, seed: int) -> SampleBatch:
+    kind, rows = _row_function(measure, k, n, seed)
+    data = rows(0, n)
+    data.flags.writeable = False  # so the batch keeps this array, not a copy
+    return SampleBatch(kind=kind, k=None if k is None else int(k), n=n, seed=int(seed),
+                       data=data)
+
+
+def _row_function(measure: ExponentMeasure, k: int | None, n: int, seed: int):
+    """Check a draw of n samples, max-stable for k None and conditional at k
+    otherwise, before any row exists; return its kind and its row function
+    ``(start, stop) -> rows``."""
+    if k is None:
+        require_valid(measure)
+        kind, rows = _KIND_MAX_STABLE, partial(_max_stable_rows, measure, seed)
+    else:
+        law = conditional_law(require_valid(measure), k)
+        kind, rows = _KIND_CONDITIONAL, partial(_conditional_rows, law, seed)
     if n < 1:
         raise ValueError("need n >= 1")
-    data = _max_stable_rows(measure, seed, 0, n)
-    return SampleBatch(kind=_KIND_MAX_STABLE, k=None, n=n, seed=int(seed), data=data)
+    _check_seed(seed)
+    return kind, rows
 
 
 def _max_stable_rows(measure: ExponentMeasure, seed: int, start: int, stop: int) -> np.ndarray:
@@ -126,39 +170,38 @@ def _max_stable_rows(measure: ExponentMeasure, seed: int, start: int, stop: int)
     # rays coordinate-major, so each coordinate's row is contiguous
     rays = np.ascontiguousarray((measure.omega_matrix * measure.mass_vector[:, None]).T)
     out = np.empty((stop - start, measure.d))
-    for lo, hi in _row_blocks(stop - start, n_atoms):
+    blocks = _row_blocks(stop - start, n_atoms)
+    # one buffer of exponentials and one division buffer, shared by every block
+    size = _largest(blocks) * n_atoms
+    work = np.empty(2 * size)
+    for lo, hi in blocks:
         words = _sample_words(key, ticks, start + lo, start + hi, n_atoms)
-        exponentials = -np.log(_open_uniform(words))  # (rows, n_atoms), finite positive
-        ratio = np.empty_like(exponentials)  # one division buffer for every coordinate
+        exponentials = _open_uniform(words, work[:words.size].reshape(words.shape))
+        np.log(exponentials, out=exponentials)
+        np.negative(exponentials, out=exponentials)  # (rows, n_atoms), finite positive
+        ratio = work[size:size + words.size].reshape(words.shape)
         for i in range(measure.d):
             np.max(np.divide(rays[i], exponentials, out=ratio), axis=1, out=out[lo:hi, i])
     return out
 
 
-def sample_conditional(measure: ExponentMeasure, k: int, n: int, seed: int) -> SampleBatch:
-    """Draw n samples of the conditional law at coordinate k.
-
-    Per sample: pick an atom by its selection weight, then a radius from
-    the Pareto(1) tail above that atom's ``r_min``.  Coordinates off the
-    chosen atom's face are exact zeros.
-    """
-    law = conditional_law(require_valid(measure), k)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    data = _conditional_rows(law, seed, 0, n)
-    return SampleBatch(kind=_KIND_CONDITIONAL, k=int(k), n=n, seed=int(seed), data=data)
-
-
 def _conditional_rows(law: ConditionalLaw, seed: int, start: int, stop: int) -> np.ndarray:
+    # row blocks bound every temporary, as in `_max_stable_rows`
     key = _batch_key(seed, _KIND_CONDITIONAL, law.k)
-    words = _sample_words(key, 1, start, stop, 2)
-    u = _open_uniform(words)
     cum = np.cumsum(law.weights)
     cum[-1] = 1.0  # guard the last bin against accumulated roundoff
-    choice = np.searchsorted(cum, u[:, 0], side="left")
-    radius = law.r_min[choice] / u[:, 1]
-    rows = np.array(law.atom_indices, dtype=int)[choice]
-    return law.measure.omega_matrix[rows] * radius[:, None]
+    atoms = np.array(law.atom_indices, dtype=int)
+    omega = law.measure.omega_matrix
+    out = np.empty((stop - start, law.measure.d))
+    blocks = _row_blocks(stop - start, law.measure.d)
+    u = np.empty((_largest(blocks), 2))  # one buffer of uniforms for every block
+    for lo, hi in blocks:
+        uniforms = _open_uniform(_sample_words(key, 1, start + lo, start + hi, 2), u[:hi - lo])
+        choice = np.searchsorted(cum, uniforms[:, 0], side="left")
+        radius = law.r_min[choice] / uniforms[:, 1]
+        np.take(omega, atoms[choice], axis=0, out=out[lo:hi])
+        out[lo:hi] *= radius[:, None]
+    return out
 
 
 # ---- CSV + sidecar persistence --------------------------------------------
@@ -168,21 +211,45 @@ def sidecar_path(csv_path) -> str:
     return str(csv_path) + ".meta.json"
 
 
+def _write_csv(csv_path, d: int, blocks, meta: dict) -> None:
+    # the one CSV writer: one string format per row block, so the text is
+    # what ``np.savetxt`` writes and memory follows the block, not n
+    row = "%.17g," * (d - 1) + "%.17g\n"
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
+        for block in blocks:
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    with open(sidecar_path(csv_path), "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_batch(batch: SampleBatch, csv_path) -> None:
     """Write samples as CSV (17 significant digits) plus a metadata sidecar.
 
     Rows go out in blocks of `SAVE_ROWS`, one string format per block, so
     memory stays bounded in n; the text is what ``np.savetxt`` writes.
     """
-    row = "%.17g," * (batch.d - 1) + "%.17g\n"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(batch.d)) + "\n")
-        for start in range(0, batch.n, SAVE_ROWS):
-            block = batch.data[start:start + SAVE_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
-    with open(sidecar_path(csv_path), "w", encoding="utf-8") as fh:
-        json.dump(batch.metadata(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_csv(csv_path, batch.d,
+               (batch.data[lo:lo + SAVE_ROWS] for lo in range(0, batch.n, SAVE_ROWS)),
+               batch.metadata())
+
+
+def write_samples(measure: ExponentMeasure, n: int, seed: int, csv_path,
+                  k: int | None = None) -> dict:
+    """Write what ``save_batch(sample_max_stable(measure, n, seed), csv_path)``
+    writes, or for a k ``sample_conditional(measure, k, n, seed)``, without
+    ever holding the batch; return the sidecar metadata.
+
+    Rows ``[lo, lo + SAVE_ROWS)`` are drawn and written one block at a
+    time.  Sample i owns a fixed slice of the Philox stream, so the blocks
+    are the batch's rows bit for bit and memory does not grow with n.
+    """
+    kind, rows = _row_function(measure, k, n, seed)
+    meta = _metadata(kind, None if k is None else int(k), n, int(seed))
+    _write_csv(csv_path, measure.d,
+               (rows(lo, min(lo + SAVE_ROWS, n)) for lo in range(0, n, SAVE_ROWS)), meta)
+    return meta
 
 
 def load_batch(csv_path) -> SampleBatch:
@@ -202,6 +269,7 @@ def load_batch(csv_path) -> SampleBatch:
                          f"{int(np.argmin(finite)) + 1}")
     if data.shape[0] != meta["n"]:
         raise ValueError(f"CSV has {data.shape[0]} rows, sidecar says n={meta['n']}")
+    data.flags.writeable = False  # so the batch keeps this array, not a copy
     return SampleBatch(
         kind=meta["kind"],
         k=None if meta["k"] is None else int(meta["k"]) - 1,

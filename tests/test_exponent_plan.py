@@ -300,12 +300,14 @@ def test_concurrent_reports_on_one_measure():
 
 
 def oracle_max_stable_rows(measure, seed, n):
-    # the sampler before its row blocks, coordinate-major rays and division
-    # buffer: one (n, J) temporary per coordinate
-    from facetail.simulate import _batch_key, _open_uniform, _sample_words
+    # the sampler before its row blocks, coordinate-major rays and in-place
+    # buffers: one (n, J) temporary per coordinate, and the uniforms written
+    # out here rather than taken from the code under test
+    from facetail.simulate import _batch_key, _sample_words
     ticks = max(1, -(-measure.n_atoms // 4))
     words = _sample_words(_batch_key(seed, "max_stable", None), ticks, 0, n, measure.n_atoms)
-    exponentials = -np.log(_open_uniform(words))
+    uniforms = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    exponentials = -np.log(uniforms)
     rays = measure.omega_matrix * measure.mass_vector[:, None]
     return np.stack([np.max(rays[:, i] / exponentials, axis=1) for i in range(measure.d)],
                     axis=1)

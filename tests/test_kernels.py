@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import facetail as ft
-from facetail.measure import _ratio_kernel
+from facetail import cli
+from facetail.measure import _ratio_kernel, _row_blocks
 from facetail.simulate import _conditional_rows, _max_stable_rows
 
 MB = 2**20
@@ -98,13 +99,47 @@ def test_max_stable_sampler_memory_is_bounded(wide_measure):
     assert peak < 64 * MB
 
 
+def test_conditional_sampler_holds_only_its_output():
+    n, d = 200_000, 5
+    m = ft.random_measure(d, 12, seed=5)
+    peak = peak_bytes(lambda: ft.sample_conditional(m, 0, n, seed=3))
+    # the read-only output is the batch's array; each row block's words,
+    # uniforms, choices and radii are the rest
+    assert peak <= n * d * 8 + 2 * MB
+
+
+@pytest.mark.parametrize("conditional", [[], ["--conditional", "1"]])
+def test_simulate_memory_does_not_grow_with_n(tmp_path, conditional):
+    path = tmp_path / "measure.json"
+    ft.save_measure(ft.random_measure(5, 12, seed=5), path)
+
+    def peak(n):
+        argv = ["simulate", str(path), "--n", str(n), "--seed", "7",
+                "--out", str(tmp_path / "samples.csv"), *conditional]
+        codes = []
+        peak = peak_bytes(lambda: codes.append(cli.main(argv)))
+        assert codes == [0]
+        return peak
+
+    peak(10)  # first-call imports and caches stay out of the comparison
+    # the batch of 200,000 rows is 8 MB; the CLI holds one block of it
+    assert abs(peak(200_000) - peak(20_000)) <= MB
+
+
 @pytest.mark.parametrize("n_atoms", [5, 300])
 def test_samplers_are_chunk_invariant(n_atoms):
     m = ft.random_measure(5, n_atoms, seed=n_atoms)
     law = ft.conditional_law(m, 2)
-    n = 3001
-    for a, b in [(1, 2), (777, 1500), (1000, 3000)]:
-        for rows in (lambda lo, hi: _max_stable_rows(m, 9, lo, hi),
-                     lambda lo, hi: _conditional_rows(law, 9, lo, hi)):
-            pieces = np.concatenate([rows(0, a), rows(a, b), rows(b, n)])
-            assert pieces.tobytes() == rows(0, n).tobytes()
+    # 3001 rows lie inside one conditional row block; 30001 span three, and
+    # the cuts fall on both sides of the first two boundaries
+    blocks = _row_blocks(30001, m.d)
+    assert len(blocks) == 3
+    edge, edge2 = blocks[0][1], blocks[1][1]
+    cases = [(3001, [(1, 2), (777, 1500), (1000, 3000)]),
+             (30001, [(edge - 1, edge + 1), (edge + 1, edge2 - 1), (edge, edge2 + 7)])]
+    for rows in (lambda lo, hi: _max_stable_rows(m, 9, lo, hi),
+                 lambda lo, hi: _conditional_rows(law, 9, lo, hi)):
+        for n, cuts in cases:
+            whole = rows(0, n).tobytes()
+            for a, b in cuts:
+                assert np.concatenate([rows(0, a), rows(a, b), rows(b, n)]).tobytes() == whole

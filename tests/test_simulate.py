@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,8 +7,8 @@ import pytest
 
 import facetail as ft
 from facetail import load_batch, sample_conditional, sample_max_stable, save_batch
-from facetail import simulate
-from facetail.simulate import _conditional_rows, _max_stable_rows, sidecar_path
+from facetail import cli, simulate
+from facetail.simulate import _conditional_rows, _max_stable_rows, sidecar_path, write_samples
 
 
 N_MC = 100_000
@@ -167,6 +168,34 @@ def test_batch_data_is_read_only(m_ind):
         batch.data[0, 0] = 0.0
 
 
+def test_batches_keep_their_own_array_and_copy_a_callers(tmp_path, monkeypatch, m_blk):
+    made = []
+
+    def keep(fn):
+        def wrapped(*args, **kwargs):
+            made.append(fn(*args, **kwargs))
+            return made[-1]
+        return wrapped
+
+    monkeypatch.setattr(simulate, "_max_stable_rows", keep(simulate._max_stable_rows))
+    monkeypatch.setattr(simulate, "_conditional_rows", keep(simulate._conditional_rows))
+    monkeypatch.setattr(np, "loadtxt", keep(np.loadtxt))
+    batches = [sample_max_stable(m_blk, 20, seed=1), sample_conditional(m_blk, 0, 20, seed=1)]
+    save_batch(batches[0], tmp_path / "b.csv")
+    batches.append(load_batch(tmp_path / "b.csv"))
+    assert len(made) == 3
+    for batch, array in zip(batches, made):
+        assert np.shares_memory(batch.data, array)
+        assert not batch.data.flags.writeable
+
+    mine = np.ones((4, 2))
+    batch = ft.SampleBatch(kind="max_stable", k=None, n=4, seed=1, data=mine)
+    assert not np.shares_memory(batch.data, mine)
+    assert mine.flags.writeable
+    mine.flags.writeable = False
+    assert ft.SampleBatch(kind="max_stable", k=None, n=4, seed=1, data=mine).data is mine
+
+
 def test_metadata_contents(m_blk):
     ms = sample_max_stable(m_blk, 10, seed=9)
     assert ms.metadata() == {"kind": "max_stable", "k": None, "n": 10,
@@ -247,3 +276,64 @@ def test_load_batch_rejects_non_finite_values(tmp_path, m_ind, bad):
 
 def test_sidecar_path_convention():
     assert sidecar_path("runs/a.csv") == "runs/a.csv.meta.json"
+
+
+# ---- streamed writes and pinned streams --------------------------------------
+
+
+@pytest.mark.parametrize("k", [None, 1])
+def test_streamed_csv_equals_the_saved_batch(tmp_path, k):
+    m = ft.random_measure(4, 9, seed=8)
+    n = 10_000  # three blocks of SAVE_ROWS
+    assert n > 2 * simulate.SAVE_ROWS
+    batch = sample_max_stable(m, n, seed=5) if k is None else sample_conditional(m, k, n, seed=5)
+    save_batch(batch, tmp_path / "saved.csv")
+    meta = write_samples(m, n, 5, tmp_path / "streamed.csv", k=k)
+    assert meta == batch.metadata()
+    for name in ("{}.csv", "{}.csv.meta.json"):
+        saved = (tmp_path / name.format("saved")).read_bytes()
+        assert (tmp_path / name.format("streamed")).read_bytes() == saved
+
+
+def test_write_samples_checks_its_input_before_writing(tmp_path, m_blk):
+    out = tmp_path / "never.csv"
+    for n, seed, k in [(0, 1, None), (10, -1, None), (0, 1, 0), (10, -1, 0), (10, 1, 3)]:
+        with pytest.raises(ValueError):
+            write_samples(m_blk, n, seed, out, k=k)
+        assert not out.exists()
+
+
+# A fixed measure whose draws at n=1000, seed 7 are pinned by SHA-256, so a
+# change to a Philox stream or to the sampler arithmetic fails here: the
+# float64 bytes of both kinds (conditional at coordinate 1) and the CSV that
+# `facetail simulate` writes for the max-stable draw.
+REFERENCE = {"d": 3, "atoms": [{"omega": [1, 1, 0], "mass": 0.5},
+                               {"omega": [0.5, 0, 1], "mass": 0.6},
+                               {"omega": [0, 1, 0], "mass": 0.5},
+                               {"omega": [0.2, 0, 0.1], "mass": 1.0}]}
+REFERENCE_SHA256 = {
+    "max_stable": "8c88e720057676d5690784087003eba14ec01540d927194027cdabb2356bb82c",
+    "conditional": "3dbc8a206d9d7b746b1265da7e3f2e77134cb539e92d95676fd9a68c499da6b3",
+    "csv": "00d89e4dd570f80e61b71b8534957dfe07a67e3871c0d1c303cff902d3f20cd5",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_reference_draws_are_pinned(tmp_path, capsys):
+    m = ft.measure_from_dict(REFERENCE)
+    for batch in (sample_max_stable(m, 1000, seed=7), sample_conditional(m, 0, 1000, seed=7)):
+        data = np.ascontiguousarray(batch.data, dtype="<f8")
+        assert sha256(data.tobytes()) == REFERENCE_SHA256[batch.kind]
+    path = tmp_path / "reference.json"
+    path.write_text(json.dumps(REFERENCE))
+    out = tmp_path / "reference.csv"
+    assert cli.main(["simulate", str(path), "--n", "1000", "--seed", "7", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"out": str(out), "kind": "max_stable",
+                                                   "k": None, "n": 1000, "seed": 7,
+                                                   "rng": "philox4x64"}
+    assert sha256(out.read_bytes()) == REFERENCE_SHA256["csv"]
+    save_batch(sample_max_stable(m, 1000, seed=7), tmp_path / "saved.csv")
+    assert sha256((tmp_path / "saved.csv").read_bytes()) == REFERENCE_SHA256["csv"]
