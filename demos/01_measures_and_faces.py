@@ -2,8 +2,9 @@
 Atomic exponent measures: construction, faces, validation, serialization
 ========================================================================
 
-An exponent measure here is a finite list of spectral atoms.  Each atom is
-a direction omega in the nonnegative orthant together with a mass, and
+An exponent measure here is a finite list of spectral atoms, given as a
+(J, d) array of directions and a (J,) array of masses.  Each atom is a
+direction omega in the nonnegative orthant together with a mass, and
 spreads its mass along the ray r * omega with radial density r**-2.  The
 induced max-stable distribution is P(X <= x) = exp(-tail_mass(x)).
 """
@@ -16,18 +17,18 @@ import numpy as np
 import facetail as ft
 
 # three atoms on three different faces of the orthant
-measure = ft.ExponentMeasure(3, (
-    ft.SpectralAtom(np.array([0.6, 0.4, 0.0]), 1.0),   # charges {0, 1}
-    ft.SpectralAtom(np.array([0.0, 0.0, 1.0]), 1.0),   # the third axis
-    ft.SpectralAtom(np.array([0.2, 0.2, 0.2]), 0.5),   # the interior
-))
+measure = ft.ExponentMeasure(3, [
+    [0.6, 0.4, 0.0],   # charges {0, 1}
+    [0.0, 0.0, 1.0],   # the third axis
+    [0.2, 0.2, 0.2],   # the interior
+], [1.0, 1.0, 0.5])
 
-print("faces: ", [sorted(a.face) for a in measure.atoms])
+print("faces: ", [np.flatnonzero(omega > 0.0).tolist() for omega in measure.omega_matrix])
 print("margins:", ft.margins(measure))
 
 # validation catches structural defects: a coordinate no atom charges,
 # nonpositive masses, negative or nonfinite direction entries
-bad = ft.ExponentMeasure(3, (ft.SpectralAtom(np.array([1.0, 0.5, 0.0]), 1.0),))
+bad = ft.ExponentMeasure(3, [[1.0, 0.5, 0.0]], [1.0])
 for violation in ft.validate_measure(bad):
     print("violation:", violation.code, "coordinate", violation.coordinate)
 
@@ -56,8 +57,5 @@ print("round trip equal:", ft.measures_allclose(std, again))
 
 # atoms on the same ray are merged at construction; the merged mass keeps
 # the total intensity contribution mass * omega
-merged = ft.ExponentMeasure(2, (
-    ft.SpectralAtom(np.array([0.5, 0.5]), 1.0),
-    ft.SpectralAtom(np.array([1.0, 1.0]), 1.0),
-))
-print("merged:", merged.n_atoms, "atom with mass", merged.atoms[0].mass)
+merged = ft.ExponentMeasure(2, [[0.5, 0.5], [1.0, 1.0]], [1.0, 1.0])
+print("merged:", merged.n_atoms, "atom with mass", merged.mass_vector[0])

@@ -21,10 +21,7 @@ import facetail as ft
 
 # block structure: one atom couples coordinates 0 and 1, one sits on the
 # third axis; blocks {0,1} vs {2} are extremally independent
-block = ft.ExponentMeasure(3, (
-    ft.SpectralAtom(np.array([0.5, 0.5, 0.0]), 2.0),
-    ft.SpectralAtom(np.array([0.0, 0.0, 1.0]), 1.0),
-))
+block = ft.ExponentMeasure(3, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], [2.0, 1.0])
 
 good = ft.full_report(block, ft.bipartition([0, 1], [2]))
 print("split {0,1} | {2}:", "independent" if good.independent else "dependent",

@@ -13,10 +13,7 @@ import numpy as np
 
 import facetail as ft
 
-measure = ft.ExponentMeasure(3, (
-    ft.SpectralAtom(np.array([0.5, 0.5, 0.0]), 2.0),
-    ft.SpectralAtom(np.array([0.0, 0.0, 1.0]), 1.0),
-))
+measure = ft.ExponentMeasure(3, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], [2.0, 1.0])
 
 law = ft.conditional_law(measure, 0)
 print("atoms in law:", law.atom_indices)
@@ -47,11 +44,11 @@ for blocks in (((0, 1), (2,)), ((0, 2), (1,))):
     verdict = ft.conditional_factorization(measure, part)
     print(f"split {blocks}: holds={verdict.holds}")
     if not verdict.holds:
-        bad = verdict.witness()
-        print(f"  coordinate {bad.k} blocked by atom {bad.witness}")
+        k = int(np.argmin(verdict.ok))
+        print(f"  coordinate {k} blocked by atom {verdict.atom[k]}")
 
 # per-coordinate detail: the axis coordinate factorizes even under the
 # straddling split, because the atom charging it lies inside one block
 detail = ft.conditional_factorization(measure, ft.bipartition([0, 2], [1]))
-for v in detail.by_coordinate:
-    print(f"  k={v.k}: ok={v.ok}")
+for k, ok in enumerate(detail.ok):
+    print(f"  k={k}: ok={ok}")

@@ -17,10 +17,7 @@ import numpy as np
 
 import facetail as ft
 
-measure = ft.ExponentMeasure(3, (
-    ft.SpectralAtom(np.array([0.5, 0.5, 0.0]), 2.0),
-    ft.SpectralAtom(np.array([0.0, 0.0, 1.0]), 1.0),
-))
+measure = ft.ExponentMeasure(3, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], [2.0, 1.0])
 
 batch = ft.sample_max_stable(measure, 100_000, seed=42)
 print("shape:", batch.data.shape, "metadata:", batch.metadata())

@@ -13,10 +13,7 @@ import numpy as np
 
 import facetail as ft
 
-measure = ft.ExponentMeasure(3, (
-    ft.SpectralAtom(np.array([0.5, 0.5, 0.0]), 2.0),
-    ft.SpectralAtom(np.array([0.0, 0.0, 1.0]), 1.0),
-))
+measure = ft.ExponentMeasure(3, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], [2.0, 1.0])
 
 # exact side
 print("chi(0,1):", ft.chi_exact(measure, 0, 1))
@@ -40,11 +37,11 @@ print(ft.to_dot(graph))
 # the permutation test distinguishes factorizing from coupled laws: add a
 # mixing atom that straddles the blocks and the block maxima correlate
 # through its shared radius
-mixing = ft.standardize(ft.ExponentMeasure(3, (
-    ft.SpectralAtom(np.array([0.5, 0.5, 0.0]), 2.0),
-    ft.SpectralAtom(np.array([0.0, 0.0, 1.0]), 1.0),
-    ft.SpectralAtom(np.array([0.5, 0.0, 0.5]), 1.0 / 3.0),
-)))
+mixing = ft.standardize(ft.ExponentMeasure(3, [
+    [0.5, 0.5, 0.0],
+    [0.0, 0.0, 1.0],
+    [0.5, 0.0, 0.5],
+], [2.0, 1.0, 1.0 / 3.0]))
 part = ft.bipartition([0, 1], [2])
 coupled = ft.sample_conditional(mixing, 0, 10_000, seed=9)
 res = ft.factorization_test(coupled, part, seed=1)

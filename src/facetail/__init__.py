@@ -1,6 +1,6 @@
 """facetail: atomic exponent measures on orthant faces.
 
-Finite spectral-atom exponent measures, the equivalent criteria for
+Finite atomic exponent measures, the equivalent criteria for
 extremal independence of a coordinate bipartition, conditional tail laws
 and their factorization structure, exact simulation, estimation, and the
 induced dependence graph.
@@ -50,7 +50,6 @@ from .measure import (
     ExponentMeasure,
     InvalidMeasureError,
     MeasureFormatError,
-    SpectralAtom,
     Violation,
     distribution_function,
     exponent_function,

@@ -222,7 +222,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    result = agreement_battery(d=args.d, n_atoms=args.atoms, trials=args.trials,
+    result = agreement_battery(d=args.d, n_atoms=args.n_atoms, trials=args.trials,
                                seed=args.seed)
     _emit(result.to_dict())
     return EXIT_OK if result.ok else EXIT_DISAGREE
@@ -288,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="random-measure agreement battery")
     p.add_argument("--d", type=_positive_int, required=True, help="dimension")
-    p.add_argument("--atoms", type=_positive_int, required=True,
-                   help="maximum atoms per measure")
+    p.add_argument("--atoms", dest="n_atoms", metavar="ATOMS", type=_positive_int,
+                   required=True, help="maximum atoms per measure")
     p.add_argument("--trials", type=_positive_int, required=True,
                    help="number of random measures")
     p.add_argument("--seed", type=_nonnegative_int, required=True,

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .measure import ExponentMeasure, _ratio_kernel, margins
+from .measure import ExponentMeasure, _check_positive_point, _ratio_kernel, margins
 from .partition import Bipartition, check_dimension
 
 
@@ -30,7 +30,7 @@ class ConditionalLaw:
     k : int
         Conditioning coordinate, 0-based.
     atom_indices : tuple of int
-        Indices into ``measure.atoms`` of the atoms charging coordinate k.
+        Rows of ``measure.omega_matrix`` of the atoms charging coordinate k.
         Only these can produce a point with ``y_k > 0``.
     weights : ndarray
         Selection probability of each included atom; sums to 1.
@@ -90,12 +90,7 @@ def rectangle_probability(law: ConditionalLaw, x) -> float:
     x_i) / m_k``.  An atom without a full face, which includes every atom
     not charging k, contributes exactly 0.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (law.d,):
-        raise ValueError(f"expected point of length {law.d}, got {x.shape[0]}")
-    if not np.all(x > 0.0):
-        raise ValueError("point must be componentwise > 0")
-    return _upper_rectangle(law, np.arange(law.d), x)
+    return _upper_rectangle(law, np.arange(law.d), _check_positive_point(law.measure, x))
 
 
 def marginal_rectangle_probability(law: ConditionalLaw, coords: Iterable[int], x) -> float:
@@ -136,31 +131,21 @@ def _upper_rectangle(law: ConditionalLaw, coords: np.ndarray, x: np.ndarray) -> 
 # ---- structural factorization check ---------------------------------------
 
 
-@dataclass(frozen=True)
-class CoordinateVerdict:
-    """Factorization verdict for one conditioning coordinate.
-
-    ``witness`` is the index of an atom that both charges coordinate k and
-    straddles the two blocks, or None when the verdict holds.
-    """
-
-    k: int
-    ok: bool
-    witness: int | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class FactorizationVerdict:
-    """Outcome of `conditional_factorization` for every coordinate."""
+    """Outcome of `conditional_factorization` for every coordinate.
 
-    holds: bool
-    by_coordinate: tuple[CoordinateVerdict, ...]
+    ``ok[k]`` says whether the law at coordinate k factorizes; ``atom[k]`` is
+    the first atom that charges k and straddles the two blocks, or -1 where
+    ``ok[k]``.  Both are read-only (d,) arrays.
+    """
 
-    def witness(self) -> CoordinateVerdict | None:
-        for v in self.by_coordinate:
-            if not v.ok:
-                return v
-        return None
+    ok: np.ndarray
+    atom: np.ndarray
+
+    @property
+    def holds(self) -> bool:
+        return bool(self.ok.all())
 
 
 def conditional_factorization(measure: ExponentMeasure, part: Bipartition) -> FactorizationVerdict:
@@ -173,12 +158,11 @@ def conditional_factorization(measure: ExponentMeasure, part: Bipartition) -> Fa
     """
     check_dimension(part, measure.d)
     masks = measure.face_masks
-    straddling = ((masks & part.a_mask) != 0) & ((masks & part.c_mask) != 0)
-    offending = (measure.omega_matrix > 0.0) & straddling[:, None]  # (J, d)
-    verdicts = []
-    for k in range(measure.d):
-        hits = np.flatnonzero(offending[:, k])
-        verdicts.append(CoordinateVerdict(k=k, ok=not hits.size,
-                                          witness=int(hits[0]) if hits.size else None))
-    return FactorizationVerdict(holds=all(v.ok for v in verdicts),
-                                by_coordinate=tuple(verdicts))
+    straddling = np.flatnonzero(((masks & part.a_mask) != 0) & ((masks & part.c_mask) != 0))
+    charges = measure.omega_matrix[straddling] > 0.0  # (straddling atoms, d)
+    ok = ~charges.any(axis=0)
+    atom = np.full(measure.d, -1)
+    if straddling.size:
+        atom[~ok] = straddling[charges.argmax(axis=0)[~ok]]
+    ok.flags.writeable = atom.flags.writeable = False
+    return FactorizationVerdict(ok=ok, atom=atom)

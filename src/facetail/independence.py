@@ -27,7 +27,8 @@ from typing import Iterable
 import numpy as np
 
 from .conditional import conditional_factorization
-from .measure import ExponentMeasure, _ratio_kernel
+from .measure import (ExponentMeasure, _check_coordinate_subset, _check_positive_point,
+                      _ratio_kernel)
 from .partition import Bipartition, check_dimension
 
 #: relative tolerance for all additivity and factorization comparisons
@@ -283,10 +284,7 @@ def joint_exceedance_mass(measure: ExponentMeasure, part: Bipartition, x) -> flo
     additivity check.
     """
     check_dimension(part, measure.d)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (measure.d,) or not np.all(x > 0.0):
-        raise ValueError("need a strictly positive point of length d")
-    ratios = measure.omega_matrix / x
+    ratios = measure.omega_matrix / _check_positive_point(measure, x)
     max_a = ratios[:, list(part.a_sorted)].max(axis=1)
     max_c = ratios[:, list(part.c_sorted)].max(axis=1)
     return float(np.minimum(max_a, max_c) @ measure.mass_vector)
@@ -304,11 +302,7 @@ def face_interior_mass(measure: ExponentMeasure, coords: Iterable[int],
     vanishing) as threshold -> 0 is what the mixed-margins criterion
     detects, so this is the finite, testable version of that quantity.
     """
-    idx = sorted(set(int(i) for i in coords))
-    if not idx:
-        raise ValueError("need a nonempty coordinate subset")
-    if idx[0] < 0 or idx[-1] >= measure.d:
-        raise ValueError(f"coordinates out of range for d={measure.d}")
+    idx = _check_coordinate_subset(measure, coords)
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     point = np.full((1, len(idx)), float(threshold))
@@ -393,8 +387,8 @@ def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceRepo
 
     factorization = conditional_factorization(measure, part)
     if not factorization.holds:
-        bad = factorization.witness()
-        witnesses["new_notion"] = {"k": bad.k, "atom": bad.witness}
+        k = int(np.argmin(factorization.ok))
+        witnesses["new_notion"] = {"k": k, "atom": int(factorization.atom[k])}
 
     flags = (support_ok, cond_ii, mixed_ok, df_ok, factorization.holds)
     return IndependenceReport(

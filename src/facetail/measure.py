@@ -1,6 +1,7 @@
 """Atomic exponent measures on the punctured orthant.
 
-The central object is a finite collection of spectral atoms: rays
+The central object is a finite collection of spectral atoms, held as a
+(J, d) array of directions and a (J,) array of masses: rays
 ``r * omega`` with ``r > 0``, each carrying mass ``h`` spread along the ray
 with radial density ``r**-2``.  Summed over atoms this defines a measure on
 ``[0, inf)^d \\ {0}`` that is homogeneous of order -1 and induces a
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,98 +48,79 @@ class InvalidMeasureError(ValueError):
         super().__init__(f"invalid measure: {summary}")
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralAtom:
-    """One ray of an atomic exponent measure.
-
-    Parameters
-    ----------
-    omega : array_like
-        Nonnegative direction vector of length d, zero-snapped relative to
-        its largest entry (see ``ZERO_TOL``).
-    mass : float
-        Total mass carried by the ray.
-
-    The direction is stored as given (no normalization): every operation in
-    this package depends only on the products ``mass * omega`` and the snap
-    is scale-free, so ``(c * omega, mass / c)`` is the same measure, faces too.
-    """
-
-    omega: np.ndarray
-    mass: float
-
-    def __post_init__(self):
-        om = np.array(self.omega, dtype=float).reshape(-1)
-        _snap_zeros(om)
-        om.flags.writeable = False
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "mass", float(self.mass))
-
-    @cached_property
-    def face(self) -> frozenset[int]:
-        """Indices of the strictly positive coordinates of ``omega``."""
-        return frozenset(int(i) for i in np.nonzero(self.omega > 0.0)[0])
-
-    def __repr__(self) -> str:  # compact, round-trippable enough for debugging
-        return f"SpectralAtom(omega={self.omega.tolist()}, mass={self.mass})"
-
-
 class ExponentMeasure:
     """Finite atomic exponent measure in dimension ``d``.
 
+    Parameters
+    ----------
+    d : int
+        Dimension.
+    omega : array_like
+        (J, d) directions, one row per atom: the atom's mass is spread along
+        the ray ``r * omega``, ``r > 0``.  A row of another length raises
+        `MeasureFormatError` naming it; an empty ``omega`` is J = 0.
+    mass : array_like
+        (J,) masses, one per row of ``omega``.
+
     Held as read-only arrays: ``omega_matrix`` (J, d), ``mass_vector`` (J,)
-    and ``face_masks`` (J,), bit i set iff coordinate i is positive, with
-    ``atoms`` as a view.  Construction zero-snaps directions
-    (see `SpectralAtom`) and merges each atom into the first kept atom of
+    and ``face_masks`` (J,), bit i set iff coordinate i is positive.
+    Construction zero-snaps each direction relative to its largest entry
+    (see ``ZERO_TOL``) and merges each atom into the first kept atom of
     its face whose sup-normalized direction is within ``RAY_TOL``
     componentwise, adding its intensity ``mass * omega`` to that atom's
     mass; kept atoms keep first-occurrence order.  Only kept atoms whose
     normalized entries have a sum within a window are compared, so the
-    merge is O(J) for distinct directions.  An atom whose direction is not
-    of length d raises `MeasureFormatError`.  The class uses identity
-    semantics; compare measures with `measures_allclose`.
+    merge is O(J) for distinct directions.
+
+    Directions are stored as given (no normalization): every operation in
+    this package depends only on the products ``mass * omega`` and the snap
+    is scale-free, so ``(c * omega, mass / c)`` is the same measure, faces
+    too.  The class uses identity semantics; compare measures with
+    `measures_allclose`.
     """
 
-    def __init__(self, d: int, atoms: Iterable[SpectralAtom]):
-        atoms = tuple(atoms)
-        for j, atom in enumerate(atoms):
-            if not isinstance(atom, SpectralAtom):
-                raise TypeError(f"expected SpectralAtom, got {type(atom).__name__}")
-            if atom.omega.size != d:
-                raise MeasureFormatError(f"atom {j}: omega has length {atom.omega.size}, not {d}")
-        omega = np.array([atom.omega for atom in atoms]).reshape(len(atoms), int(d))
-        self._canonicalize(int(d), omega, [atom.mass for atom in atoms])
-
-    @classmethod
-    def _from_arrays(cls, d: int, omega, mass) -> "ExponentMeasure":
-        measure = cls.__new__(cls)
-        measure._canonicalize(d, omega, mass)
-        return measure
-
-    def _canonicalize(self, d, omega, mass) -> None:
-        omega = np.array(omega, dtype=float)
+    def __init__(self, d: int, omega, mass):
+        d = int(d)
+        try:
+            omega = np.array(omega, dtype=float)
+        except ValueError:  # ragged rows
+            _raise_bad_row(d, omega)
+            raise
+        if omega.ndim == 1 and omega.size == 0:
+            omega = omega.reshape(0, d)
+        if omega.ndim != 2 or omega.shape[1] != d:
+            if omega.ndim:
+                _raise_bad_row(d, omega)
+            raise MeasureFormatError(f"omega must be a (J, {d}) array, not of shape {omega.shape}")
+        mass = np.array(mass, dtype=float)
+        if mass.shape != (len(omega),):
+            raise MeasureFormatError(f"expected one mass per row of omega ({len(omega)}), "
+                                     f"got shape {mass.shape}")
         _snap_zeros(omega)
         # int64 bit masks; Python ints (object dtype) past 62 coordinates
         dtype = np.int64 if d < 63 else object
         masks = (omega > 0.0).astype(dtype) @ np.array([1 << i for i in range(d)], dtype)
-        mass = np.array(mass, dtype=float)
         keep = _merge_rays(omega, mass, masks)
         self.d = d
         self.omega_matrix, self.mass_vector, self.face_masks = omega[keep], mass[keep], masks[keep]
         for array in (self.omega_matrix, self.mass_vector, self.face_masks):
             array.flags.writeable = False
 
-    @cached_property
-    def atoms(self) -> tuple[SpectralAtom, ...]:
-        return tuple(SpectralAtom(row, mass)
-                     for row, mass in zip(self.omega_matrix, self.mass_vector.tolist()))
-
     @property
     def n_atoms(self) -> int:
         return len(self.mass_vector)
 
     def __repr__(self) -> str:
-        return f"ExponentMeasure(d={self.d}, atoms={list(self.atoms)!r})"
+        return (f"ExponentMeasure({self.d}, {self.omega_matrix.tolist()!r}, "
+                f"{self.mass_vector.tolist()!r})")
+
+
+def _raise_bad_row(d: int, omega) -> None:
+    """Raise `MeasureFormatError` for the first row of ``omega`` whose length is
+    not ``d``; return if there is none."""
+    for j, row in enumerate(omega):
+        if np.size(row) != d:
+            raise MeasureFormatError(f"atom {j}: omega has length {np.size(row)}, not {d}")
 
 
 def _snap_zeros(omega: np.ndarray) -> None:
@@ -364,6 +345,16 @@ def _check_positive_point(measure: ExponentMeasure, x) -> np.ndarray:
     return x
 
 
+def _check_coordinate_subset(measure: ExponentMeasure, coords: Iterable[int]) -> list[int]:
+    """``coords`` sorted without repeats, checked nonempty and within range(d)."""
+    idx = sorted(set(int(i) for i in coords))
+    if not idx:
+        raise ValueError("need a nonempty coordinate subset")
+    if idx[0] < 0 or idx[-1] >= measure.d:
+        raise ValueError(f"coordinates out of range for d={measure.d}")
+    return idx
+
+
 # ---- structural operations -------------------------------------------------
 
 
@@ -384,14 +375,10 @@ def marginalize(measure: ExponentMeasure, coords: Iterable[int]) -> ExponentMeas
     projection of the domain is taken within the punctured orthant of the
     kept coordinates, hence the dropped atoms.
     """
-    idx = sorted(set(int(i) for i in coords))
-    if not idx:
-        raise ValueError("cannot marginalize to an empty coordinate set")
-    if idx[0] < 0 or idx[-1] >= measure.d:
-        raise ValueError(f"coordinates out of range for d={measure.d}")
+    idx = _check_coordinate_subset(measure, coords)
     omega = measure.omega_matrix[:, idx]
     live = np.any(omega > 0.0, axis=1)
-    return ExponentMeasure._from_arrays(len(idx), omega[live], measure.mass_vector[live])
+    return ExponentMeasure(len(idx), omega[live], measure.mass_vector[live])
 
 
 def standardize(measure: ExponentMeasure) -> ExponentMeasure:
@@ -407,7 +394,7 @@ def standardize(measure: ExponentMeasure) -> ExponentMeasure:
     m = margins(measure)
     if np.any(~np.isfinite(m)) or np.any(m <= 0.0):
         raise ValueError("standardize needs strictly positive marginal masses")
-    return ExponentMeasure._from_arrays(measure.d, measure.omega_matrix / m, measure.mass_vector)
+    return ExponentMeasure(measure.d, measure.omega_matrix / m, measure.mass_vector)
 
 
 def is_standardized(measure: ExponentMeasure) -> bool:
@@ -465,7 +452,7 @@ def random_measure(
     for j, face in enumerate(faces):
         omega[j, sorted(face)] = 1.0 - rng.uniform(size=len(face))  # (0, 1]
         mass[j] = rng.uniform(0.25, 4.0)
-    return standardize(ExponentMeasure._from_arrays(d, omega, mass))
+    return standardize(ExponentMeasure(d, omega, mass))
 
 
 def _random_face(rng: np.random.Generator, pools: Sequence[Sequence[int]]) -> frozenset[int]:
@@ -484,7 +471,8 @@ def _random_face(rng: np.random.Generator, pools: Sequence[Sequence[int]]) -> fr
 def measure_to_dict(measure: ExponentMeasure) -> dict:
     return {
         "d": measure.d,
-        "atoms": [{"omega": a.omega.tolist(), "mass": a.mass} for a in measure.atoms],
+        "atoms": [{"omega": omega, "mass": mass} for omega, mass
+                  in zip(measure.omega_matrix.tolist(), measure.mass_vector.tolist())],
     }
 
 
@@ -517,7 +505,7 @@ def measure_from_dict(data: dict) -> ExponentMeasure:
         _check_json_number(entry["mass"], f'atom {j}, mass')
         omegas.append(omega)
         masses.append(float(entry["mass"]))
-    return ExponentMeasure._from_arrays(d, np.array(omegas, dtype=float).reshape(-1, d), masses)
+    return ExponentMeasure(d, omegas, masses)
 
 
 def _check_json_number(v, where: str) -> None:

@@ -42,7 +42,8 @@ class SampleBatch:
     """A simulated (n, d) sample with its provenance.
 
     ``kind`` is "max_stable" or "conditional"; ``k`` is the conditioning
-    coordinate (0-based) for conditional batches, None otherwise.  The
+    coordinate (0-based, below d) for conditional batches, None otherwise;
+    any other ``k`` raises ValueError.  The
     data array is read-only: a read-only array is kept as is, without a
     copy (the samplers and `load_batch` hand theirs over that way), and a
     writeable one is copied.  `metadata` mirrors the sidecar JSON written
@@ -62,6 +63,12 @@ class SampleBatch:
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[0] != self.n:
             raise ValueError(f"data must be (n, d) with n={self.n}, got {data.shape}")
+        if self.kind == _KIND_MAX_STABLE and self.k is not None:
+            raise ValueError(f"a max_stable batch has no conditioning coordinate, got k={self.k}")
+        if self.kind == _KIND_CONDITIONAL and not (self.k is not None
+                                                   and 0 <= self.k < data.shape[1]):
+            raise ValueError(f"conditioning coordinate k={self.k} (0-based) is out of range "
+                             f"for d={data.shape[1]}")
         data = data.copy() if data.flags.writeable else data
         data.flags.writeable = False
         object.__setattr__(self, "data", data)

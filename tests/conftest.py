@@ -1,10 +1,9 @@
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from facetail import ExponentMeasure, SpectralAtom
+from facetail import ExponentMeasure
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -22,24 +21,16 @@ def child_env() -> dict:
 @pytest.fixture
 def m_ind() -> ExponentMeasure:
     """Two axis atoms: fully independent coordinates, unit margins."""
-    return ExponentMeasure(2, (
-        SpectralAtom(np.array([1.0, 0.0]), 1.0),
-        SpectralAtom(np.array([0.0, 1.0]), 1.0),
-    ))
+    return ExponentMeasure(2, [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
 
 @pytest.fixture
 def m_dep() -> ExponentMeasure:
     """One diagonal atom: comonotone coordinates, unit margins."""
-    return ExponentMeasure(2, (
-        SpectralAtom(np.array([0.5, 0.5]), 2.0),
-    ))
+    return ExponentMeasure(2, [[0.5, 0.5]], [2.0])
 
 
 @pytest.fixture
 def m_blk() -> ExponentMeasure:
     """Block structure {1,2} | {3} in three dimensions, unit margins."""
-    return ExponentMeasure(3, (
-        SpectralAtom(np.array([0.5, 0.5, 0.0]), 2.0),
-        SpectralAtom(np.array([0.0, 0.0, 1.0]), 1.0),
-    ))
+    return ExponentMeasure(3, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], [2.0, 1.0])

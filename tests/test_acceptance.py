@@ -36,15 +36,9 @@ BATTERY_SEED_BASE = 900
 
 
 def canonical_measures():
-    m_ind = ft.ExponentMeasure(2, (
-        ft.SpectralAtom(np.array([1.0, 0.0]), 1.0),
-        ft.SpectralAtom(np.array([0.0, 1.0]), 1.0),
-    ))
-    m_dep = ft.ExponentMeasure(2, (ft.SpectralAtom(np.array([0.5, 0.5]), 2.0),))
-    m_blk = ft.ExponentMeasure(3, (
-        ft.SpectralAtom(np.array([0.5, 0.5, 0.0]), 2.0),
-        ft.SpectralAtom(np.array([0.0, 0.0, 1.0]), 1.0),
-    ))
+    m_ind = ft.ExponentMeasure(2, [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    m_dep = ft.ExponentMeasure(2, [[0.5, 0.5]], [2.0])
+    m_blk = ft.ExponentMeasure(3, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], [2.0, 1.0])
     return {"two_axes": m_ind, "one_ray": m_dep, "block": m_blk}
 
 
@@ -232,11 +226,11 @@ def test_factorization_test_size_and_power():
 
     # power: a tenth of the total mass sits on an atom straddling the
     # blocks, coupling the block maxima through its shared radius
-    mixing = ft.standardize(ft.ExponentMeasure(3, (
-        ft.SpectralAtom(np.array([0.5, 0.5, 0.0]), 2.0),
-        ft.SpectralAtom(np.array([0.0, 0.0, 1.0]), 1.0),
-        ft.SpectralAtom(np.array([0.5, 0.0, 0.5]), 1.0 / 3.0),
-    )))
+    mixing = ft.standardize(ft.ExponentMeasure(3, [
+        [0.5, 0.5, 0.0],
+        [0.0, 0.0, 1.0],
+        [0.5, 0.0, 0.5],
+    ], [2.0, 1.0, 1.0 / 3.0]))
     part = ft.bipartition([0, 1], [2])
     hits = 0
     for r in range(CALIBRATION_RUNS):

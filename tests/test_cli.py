@@ -261,6 +261,20 @@ def test_estimate_conditional_needs_blocks_and_seed(capsys, tmp_path, dep_file):
     assert code == 2 and "--seed" in err
 
 
+@pytest.mark.parametrize("k", [0, 7])
+def test_estimate_rejects_a_sidecar_k_out_of_range(capsys, tmp_path, measure_file, k):
+    out_csv = tmp_path / "cond.csv"
+    run_cli(capsys, "simulate", measure_file, "--conditional", "1",
+            "--n", "200", "--seed", "1", "--out", str(out_csv))
+    meta_file = tmp_path / "cond.csv.meta.json"
+    meta = json.loads(meta_file.read_text())
+    meta["k"] = k
+    meta_file.write_text(json.dumps(meta))
+    code, out, err = run_cli(capsys, "estimate", "--in", str(out_csv),
+                             "--A", "1", "--C", "2,3", "--seed", "1")
+    assert code == 1 and out == "" and "out of range for d=3" in err
+
+
 @pytest.mark.parametrize("flags", [("--graph",), ("--csv", "chi.csv"),
                                    ("--graph", "--csv", "chi.csv")])
 def test_estimate_rejects_chi_flags_on_conditional_batch(capsys, tmp_path, dep_file, flags):

@@ -30,10 +30,7 @@ def test_law_includes_only_atoms_charging_k(m_blk):
 
 
 def test_law_weights_mix_mass_and_direction():
-    m = ft.ExponentMeasure(2, (
-        ft.SpectralAtom(np.array([1.0, 0.0]), 0.25),
-        ft.SpectralAtom(np.array([0.5, 0.5]), 1.5),
-    ))
+    m = ft.ExponentMeasure(2, [[1.0, 0.0], [0.5, 0.5]], [0.25, 1.5])
     law = conditional_law(m, 0)
     # selection is proportional to mass * omega_k: 0.25 and 0.75
     assert law.atom_indices == (0, 1)
@@ -58,7 +55,7 @@ def test_law_argument_checks(m_ind):
     with pytest.raises(ValueError):
         conditional_law(m_ind, 2)
     # a coordinate nobody charges has no law (unvalidated measure on purpose)
-    dead = ft.ExponentMeasure(2, (ft.SpectralAtom(np.array([1.0, 0.0]), 1.0),))
+    dead = ft.ExponentMeasure(2, [[1.0, 0.0]], [1.0])
     with pytest.raises(ValueError):
         conditional_law(dead, 1)
 
@@ -99,10 +96,7 @@ def test_rectangle_probability_input_checks(m_dep):
 
 
 def test_marginal_rectangle_pairs_thresholds_with_given_coords():
-    m = ft.ExponentMeasure(3, (
-        ft.SpectralAtom(np.array([1.0, 0.2, 0.5]), 1.0),
-        ft.SpectralAtom(np.array([0.0, 1.0, 1.0]), 1.0),
-    ))
+    m = ft.ExponentMeasure(3, [[1.0, 0.2, 0.5], [0.0, 1.0, 1.0]], [1.0, 1.0])
     law = conditional_law(m, 0)
     # x_2 = 4 needs radius 8 along (1, .2, .5); x_0 = 1 only radius 1
     assert marginal_rectangle_probability(law, [2, 0], [4.0, 1.0]) == 0.125
@@ -147,7 +141,7 @@ def test_marginal_rectangle_is_the_small_threshold_limit():
         full_at = rectangle_probability(law, np.append(x01, 1e-12))
         # atoms with a zero third entry are counted by the marginal only
         assert full_at <= marginal + 1e-15
-        covered = [i for i in law.atom_indices if m.atoms[i].omega[2] > 0.0]
+        covered = [i for i in law.atom_indices if m.omega_matrix[i, 2] > 0.0]
         if len(covered) == len(law.atom_indices):
             assert math.isclose(full_at, marginal, rel_tol=1e-9)
 
@@ -160,20 +154,18 @@ def test_factorization_verdicts(m_ind, m_dep, m_blk):
     assert ft.conditional_factorization(m_ind, part2).holds
     bad = ft.conditional_factorization(m_dep, part2)
     assert not bad.holds
-    assert bad.witness() is not None
-    assert bad.witness().witness == 0
+    assert bad.atom.tolist() == [0, 0]
     assert ft.conditional_factorization(m_blk, bipartition([0, 1], [2])).holds
     assert not ft.conditional_factorization(m_blk, bipartition([0, 2], [1])).holds
 
 
 def test_factorization_reports_every_coordinate(m_blk):
     verdict = ft.conditional_factorization(m_blk, bipartition([0, 2], [1]))
-    by_k = {v.k: v for v in verdict.by_coordinate}
-    assert set(by_k) == {0, 1, 2}
+    assert verdict.ok.shape == verdict.atom.shape == (3,)
     # the straddling atom charges coordinates 0 and 1 but not 2
-    assert not by_k[0].ok and by_k[0].witness == 0
-    assert not by_k[1].ok and by_k[1].witness == 0
-    assert by_k[2].ok and by_k[2].witness is None
+    assert verdict.ok.tolist() == [False, False, True]
+    assert verdict.atom.tolist() == [0, 0, -1]
+    assert not verdict.ok.flags.writeable and not verdict.atom.flags.writeable
 
 
 def test_factorization_matches_support_criterion():
@@ -210,11 +202,8 @@ def test_product_identity_across_blocks():
     # a genuinely factorized two-block measure with a nontrivial law on one
     # side: P(both blocks up) = P(block A up) * P(block C up) where the C
     # factor is a point mass at 0, making the product vanish exactly
-    m = ft.ExponentMeasure(3, (
-        ft.SpectralAtom(np.array([1.0, 0.5, 0.0]), 0.5),
-        ft.SpectralAtom(np.array([0.5, 1.0, 0.0]), 0.5),
-        ft.SpectralAtom(np.array([0.0, 0.0, 1.0]), 1.0),
-    ))
+    m = ft.ExponentMeasure(3, [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                           [0.5, 0.5, 1.0])
     assert ft.validate_measure(m) == []
     law = conditional_law(m, 0)
     for xa in ([1.0, 1.0], [2.0, 0.5], [0.3, 0.8]):

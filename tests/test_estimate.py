@@ -32,11 +32,7 @@ def test_chi_exact_oracles(m_ind, m_dep, m_blk):
 
 def test_chi_exact_intermediate_value():
     # equal mix of a comonotone ray and two axis rays: chi = shared mass
-    m = ft.ExponentMeasure(2, (
-        ft.SpectralAtom(np.array([1.0, 1.0]), 0.4),
-        ft.SpectralAtom(np.array([1.0, 0.0]), 0.6),
-        ft.SpectralAtom(np.array([0.0, 1.0]), 0.6),
-    ))
+    m = ft.ExponentMeasure(2, [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [0.4, 0.6, 0.6])
     assert ft.is_standardized(m)
     assert math.isclose(chi_exact(m, 0, 1), 0.4)
 
@@ -46,10 +42,7 @@ def test_chi_exact_argument_checks(m_ind):
         chi_exact(m_ind, 0, 0)
     with pytest.raises(ValueError):
         chi_exact(m_ind, 0, 2)
-    lopsided = ft.ExponentMeasure(2, (
-        ft.SpectralAtom(np.array([2.0, 0.0]), 1.0),
-        ft.SpectralAtom(np.array([0.0, 1.0]), 1.0),
-    ))
+    lopsided = ft.ExponentMeasure(2, [[2.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
     with pytest.raises(ValueError):
         chi_exact(lopsided, 0, 1)
     assert chi_exact(ft.standardize(lopsided), 0, 1) == 0.0
@@ -118,11 +111,7 @@ def test_chi_empirical_recovers_extremes(m_dep, m_ind):
 
 
 def test_chi_empirical_near_exact_value():
-    m = ft.ExponentMeasure(2, (
-        ft.SpectralAtom(np.array([1.0, 1.0]), 0.4),
-        ft.SpectralAtom(np.array([1.0, 0.0]), 0.6),
-        ft.SpectralAtom(np.array([0.0, 1.0]), 0.6),
-    ))
+    m = ft.ExponentMeasure(2, [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [0.4, 0.6, 0.6])
     batch = ft.sample_max_stable(m, 100_000, seed=67)
     est = chi_empirical(batch)
     assert abs(est.chi[0, 1] - chi_exact(m, 0, 1)) < 0.05

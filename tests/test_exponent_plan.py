@@ -94,8 +94,8 @@ def oracle_full_report(measure, part):
 
     factorization = conditional_factorization(measure, part)
     if not factorization.holds:
-        bad = factorization.witness()
-        witnesses["new_notion"] = {"k": bad.k, "atom": bad.witness}
+        k = int(np.flatnonzero(~factorization.ok)[0])
+        witnesses["new_notion"] = {"k": k, "atom": int(factorization.atom[k])}
 
     flags = (support_ok, cond_ii, mixed_ok, df_ok, factorization.holds)
     return IndependenceReport(
@@ -133,7 +133,7 @@ def measures(draw, d_min, d_max, max_atoms):
     for i in np.flatnonzero(~np.any(omega > 0.0, axis=0)).tolist():
         omega[draw(st.integers(0, n_atoms - 1)), i] = 10.0 ** draw(st.floats(-11.0, 0.0))
     mass = [10.0 ** draw(st.floats(-12.0, 6.0)) for _ in range(n_atoms)]
-    m = ft.ExponentMeasure(d, [ft.SpectralAtom(row, w) for row, w in zip(omega, mass)])
+    m = ft.ExponentMeasure(d, omega, mass)
     return m, a_mask
 
 

@@ -20,10 +20,7 @@ def test_graph_of_canonical_measures(m_ind, m_dep, m_blk):
 
 
 def test_faces_become_cliques():
-    m = ft.ExponentMeasure(4, (
-        ft.SpectralAtom(np.array([0.4, 0.3, 0.3, 0.0]), 1.0),
-        ft.SpectralAtom(np.array([0.0, 0.0, 0.0, 1.0]), 1.0),
-    ))
+    m = ft.ExponentMeasure(4, [[0.4, 0.3, 0.3, 0.0], [0.0, 0.0, 0.0, 1.0]], [1.0, 1.0])
     g = build_graph(m)
     assert g.edges == ((0, 1), (0, 2), (1, 2))
     assert g.components == ((0, 1, 2), (3,))
@@ -31,10 +28,7 @@ def test_faces_become_cliques():
 
 def test_chained_faces_merge_components():
     # overlapping pairs {0,1} and {1,2} connect all three coordinates
-    m = ft.ExponentMeasure(3, (
-        ft.SpectralAtom(np.array([0.5, 0.5, 0.0]), 1.0),
-        ft.SpectralAtom(np.array([0.0, 0.5, 0.5]), 1.0),
-    ))
+    m = ft.ExponentMeasure(3, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], [1.0, 1.0])
     g = build_graph(m)
     assert g.edges == ((0, 1), (1, 2))
     assert g.components == ((0, 1, 2),)

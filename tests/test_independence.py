@@ -112,7 +112,7 @@ def measures_with_splits(draw):
             pool = [i for i in range(d) if groups[i] == g]
         face = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4))
         row[sorted(face)] = draw(st.floats(0.05, 1.0))
-    measure = ft.ExponentMeasure(d, [ft.SpectralAtom(row, 1.0) for row in omega])
+    measure = ft.ExponentMeasure(d, omega, np.ones(len(omega)))
     if d <= 5:
         return measure, list(ft.all_bipartitions(d))
     masks = draw(st.lists(st.integers(1, 2 ** d - 2), min_size=1, max_size=6))
@@ -139,11 +139,11 @@ def test_pair_walk_on_object_masks():
     omega[0, [0, 20, 34]] = 1.0
     omega[1, [40, 69]] = 0.5
     omega[2, [50, 66]] = 0.25
-    m = ft.ExponentMeasure(d, [ft.SpectralAtom(row, 1.0) for row in omega])
+    m = ft.ExponentMeasure(d, omega, np.ones(len(omega)))
     assert m.face_masks.dtype == object
     assert ft.check_mixed_margins(m, part) == (True, None) == ft.check_support(m, part)
     omega[2, 3] = 0.25
-    m = ft.ExponentMeasure(d, [ft.SpectralAtom(row, 1.0) for row in omega])
+    m = ft.ExponentMeasure(d, omega, np.ones(len(omega)))
     assert m.face_masks.dtype == object
     got = ft.check_mixed_margins(m, part)
     assert got == oracle_mixed_margins(m, part) == (False, frozenset({3, 50}))
@@ -215,7 +215,7 @@ def test_face_interior_mass_zero_iff_no_covering_face():
         for _ in range(10):
             size = int(rng.integers(1, 5))
             coords = frozenset(rng.choice(4, size=size, replace=False).tolist())
-            covered = any(coords <= a.face for a in m.atoms)
+            covered = bool(np.any(np.all(m.omega_matrix[:, sorted(coords)] > 0.0, axis=1)))
             mass = ft.face_interior_mass(m, coords)
             assert (mass > 0.0) == covered
 
@@ -301,11 +301,10 @@ def test_overflowed_grid_points_decide_nothing():
     # masses near the float maximum overflow the exponent to +inf at small
     # points, where the residual is inf - inf; the other points decide
     part = bipartition([0], [1])
-    dep = ft.ExponentMeasure(2, [ft.SpectralAtom([1.0, 1.0], 1e308)])
-    ind = ft.ExponentMeasure(2, [ft.SpectralAtom([1.0, 0.0], 1e308),
-                                 ft.SpectralAtom([0.0, 1.0], 1e308)])
+    dep = ft.ExponentMeasure(2, [[1.0, 1.0]], [1e308])
+    ind = ft.ExponentMeasure(2, [[1.0, 0.0], [0.0, 1.0]], [1e308, 1e308])
     # dependent, with an exponent that overflows at every grid point
-    everywhere = ft.ExponentMeasure(2, [ft.SpectralAtom([1e308, 1e308], 1e10)])
+    everywhere = ft.ExponentMeasure(2, [[1e308, 1e308]], [1e10])
     with np.errstate(over="ignore", invalid="ignore"):
         bad, good = ft.check_additivity(dep, part), ft.check_additivity(ind, part)
         rep_dep, rep_ind = ft.full_report(dep, part), ft.full_report(ind, part)
@@ -322,12 +321,11 @@ def test_overflow_to_inf_raises_no_numpy_warning():
     # an exponent past the float range, from huge masses or from huge
     # directions, is +inf without a warning on every entry point
     part = bipartition([0, 1], [2])
-    huge = ft.ExponentMeasure(3, [ft.SpectralAtom([1.0, 1.0, 0.0], 1e308),
-                                  ft.SpectralAtom([0.0, 1.0, 1.0], 1e308)])
+    huge = ft.ExponentMeasure(3, [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1e308, 1e308])
     # a huge omega with a tiny mass: the ratio omega / x overflows before
     # the mass scales it down
-    stretched = ft.ExponentMeasure(3, [ft.SpectralAtom([1e308, 1e308, 0.0], 1e-308),
-                                       ft.SpectralAtom([0.0, 1e308, 1e308], 1e-308)])
+    stretched = ft.ExponentMeasure(3, [[1e308, 1e308, 0.0], [0.0, 1e308, 1e308]],
+                                   [1e-308, 1e-308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not ft.full_report(huge, part).cond_ii

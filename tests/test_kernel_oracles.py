@@ -83,7 +83,7 @@ def measures(draw, d_min=1, cover=False):
         dead = ~np.any(omega > 0.0, axis=0)
         omega[0, dead] = 10.0 ** draw(st.floats(-11.0, 0.0))
     mass = [10.0 ** draw(st.floats(-12.0, 6.0)) for _ in range(n_atoms)]
-    return ft.ExponentMeasure(d, [ft.SpectralAtom(row, w) for row, w in zip(omega, mass)])
+    return ft.ExponentMeasure(d, omega, mass)
 
 
 thresholds = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
@@ -141,9 +141,9 @@ def test_chi_exact_matches_two_minus_the_pair_exponent(m, data):
 
 
 def test_extended_exponent_edge_cases():
-    m = ft.ExponentMeasure(3, (ft.SpectralAtom(np.array([1.0, 0.5, 0.0]), 2.0),))
+    m = ft.ExponentMeasure(3, [[1.0, 0.5, 0.0]], [2.0])
     # every coordinate zero: 0.0 when none is charged, +inf otherwise
-    assert ft.exponent_function_extended(ft.ExponentMeasure(3, ()), np.zeros(3)) == 0.0
+    assert ft.exponent_function_extended(ft.ExponentMeasure(3, (), ()), np.zeros(3)) == 0.0
     assert ft.exponent_function_extended(m, np.zeros(3)) == math.inf
     # an uncharged zero coordinate is neutral
     assert ft.exponent_function_extended(m, [1.0, 1.0, 0.0]) == 2.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import facetail as ft
-from facetail import ExponentMeasure, SpectralAtom
+from facetail import ExponentMeasure
 from facetail.measure import MARGIN_TOL, ZERO_TOL
 
 
@@ -17,49 +17,39 @@ def random_point(rng, d, lo=0.1, hi=10.0):
 
 
 def test_tiny_entries_snap_to_exact_zero():
-    atom = SpectralAtom(np.array([1.0, 1e-13, -1e-13]), 1.0)
-    assert atom.omega[1] == 0.0
-    assert atom.omega[2] == 0.0
-    assert atom.face == frozenset({0})
+    m = ExponentMeasure(3, [[1.0, 1e-13, -1e-13]], [1.0])
+    assert m.omega_matrix[0, 1] == 0.0
+    assert m.omega_matrix[0, 2] == 0.0
+    assert m.face_masks.tolist() == [0b001]
 
 
 def test_face_is_exact_zero_test():
-    atom = SpectralAtom(np.array([0.3, 0.0, 2e-12]), 1.0)
-    assert atom.face == frozenset({0, 2})
+    m = ExponentMeasure(3, [[0.3, 0.0, 2e-12]], [1.0])
+    assert m.face_masks.tolist() == [0b101]
 
 
 def test_same_ray_atoms_merge_masses():
-    m = ExponentMeasure(2, (
-        SpectralAtom(np.array([0.5, 0.5]), 1.0),
-        SpectralAtom(np.array([2.0, 2.0]), 3.0),   # same direction, scaled by 4
-        SpectralAtom(np.array([1.0, 0.0]), 1.0),
-    ))
+    m = ExponentMeasure(2, [
+        [0.5, 0.5],
+        [2.0, 2.0],   # same direction, scaled by 4
+        [1.0, 0.0],
+    ], [1.0, 3.0, 1.0])
     assert m.n_atoms == 2
     # intensity contributions add: 1*(0.5,0.5) + 3*(2,2) = 13*(0.5,0.5)
-    assert m.atoms[0].mass == 13.0
-    assert np.array_equal(m.atoms[0].omega, [0.5, 0.5])  # first occurrence kept
+    assert m.mass_vector[0] == 13.0
+    assert np.array_equal(m.omega_matrix[0], [0.5, 0.5])  # first occurrence kept
 
 
 def test_merging_preserves_the_exponent_function():
     unmerged_value = 1.0 * 0.5 + 3.0 * 2.0 + 1.0 * 1.0  # at x = (1, 1), max over coords
-    m = ExponentMeasure(2, (
-        SpectralAtom(np.array([0.5, 0.5]), 1.0),
-        SpectralAtom(np.array([2.0, 2.0]), 3.0),
-        SpectralAtom(np.array([1.0, 0.0]), 1.0),
-    ))
+    m = ExponentMeasure(2, [[0.5, 0.5], [2.0, 2.0], [1.0, 0.0]], [1.0, 3.0, 1.0])
     assert ft.exponent_function(m, [1.0, 1.0]) == unmerged_value
 
 
 def test_nearly_equal_directions_merge_distinct_ones_do_not():
-    close = ExponentMeasure(2, (
-        SpectralAtom(np.array([1.0, 0.5]), 1.0),
-        SpectralAtom(np.array([1.0, 0.5 + 1e-10]), 1.0),
-    ))
+    close = ExponentMeasure(2, [[1.0, 0.5], [1.0, 0.5 + 1e-10]], [1.0, 1.0])
     assert close.n_atoms == 1
-    apart = ExponentMeasure(2, (
-        SpectralAtom(np.array([1.0, 0.5]), 1.0),
-        SpectralAtom(np.array([1.0, 0.6]), 1.0),
-    ))
+    apart = ExponentMeasure(2, [[1.0, 0.5], [1.0, 0.6]], [1.0, 1.0])
     assert apart.n_atoms == 2
 
 
@@ -68,8 +58,7 @@ def test_direction_scale_is_immaterial():
     rng = np.random.default_rng(42)
     base = ft.random_measure(3, 5, seed=1)
     scales = rng.uniform(0.2, 5.0, size=base.n_atoms)
-    rescaled = ExponentMeasure(3, tuple(
-        SpectralAtom(a.omega * c, a.mass / c) for a, c in zip(base.atoms, scales)))
+    rescaled = ExponentMeasure(3, base.omega_matrix * scales[:, None], base.mass_vector / scales)
     for _ in range(20):
         x = random_point(rng, 3)
         assert math.isclose(ft.exponent_function(base, x),
@@ -85,46 +74,53 @@ def test_canonical_measures_are_valid(m_ind, m_dep, m_blk):
 
 
 def test_wrong_length_atom_raises():
-    good = SpectralAtom(np.array([1.0, 1.0]), 1.0)
-    for wrong in (SpectralAtom(np.array([1.0]), 1.0), SpectralAtom(np.array([1.0, 1.0, 1.0]), 1.0)):
-        with pytest.raises(ft.MeasureFormatError, match="atom 1"):
-            ExponentMeasure(2, (good, wrong))
+    # ragged rows, and a whole array of the wrong width, name the first bad row
+    for wrong in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ft.MeasureFormatError, match="atom 1: omega has length"):
+            ExponentMeasure(2, [[1.0, 1.0], wrong], [1.0, 1.0])
+    with pytest.raises(ft.MeasureFormatError, match="atom 0: omega has length 3, not 2"):
+        ExponentMeasure(2, np.ones((2, 3)), [1.0, 1.0])
+
+
+def test_one_mass_per_row():
+    for masses in ([1.0], [1.0, 1.0, 1.0], 1.0, [[1.0, 1.0]]):
+        with pytest.raises(ft.MeasureFormatError, match="one mass per row"):
+            ExponentMeasure(2, [[1.0, 0.0], [0.0, 1.0]], masses)
+
+
+def test_repr_round_trips(m_blk):
+    for m in (m_blk, ft.random_measure(4, 6, seed=3), ExponentMeasure(2, (), ())):
+        again = eval(repr(m), {"ExponentMeasure": ExponentMeasure})
+        assert again.d == m.d
+        assert again.omega_matrix.tobytes() == m.omega_matrix.tobytes()
+        assert again.mass_vector.tobytes() == m.mass_vector.tobytes()
 
 
 def test_validate_flags_nonpositive_mass():
-    m = ExponentMeasure(2, (
-        SpectralAtom(np.array([1.0, 0.0]), 0.0),
-        SpectralAtom(np.array([0.0, 1.0]), 1.0),
-    ))
+    m = ExponentMeasure(2, [[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0])
     violations = ft.validate_measure(m)
     assert any(v.code == "nonpositive_mass" and v.atom == 0 for v in violations)
 
 
 def test_validate_flags_all_zero_direction():
-    m = ExponentMeasure(2, (
-        SpectralAtom(np.array([0.0, 0.0]), 1.0),
-        SpectralAtom(np.array([1.0, 1.0]), 1.0),
-    ))
+    m = ExponentMeasure(2, [[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
     violations = ft.validate_measure(m)
     assert any(v.code == "all_zero_direction" and v.atom == 0 for v in violations)
     # the snap is relative to the direction's largest entry: a tiny direction
     # is still the ray e_2, not the zero vector
-    tiny = ExponentMeasure(2, (
-        SpectralAtom(np.array([0.0, 1e-14]), 1.0),
-        SpectralAtom(np.array([1.0, 1.0]), 1.0),
-    ))
-    assert tiny.atoms[0].face == frozenset({1})
+    tiny = ExponentMeasure(2, [[0.0, 1e-14], [1.0, 1.0]], [1.0, 1.0])
+    assert tiny.face_masks[0] == 0b10
     assert ft.validate_measure(tiny) == []
 
 
 def test_validate_flags_dead_coordinate():
-    m = ExponentMeasure(3, (SpectralAtom(np.array([0.7, 0.3, 0.0]), 1.0),))
+    m = ExponentMeasure(3, [[0.7, 0.3, 0.0]], [1.0])
     violations = ft.validate_measure(m)
     assert any(v.code == "dead_coordinate" and v.coordinate == 2 for v in violations)
 
 
 def test_validate_flags_negative_direction():
-    m = ExponentMeasure(2, (SpectralAtom(np.array([1.0, -0.5]), 1.0),))
+    m = ExponentMeasure(2, [[1.0, -0.5]], [1.0])
     codes = [v.code for v in ft.validate_measure(m)]
     assert "negative_direction" in codes
 
@@ -133,15 +129,14 @@ def test_validate_flags_negative_direction():
 def test_validate_flags_nonfinite_direction(bad):
     # the zero-snap leaves such a direction alone, so it is reported as
     # non-finite and keeps its finite entries, however small
-    m = ExponentMeasure(3, (SpectralAtom(np.array([bad, 1.0, 1e-300]), 1.0),
-                            SpectralAtom(np.array([1.0, 1.0, 1.0]), 1.0)))
-    assert m.atoms[0].omega[1:].tolist() == [1.0, 1e-300]
+    m = ExponentMeasure(3, [[bad, 1.0, 1e-300], [1.0, 1.0, 1.0]], [1.0, 1.0])
+    assert m.omega_matrix[0, 1:].tolist() == [1.0, 1e-300]
     violations = ft.validate_measure(m)
     assert [(v.code, v.atom) for v in violations] == [("nonfinite_direction", 0)]
 
 
 def test_require_valid_raises_with_violation_list():
-    m = ExponentMeasure(3, (SpectralAtom(np.array([0.7, 0.3, 0.0]), 1.0),))
+    m = ExponentMeasure(3, [[0.7, 0.3, 0.0]], [1.0])
     with pytest.raises(ft.InvalidMeasureError) as err:
         ft.require_valid(m)
     assert any(v.code == "dead_coordinate" for v in err.value.violations)
@@ -149,7 +144,7 @@ def test_require_valid_raises_with_violation_list():
 
 def test_single_coordinate_measures_are_allowed():
     # projections produce them, so they must validate
-    m = ExponentMeasure(1, (SpectralAtom(np.array([1.0]), 1.0),))
+    m = ExponentMeasure(1, [[1.0]], [1.0])
     assert ft.validate_measure(m) == []
 
 
@@ -216,7 +211,7 @@ def test_extended_exponent_handles_zeros(m_ind):
     assert ft.exponent_function_extended(m_ind, [0.0, 1.0]) == math.inf
     assert ft.distribution_function(m_ind, [0.0, 1.0]) == 0.0
     # a zero in a coordinate nobody charges is neutral
-    half = ExponentMeasure(2, (SpectralAtom(np.array([1.0, 0.0]), 1.0),))
+    half = ExponentMeasure(2, [[1.0, 0.0]], [1.0])
     assert ft.exponent_function_extended(half, [1.0, 0.0]) == 1.0
     assert ft.exponent_function_extended(half, [2.0, 0.0]) == 0.5
 
@@ -258,8 +253,8 @@ def test_exponent_by_inclusion_exclusion_d3():
     def exceed_mass(coords, x):
         # mass of {z_i > x_i for all i in coords}
         total = 0.0
-        for atom in m.atoms:
-            total += atom.mass * float(np.min(atom.omega[list(coords)] / x[list(coords)]))
+        for omega, mass in zip(m.omega_matrix, m.mass_vector):
+            total += mass * float(np.min(omega[list(coords)] / x[list(coords)]))
         return total
 
     for _ in range(20):
@@ -280,22 +275,19 @@ def test_margins_of_canonical_measures(m_ind, m_dep, m_blk):
 
 
 def test_margins_by_hand():
-    m = ExponentMeasure(2, (
-        SpectralAtom(np.array([2.0, 0.0]), 1.0),
-        SpectralAtom(np.array([0.0, 1.0]), 3.0),
-    ))
+    m = ExponentMeasure(2, [[2.0, 0.0], [0.0, 1.0]], [1.0, 3.0])
     assert np.array_equal(ft.margins(m), [2.0, 3.0])
 
 
 def test_marginalize_drops_atoms_that_vanish(m_ind, m_blk):
     sub = ft.marginalize(m_ind, [0])
     assert sub.d == 1 and sub.n_atoms == 1
-    assert np.array_equal(sub.atoms[0].omega, [1.0])
+    assert np.array_equal(sub.omega_matrix[0], [1.0])
 
     pair = ft.marginalize(m_blk, [0, 1])
     assert pair.n_atoms == 1
-    assert np.array_equal(pair.atoms[0].omega, [0.5, 0.5])
-    assert pair.atoms[0].mass == 2.0
+    assert np.array_equal(pair.omega_matrix[0], [0.5, 0.5])
+    assert pair.mass_vector[0] == 2.0
 
 
 def test_marginalize_to_everything_is_identity(m_blk):
@@ -326,15 +318,12 @@ def test_marginal_evaluation_agrees_with_huge_sentinel():
 
 
 def test_standardize_by_hand():
-    m = ExponentMeasure(2, (
-        SpectralAtom(np.array([2.0, 0.0]), 1.0),
-        SpectralAtom(np.array([0.0, 1.0]), 3.0),
-    ))
+    m = ExponentMeasure(2, [[2.0, 0.0], [0.0, 1.0]], [1.0, 3.0])
     std = ft.standardize(m)
     assert np.allclose(ft.margins(std), 1.0)
-    assert np.array_equal(std.atoms[0].omega, [1.0, 0.0])
-    assert np.allclose(std.atoms[1].omega, [0.0, 1.0 / 3.0])
-    assert std.atoms[0].mass == 1.0 and std.atoms[1].mass == 3.0
+    assert np.array_equal(std.omega_matrix[0], [1.0, 0.0])
+    assert np.allclose(std.omega_matrix[1], [0.0, 1.0 / 3.0])
+    assert std.mass_vector[0] == 1.0 and std.mass_vector[1] == 3.0
 
 
 def test_standardize_is_idempotent_and_keeps_faces():
@@ -342,16 +331,13 @@ def test_standardize_is_idempotent_and_keeps_faces():
         m = ft.random_measure(4, 6, seed=seed)
         std = ft.standardize(m)
         assert ft.measures_allclose(ft.standardize(std), std)
-        assert [a.face for a in std.atoms] == [a.face for a in m.atoms]
+        assert std.face_masks.tolist() == m.face_masks.tolist()
 
 
 def test_standardize_scales_the_argument():
     # unit-margin rescaling moves the exponent's argument coordinatewise
     rng = np.random.default_rng(29)
-    m = ExponentMeasure(2, (
-        SpectralAtom(np.array([1.5, 0.5]), 0.8),
-        SpectralAtom(np.array([0.2, 2.0]), 1.7),
-    ))
+    m = ExponentMeasure(2, [[1.5, 0.5], [0.2, 2.0]], [0.8, 1.7])
     std = ft.standardize(m)
     mg = ft.margins(m)
     for _ in range(20):
@@ -362,15 +348,14 @@ def test_standardize_scales_the_argument():
 
 def test_is_standardized_allows_margin_tol_only():
     def measure(margin):
-        return ExponentMeasure(2, (SpectralAtom(np.array([1.0, 0.0]), margin),
-                                   SpectralAtom(np.array([0.0, 1.0]), 1.0)))
+        return ExponentMeasure(2, [[1.0, 0.0], [0.0, 1.0]], [margin, 1.0])
 
     assert ft.is_standardized(measure(1.0 + 0.5 * MARGIN_TOL))
     assert not ft.is_standardized(measure(1.0 + 2.0 * MARGIN_TOL))
 
 
 def test_standardize_rejects_dead_coordinates():
-    m = ExponentMeasure(2, (SpectralAtom(np.array([1.0, 0.0]), 1.0),))
+    m = ExponentMeasure(2, [[1.0, 0.0]], [1.0])
     with pytest.raises(ValueError):
         ft.standardize(m)
 
@@ -397,8 +382,8 @@ def test_random_measure_block_structure_confines_faces():
     split = ((0, 2), (1, 3))
     for seed in range(10):
         m = ft.random_measure(4, 6, split=split, seed=seed)
-        for atom in m.atoms:
-            assert atom.face <= {0, 2} or atom.face <= {1, 3}
+        for face in m.face_masks.tolist():
+            assert face & 0b0101 == face or face & 0b1010 == face
 
 
 def test_random_measure_argument_checks():
@@ -463,7 +448,7 @@ def test_loader_applies_canonicalization_and_validation(tmp_path):
     }))
     m = ft.load_measure(path)
     assert m.n_atoms == 2
-    assert m.atoms[0].mass == 3.0  # 1*(0.5,0.5) + 1*(1,1) = 3*(0.5,0.5)
+    assert m.mass_vector[0] == 3.0  # 1*(0.5,0.5) + 1*(1,1) = 3*(0.5,0.5)
 
     bad = tmp_path / "dead.json"
     bad.write_text(json.dumps({"d": 2, "atoms": [{"omega": [1.0, 0.0], "mass": 1.0}]}))
@@ -477,4 +462,4 @@ def test_snapping_tolerance_respected_by_parser():
         "atoms": [{"omega": [1.0, ZERO_TOL / 2], "mass": 1.0},
                   {"omega": [0.0, 1.0], "mass": 1.0}],
     })
-    assert m.atoms[0].face == frozenset({0})
+    assert m.face_masks[0] == 0b01

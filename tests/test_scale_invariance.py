@@ -1,6 +1,6 @@
 """The canonical form does not depend on the scale of a direction.
 
-`SpectralAtom` promises that ``(c * omega, mass / c)`` is the same measure.
+`ExponentMeasure` promises that ``(c * omega, mass / c)`` is the same measure.
 The zero-snap is relative to each direction's largest entry, so faces must
 not move under any ``c > 0``, and `standardize` must return a valid,
 standardized measure for every valid input.  The measures are those of the
@@ -16,7 +16,7 @@ from test_kernel_oracles import EPS, measures, thresholds
 
 
 def rescaled(m, c):
-    return ft.ExponentMeasure(m.d, [ft.SpectralAtom(c * a.omega, a.mass / c) for a in m.atoms])
+    return ft.ExponentMeasure(m.d, c * m.omega_matrix, m.mass_vector / c)
 
 
 @settings(max_examples=300, deadline=None)

@@ -23,7 +23,7 @@ def three_sigma(p, n=N_MC):
 
 def test_unit_frechet_margin():
     # d = 1, single unit atom: P(X <= x) = exp(-1/x)
-    m = ft.ExponentMeasure(1, (ft.SpectralAtom(np.array([1.0]), 1.0),))
+    m = ft.ExponentMeasure(1, [[1.0]], [1.0])
     batch = sample_max_stable(m, N_MC, seed=11)
     x = batch.data[:, 0]
     assert np.all(x > 0.0)
@@ -62,7 +62,7 @@ def test_max_stable_rejects_bad_input(m_ind):
         sample_max_stable(m_ind, 0, seed=1)
     with pytest.raises(ValueError):
         sample_max_stable(m_ind, 10, seed=-1)
-    dead = ft.ExponentMeasure(2, (ft.SpectralAtom(np.array([1.0, 0.0]), 1.0),))
+    dead = ft.ExponentMeasure(2, [[1.0, 0.0]], [1.0])
     with pytest.raises(ft.InvalidMeasureError):
         sample_max_stable(dead, 10, seed=1)
 
@@ -93,10 +93,7 @@ def test_conditional_radius_is_pareto(m_blk):
 
 
 def test_conditional_atom_selection_frequencies():
-    m = ft.ExponentMeasure(2, (
-        ft.SpectralAtom(np.array([1.0, 0.0]), 0.25),
-        ft.SpectralAtom(np.array([0.5, 0.5]), 1.5),
-    ))
+    m = ft.ExponentMeasure(2, [[1.0, 0.0], [0.5, 0.5]], [0.25, 1.5])
     batch = sample_conditional(m, 0, N_MC, seed=37)
     # the mixed atom is the only source of positive second coordinates
     frac = np.mean(batch.data[:, 1] > 0.0)
@@ -247,6 +244,29 @@ def test_load_batch_checks_consistency(tmp_path, m_ind):
     del meta["n"]
     meta_file.write_text(json.dumps(meta))
     with pytest.raises(ValueError):
+        load_batch(out)
+
+
+def test_batch_k_must_fit_its_kind():
+    data = np.ones((2, 3))
+    for kind, k in (("max_stable", 0), ("conditional", None), ("conditional", -1),
+                    ("conditional", 3)):
+        with pytest.raises(ValueError, match="k="):
+            ft.SampleBatch(kind=kind, k=k, n=2, seed=1, data=data)
+    assert ft.SampleBatch(kind="conditional", k=2, n=2, seed=1, data=data).k == 2
+
+
+@pytest.mark.parametrize("kind, k", [("conditional", 0), ("conditional", 4),
+                                     ("conditional", None), ("max_stable", 1)])
+def test_load_batch_rejects_a_sidecar_k_that_does_not_fit(tmp_path, m_blk, kind, k):
+    # the sidecar's k is 1-based: 0 and d + 1 are out of range
+    out = tmp_path / "edited.csv"
+    save_batch(sample_conditional(m_blk, 0, 5, seed=1), out)
+    meta_file = tmp_path / "edited.csv.meta.json"
+    meta = json.loads(meta_file.read_text())
+    meta["kind"], meta["k"] = kind, k
+    meta_file.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="k="):
         load_batch(out)
 
 
