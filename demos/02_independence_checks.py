@@ -6,13 +6,16 @@ For a split (A, C) of the coordinates the library decides extremal
 independence through five formulations computed side by side:
 
   cond_i      no atom's face straddles both blocks
-  cond_ii     the tail mass is additive over blocks (numeric, on a grid)
+  cond_ii     the tail mass is additive over blocks (the sign of an exactly
+              summed defect at the point 1)
   cond_iii    block-straddling marginals avoid the interior of their domain
-  df          the max-stable distribution function factorizes
+  df          the max-stable distribution function factorizes (compared in
+              floating point at one point t * 1: it can fail, or be None,
+              "below resolution", never hold)
   new_notion  every conditional tail law factorizes over the blocks
 
 They are equivalent for atomic measures, and `full_report` verifies that
-they actually agree on each instance instead of assuming it.
+the decided ones actually agree on each instance instead of assuming it.
 """
 
 import numpy as np
@@ -25,7 +28,7 @@ block = ft.ExponentMeasure(3, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], [2.0, 1.0])
 
 good = ft.full_report(block, ft.bipartition([0, 1], [2]))
 print("split {0,1} | {2}:", "independent" if good.independent else "dependent",
-      "agree:", good.agree)
+      "agree:", good.agree, "undecided:", good.undecided)
 
 # the same measure against the wrong split: every criterion fails, each
 # with its own witness

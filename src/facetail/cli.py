@@ -12,7 +12,9 @@ crosscheck random-measure agreement battery for all five criteria
 Coordinates are 1-based on this surface and converted once at the
 boundary.  Exit codes: 0 success (and "independent" for check), 1 I/O or
 validation failure, 2 bad flags, 3 dependent verdict, 4 internal
-disagreement between criteria.
+disagreement between decided criteria (an implementation bug).  A
+criterion that rounding cannot decide is null in `check`'s JSON and listed
+under "undecided"; it never counts as a disagreement.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _emit(payload: dict) -> None:
 
 def _strict(value):
     # strict JSON has no Infinity or NaN: a non-finite number (an overflowed
-    # witness residual) is written as the string "inf", "-inf" or "nan"
+    # witness point) is written as the string "inf", "-inf" or "nan"
     if isinstance(value, float) and not math.isfinite(value):
         return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
     if isinstance(value, dict):

@@ -84,9 +84,8 @@ def certify_partition_bruteforce(measure: ExponentMeasure) -> bool:
 
     For each of the ``2**(d-1) - 1`` bipartitions, runs `full_report` and
     demands (a) internal agreement and (b) an independent verdict exactly
-    when the bipartition splits no component.  The reports share one full
-    exponent on the grid, computed once.  Exponential in d, hence the cap
-    ``CERTIFY_MAX_D``.
+    when the bipartition splits no component; agreement counts only the
+    decided criteria.  Exponential in d, hence the cap ``CERTIFY_MAX_D``.
     """
     if measure.d > CERTIFY_MAX_D:
         raise ValueError(f"brute force capped at d={CERTIFY_MAX_D} (CERTIFY_MAX_D), "

@@ -4,23 +4,26 @@ For an atomic exponent measure and a split (A, C) of the coordinates,
 four equivalent formulations of independence are implemented side by side:
 
 * support: no atom's face straddles both blocks;
-* additivity: the tail exponent splits as a sum of block exponents;
+* additivity: the tail exponent splits as a sum of block exponents, decided
+  by the sign of the exactly summed defect at the point 1;
 * mixed margins: marginals onto subsets meeting both blocks put no mass
   on the all-positive part of their domain;
-* distribution function: the induced max-stable df factorizes over blocks.
+* distribution function: the induced max-stable df factorizes over blocks,
+  compared in floating point at one point ``t * 1``.
 
 A fifth check, factorization of every conditional tail law, lives in
 `facetail.conditional` and is folded into `full_report`.  The checks are
-computed independently and never reconciled: a disagreement is reported
-as data, since for exact atomic input it can only mean an implementation
-bug.
+computed independently and never reconciled: a disagreement between
+decided criteria is reported as data, since for exact atomic input it can
+only mean an implementation bug.  A numeric criterion that rounding cannot
+decide is None ("below resolution"), never "independent".
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -31,78 +34,44 @@ from .measure import (ExponentMeasure, _check_coordinate_subset, _check_positive
                       _ratio_kernel)
 from .partition import Bipartition, check_dimension
 
-#: relative tolerance for all additivity and factorization comparisons
-ADDITIVITY_TOL = 1e-9
-
 _GRID_AXIS = (0.5, 1.0, 2.0, 5.0)
 _GRID_CAP = 4096
 _GRID_RANDOM = 64
 _GRID_SEED = 0
 
-def _grid_layout(d: int) -> tuple[int, int]:
-    """``(first, k)`` for the tensor part of `default_grid(d)`: the lex
-    product of ``_GRID_AXIS`` over coordinates ``first, ..., d - 1``, with
-    ``k = d - first`` the most that fit in ``_GRID_CAP`` rows, and every
-    coordinate before ``first`` fixed at ``_GRID_AXIS[0]``."""
-    k = 0
-    while k < d and len(_GRID_AXIS) ** (k + 1) <= _GRID_CAP:
-        k += 1
-    return d - k, k
+#: the unit roundoff of binary64
+_U = 2.0 ** -53
+#: Veltkamp's splitting constant for binary64, 2**27 + 1
+_SPLITTER = 134217729.0
+#: the additivity defect's sign per row of parts: + A, + C, - full exponent
+_SIGNS = np.array([[1.0], [1.0], [-1.0]] * 2)
 
-
-def _grid_digits(k: int) -> np.ndarray:
-    """The base-4 digits of rows ``0, ..., 4**k - 1``, most significant
-    first: row r of the lex product of ``_GRID_AXIS`` over k coordinates is
-    ``_GRID_AXIS[digits[r]]``."""
-    base = len(_GRID_AXIS)
-    return np.arange(base ** k)[:, None] // base ** np.arange(k - 1, -1, -1) % base
+#: the five criteria in report order
+_CRITERIA = ("cond_i", "cond_ii", "cond_iii", "df", "new_notion")
 
 
 @lru_cache(maxsize=32)
 def default_grid(d: int) -> np.ndarray:
-    """Evaluation grid for numeric checks in dimension d.
+    """A fixed evaluation grid in dimension d, for `exponent_function_grid`.
 
-    The tensor grid over ``{0.5, 1, 2, 5}`` per coordinate, truncated to
-    4096 points, plus 64 reproducible uniform points in ``(0.1, 10)^d``.
-    Truncation keeps the lex-first rows: the last ``k = min(d, 6)``
-    coordinates run over the full product and the others stay at 0.5 (see
-    `_grid_layout`), which lets `_split_sum` evaluate a block exponent
-    once per distinct point of the block's projection.  Deterministic in d,
-    returned read-only.
+    The tensor grid over ``{0.5, 1, 2, 5}`` per coordinate, truncated to its
+    lex-first 4096 points (the last ``min(d, 6)`` coordinates run over the
+    full product and the others stay at 0.5), plus 64 reproducible uniform
+    points in ``(0.1, 10)^d``.  No independence check reads it.
+    Deterministic in d, returned read-only.
     """
     if d < 1:
         raise ValueError("grid needs d >= 1")
-    first, k = _grid_layout(d)
-    tensor = np.full((len(_GRID_AXIS) ** k, d), _GRID_AXIS[0])
-    tensor[:, first:] = np.array(_GRID_AXIS)[_grid_digits(k)]
+    base = len(_GRID_AXIS)
+    k = min(d, round(math.log(_GRID_CAP, base)))
+    digits = np.arange(base ** k)[:, None] // base ** np.arange(k - 1, -1, -1) % base
+    tensor = np.full((base ** k, d), _GRID_AXIS[0])
+    tensor[:, d - k:] = np.array(_GRID_AXIS)[digits]
     rng = np.random.default_rng(_GRID_SEED)
     random_part = rng.uniform(0.1, 10.0, size=(_GRID_RANDOM, d))
     grid = np.vstack([tensor, random_part])
     grid.flags.writeable = False
     return grid
-
-
-@lru_cache(maxsize=None)
-def _projected_rows(k: int, pattern: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, spread)`` for a block of a `default_grid` whose tensor part
-    varies ``k`` coordinates, of which the block holds those in the bit mask
-    ``pattern`` (bit i: the i-th varying coordinate).
-
-    ``rows`` are the distinct points of the block's projection: the tensor
-    rows whose varying digits outside the block are 0, then the random rows,
-    padded by repeating the last to a multiple of 8 rows (so BLAS sums each
-    row as in the full-grid call, see `_row_blocks`).  ``spread`` maps the
-    values at ``rows`` back onto every grid row.  Both are int16: at most 64
-    patterns per k are cached, whatever the block."""
-    base = len(_GRID_AXIS)
-    digits = _grid_digits(k)
-    inside = [(pattern >> i & 1) == 1 for i in range(k)]
-    kept = np.flatnonzero(~digits[:, np.logical_not(inside)].any(axis=1))
-    spread = digits[:, inside] @ base ** np.arange(sum(inside) - 1, -1, -1)
-    rows = np.concatenate([kept, base ** k + np.arange(_GRID_RANDOM)])
-    rows = np.concatenate([rows, np.full(-len(rows) % 8, rows[-1])])
-    spread = np.concatenate([spread, len(kept) + np.arange(_GRID_RANDOM)])
-    return rows.astype(np.int16), spread.astype(np.int16)
 
 
 # ---- the individual criteria ----------------------------------------------
@@ -120,128 +89,120 @@ def check_support(measure: ExponentMeasure, part: Bipartition) -> tuple[bool, in
     return (False, int(straddling[0])) if straddling.size else (True, None)
 
 
+def _point_terms(measure: ExponentMeasure, part: Bipartition):
+    """The exponents' terms at the point 1 as exact scaled factors
+    ``(mass, block_max, shift, top)``: ``mass_j * max_X omega_j == mass[j] *
+    block_max[X, j] * 2**(shift[j] + top)`` for X = A, C, all (rows 0, 1, 2).
+
+    Each direction is scaled by the power of two that puts its largest
+    entry in [0.5, 1), which is the same measure with the mass scaled back,
+    and no entry underflows (the zero-snap keeps entries above 1e-12 of
+    their row's largest).  ``mass`` is the mantissa of the mass, ``top``
+    the largest binary exponent of a product, so ``shift <= 0``."""
+    omega = measure.omega_matrix
+    row_max, a = np.frexp(omega.max(axis=1, initial=0.0))
+    scaled = np.ldexp(omega, -a[:, None])
+    mass, e = np.frexp(measure.mass_vector)
+    if not np.all(np.isfinite(row_max) & np.isfinite(mass)):
+        raise ValueError("the numeric criteria need finite directions and masses")
+    e += a
+    live = e[(mass != 0.0) & (row_max != 0.0)]
+    top = int(live.max()) if live.size else 0
+    block_max = np.stack([scaled[:, list(part.a_sorted)].max(axis=1),
+                          scaled[:, list(part.c_sorted)].max(axis=1), row_max])
+    return mass, block_max, e - top, top
+
+
 @dataclass(frozen=True)
 class AdditivityCheck:
-    """Result of the numeric tail-exponent additivity check.
+    """Result of the additivity check at the point 1.
 
-    ``ok`` is the grid verdict at relative tolerance ``ADDITIVITY_TOL``,
-    ``max_residual`` the largest residual and ``witness`` its grid point
-    when the check fails.  The exact support criterion is a separate
-    check; `full_report` compares the two.
+    ``ok`` is True when the defect ``exponent_A(1) + exponent_C(1) -
+    exponent(1)`` is exactly 0 and False when it is not.  It is None,
+    "below resolution", when the sum is 0 but a product lost bits to
+    underflow after scaling (mass * omega ratios beyond about 2**925 within
+    one measure), so a straddling atom may have vanished.  ``residual`` is
+    the defect over ``exponent(1)``, from exact sums each rounded once.
     """
 
-    ok: bool
-    max_residual: float
-    witness: np.ndarray | None = field(repr=False, default=None)
+    ok: bool | None
+    residual: float
 
 
 def check_additivity(measure: ExponentMeasure, part: Bipartition) -> AdditivityCheck:
-    """Check ``exponent(x) == exponent_A(x_A) + exponent_C(x_C)`` on a grid.
+    """Check ``exponent(x) == exponent_A(x_A) + exponent_C(x_C)`` at x = 1.
 
-    The residual is measured relative to ``1 + exponent(x)`` at each point
-    of `default_grid`.
+    The defect at 1 is ``sum_j mass_j * min(max_A omega_j, max_C omega_j)``,
+    positive exactly when an atom straddles the split, so one point decides.
+    The three exponents are summed separately, never through that minimum:
+    each ``mass_j * max omega_j`` is an exact high and low double (Dekker's
+    product on Veltkamp halves) scaled by a power of two, and one `math.fsum`
+    of the 6J parts rounds the exact sum once (Shewchuk 1997): its sign is exact.
     """
     check_dimension(part, measure.d)
-    lam = _full_exponents(measure)[0]
-    ok, residual, witness = _worst(_additivity_residuals(lam, _split_sum(measure, part)),
-                                   measure.d)
-    return AdditivityCheck(ok=ok, max_residual=residual, witness=witness)
+    return _additivity(*_point_terms(measure, part)[:3])
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Veltkamp: a == high + low, each with at most 26 significant bits
+    high = _SPLITTER * a - (_SPLITTER * a - a)
+    return high, a - high
+
+
+def _additivity(a: np.ndarray, b: np.ndarray, shift: np.ndarray) -> AdditivityCheck:
+    # Dekker's product: high + low == a * b exactly, for factors in [0.5, 1)
+    # or 0, so nothing underflows before the power-of-two shift
+    high = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    # rows: the high parts of the A, C and full exponents, then the low parts
+    unscaled = np.concatenate([high, ((a1 * b1 - high) + a1 * b2 + a2 * b1) + a2 * b2])
+    parts = np.ldexp(unscaled, shift)
+    # a shift into the subnormal range may round a part: undoing it shows that
+    exact = np.array_equal(np.ldexp(parts, -shift), unscaled)
+    parts *= _SIGNS
+    total = math.fsum(memoryview(parts.ravel()))  # floats straight from the buffer
+    if total == 0.0:
+        # rounded parts still cancel atom by atom off the straddling atoms (an
+        # atom inside A has the same max in A as overall, so the same bits):
+        # only a straddling atom that underflowed to 0 can hide
+        return AdditivityCheck(ok=True if exact else None, residual=0.0)
+    return AdditivityCheck(ok=False, residual=total / -math.fsum(memoryview(parts[2::3].ravel())))
 
 
 def check_df_factorization(measure: ExponentMeasure,
-                           part: Bipartition) -> tuple[bool, np.ndarray | None]:
-    """Check that the induced df factorizes: F(x) = F_A(x_A) * F_C(x_C).
+                           part: Bipartition) -> tuple[bool | None, dict]:
+    """Compare the induced df F with ``F_A * F_C`` at one point ``t * 1``.
 
-    The points are those of `default_grid`, none with a zero coordinate: at
-    such a point F is 0 on both sides when every coordinate is charged.
-    Returns ``(ok, witness)``.
+    Returns ``(ok, witness)``: ``ok`` is False when they differ by more than
+    the comparison's rounding bound and None ("below resolution")
+    otherwise, since floating point can show the factorization fail, never
+    hold.  The witness holds the ``difference`` ``F - F_A * F_C``, its
+    ``bound`` and the ``point`` ``t * 1``, with t a power of two near
+    ``exponent(1)``, so ``exponent(t * 1)`` is in [0.5, 1) and nothing
+    underflows.
     """
     check_dimension(part, measure.d)
-    df = _full_exponents(measure)[1]
-    ok, _, witness = _worst(_df_differences(df, _split_sum(measure, part)), measure.d)
-    return ok, witness
+    return _df(*_point_terms(measure, part), measure.d)
 
 
-def _additivity_residuals(lam, lam_sum):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(lam - lam_sum) / (1.0 + np.abs(lam))
-
-
-def _df_differences(df, lam_sum):
-    # df is exp(-lam), which `_full_exponents` keeps per measure
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(df - np.exp(-lam_sum)) / (1.0 + df)
-
-
-def _worst(defects: np.ndarray, d: int) -> tuple[bool, float, np.ndarray | None]:
-    """``(ok, largest defect, its point of `default_grid` unless ok)`` of the
-    grid ``defects`` against ``ADDITIVITY_TOL``.  A NaN defect, where the
-    exponent overflowed to +inf on both sides, decides nothing and is
-    skipped; a grid of NaN defects only fails."""
-    worst = int(np.argmax(np.where(np.isnan(defects), -np.inf, defects)))
-    ok = bool(defects[worst] <= ADDITIVITY_TOL)
-    return ok, float(defects[worst]), None if ok else default_grid(d)[worst].copy()
-
-
-#: ``(exponent, exp(-exponent))`` on `default_grid`, read-only, per live
-#: measure; an entry goes when its measure is freed
-_FULL_EXPONENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _full_exponents(measure: ExponentMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """``(exponent, exp(-exponent))`` of ``measure`` on `default_grid`.
-
-    Computed by the first call on a measure and kept read-only in
-    `_FULL_EXPONENTS` (33 KB each at 4160 grid rows) until the measure is
-    freed: every later `full_report`, `check_additivity` and
-    `check_df_factorization` on that measure reads it back.  Nothing else
-    is kept between calls, so reports on one measure share no writable
-    memory and may run concurrently; threads that meet a cold cache each
-    compute the same bits, and the last one stores them.  A value beyond
-    the float range is +inf, without a warning.
-    """
-    full = _FULL_EXPONENTS.get(measure)
-    if full is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            lam = _exponent(measure, list(range(measure.d)), default_grid(measure.d))
-            full = lam, np.exp(-lam)
-        for array in full:
-            array.flags.writeable = False
-        _FULL_EXPONENTS[measure] = full
-    return full
-
-
-def _split_sum(measure: ExponentMeasure, part: Bipartition) -> np.ndarray:
-    """``exponent_A + exponent_C`` at every point of `default_grid`.
-
-    Each block exponent is a sum over the measure's own atoms (`_exponent`
-    over the block's columns; an atom off the block adds 0), dropped after
-    the sum (kept, all 2 * (2**(d-1) - 1) block vectors of a certification
-    at d=10 would hold 34 MB).  It is evaluated once per distinct point of
-    the block's projection and spread back over the grid: the grid's tensor
-    part varies only its last k = min(d, 6) coordinates, so a block holding
-    j of them sees 4**j distinct tensor points, plus the 64 random rows
-    (`_projected_rows`).  The values are bit-identical to a full-grid
-    evaluation.  A value beyond the float range is +inf, without a warning.
-    """
-    grid = default_grid(measure.d)
-    first, k = _grid_layout(measure.d)
-    exponents = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block, mask in ((part.a_sorted, part.a_mask), (part.c_sorted, part.c_mask)):
-            rows, spread = _projected_rows(k, mask >> first)
-            # the projected rows are gathered F-ordered, as a column gather
-            # of the C-ordered grid is, which fixes how BLAS sums each row
-            points = grid.take(rows, axis=0).T.take(list(block), axis=0).T
-            exponents.append(_exponent(measure, list(block), points).take(spread))
-        return exponents[0] + exponents[1]
-
-
-def _exponent(measure: ExponentMeasure, cols: list[int], points: np.ndarray) -> np.ndarray:
-    """Exponent of the ``cols`` marginal at each row of ``points``: the
-    kernel over the column-major gather ``omega[:, cols]``, which it reads a
-    coordinate at a time, with the same bits as row-major directions."""
-    return _ratio_kernel(measure.omega_matrix[:, cols], measure.mass_vector, points, np.maximum)
+def _df(mass, block_max, shift, top: int, d: int) -> tuple[bool | None, dict]:
+    # exponent_A(1), exponent_C(1) and exponent(1) over 2**top: sums of n = J
+    # nonnegative products, each within gamma_n (Higham, eq. 3.5); a mass
+    # rounded by its shift adds far less
+    sums = block_max @ np.ldexp(mass, shift)
+    _, sigma = math.frexp(sums[2])
+    # homogeneity: exponent(t * 1) == exponent(1) / t exactly, t = 2**(top + sigma)
+    lam_a, lam_c, lam = np.ldexp(sums, -sigma).tolist()
+    joint, product = math.exp(-lam), math.exp(-lam_a) * math.exp(-lam_c)
+    difference = joint - product
+    # each exponent within gamma_n, each exp within one ulp (2u), the product
+    # and difference rounded once; the factor 2 covers second-order terms
+    gamma = mass.size * _U / (1.0 - mass.size * _U)
+    bound = (joint + product) * (2.0 * gamma * (lam + lam_a + lam_c) + 6.0 * _U) \
+        + _U * abs(difference)
+    t = math.inf if top + sigma > 1023 else math.ldexp(1.0, top + sigma)
+    witness = {"difference": difference, "bound": bound, "point": [t] * d}
+    return (False if abs(difference) > bound else None), witness
 
 
 def check_mixed_margins(
@@ -280,8 +241,7 @@ def joint_exceedance_mass(measure: ExponentMeasure, part: Bipartition, x) -> flo
     ``z_c > x_c`` for some c in C.  On a ray it is a radial tail, giving
     ``sum_j mass_j * min(max_A omega_ja/x_a, max_C omega_jc/x_c)``.  The
     value is also the additivity defect ``exponent_A + exponent_C -
-    exponent``, which makes it the exact certificate behind the numeric
-    additivity check.
+    exponent``, whose sign at x = 1 `check_additivity` sums exactly.
     """
     check_dimension(part, measure.d)
     ratios = measure.omega_matrix / _check_positive_point(measure, x)
@@ -317,15 +277,17 @@ def face_interior_mass(measure: ExponentMeasure, coords: Iterable[int],
 class IndependenceReport:
     """All five independence verdicts for one (measure, bipartition) pair.
 
-    ``agree`` is True when the five booleans coincide; ``witnesses`` holds
-    one entry per failing check.  Atom indices are 0-based; `to_dict`
-    renders coordinates 1-based for the serialized form.
+    A numeric verdict (``cond_ii``, ``df``) is None when rounding cannot
+    decide it; ``undecided`` names those.  ``agree`` is True when the
+    decided verdicts coincide; ``witnesses`` holds one entry per failing
+    check.  Atom indices are 0-based; `to_dict` renders coordinates 1-based
+    for the serialized form.
     """
 
     cond_i: bool
-    cond_ii: bool
+    cond_ii: bool | None
     cond_iii: bool
-    df: bool
+    df: bool | None
     new_notion: bool
     agree: bool
     witnesses: dict
@@ -334,6 +296,16 @@ class IndependenceReport:
     def independent(self) -> bool:
         """The headline verdict (meaningful when ``agree`` is True)."""
         return self.cond_i
+
+    @property
+    def flags(self) -> dict:
+        """The five verdicts by name, in report order."""
+        return {name: getattr(self, name) for name in _CRITERIA}
+
+    @property
+    def undecided(self) -> list[str]:
+        """The criteria that rounding left undecided, in report order."""
+        return [name for name, flag in self.flags.items() if flag is None]
 
     def to_dict(self) -> dict:
         witnesses = {}
@@ -344,25 +316,18 @@ class IndependenceReport:
             if "k" in value:
                 value["k"] = value["k"] + 1
             witnesses[key] = value
-        return {
-            "cond_i": self.cond_i,
-            "cond_ii": self.cond_ii,
-            "cond_iii": self.cond_iii,
-            "df": self.df,
-            "new_notion": self.new_notion,
-            "agree": self.agree,
-            "witnesses": witnesses,
-        }
+        return {**self.flags, "agree": self.agree, "undecided": self.undecided,
+                "witnesses": witnesses}
 
 
 def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceReport:
     """Run every independence check and collect the verdicts.
 
-    The two numeric criteria share one evaluation of the block exponents on
-    `default_grid`; the full exponent is computed once per measure and
-    reused by every later report on it (`_full_exponents`).  Never raises on
-    disagreement; the ``agree`` flag and the witnesses carry the evidence
-    either way.
+    The two numeric criteria read one set of scaled per-atom block maxima
+    at the point 1 (`_point_terms`), and then decide separately: additivity
+    from an exact sum, the df from a floating-point comparison at ``t * 1``.
+    Nothing is kept between calls.  Never raises on disagreement; the
+    ``agree`` flag and the witnesses carry the evidence either way.
     """
     check_dimension(part, measure.d)
     witnesses: dict = {}
@@ -371,33 +336,32 @@ def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceRepo
     if not support_ok:
         witnesses["cond_i"] = {"atom": support_witness}
 
-    lam, df = _full_exponents(measure)
-    lam_sum = _split_sum(measure, part)
-    cond_ii, residual, point = _worst(_additivity_residuals(lam, lam_sum), measure.d)
-    if not cond_ii:
-        witnesses["cond_ii"] = {"residual": residual, "point": point.tolist()}
+    terms = _point_terms(measure, part)
+    additivity = _additivity(*terms[:3])
+    if additivity.ok is False:
+        witnesses["cond_ii"] = {"residual": additivity.residual, "point": [1.0] * measure.d}
 
     mixed_ok, mixed_witness = check_mixed_margins(measure, part)
     if not mixed_ok:
         witnesses["cond_iii"] = {"subset": sorted(mixed_witness)}
 
-    df_ok, difference, point = _worst(_df_differences(df, lam_sum), measure.d)
-    if not df_ok:
-        witnesses["df"] = {"difference": difference, "point": point.tolist()}
+    df_ok, df_witness = _df(*terms, measure.d)
+    if df_ok is False:
+        witnesses["df"] = df_witness
 
     factorization = conditional_factorization(measure, part)
     if not factorization.holds:
         k = int(np.argmin(factorization.ok))
         witnesses["new_notion"] = {"k": k, "atom": int(factorization.atom[k])}
 
-    flags = (support_ok, cond_ii, mixed_ok, df_ok, factorization.holds)
+    flags = (support_ok, additivity.ok, mixed_ok, df_ok, factorization.holds)
     return IndependenceReport(
         cond_i=support_ok,
-        cond_ii=cond_ii,
+        cond_ii=additivity.ok,
         cond_iii=mixed_ok,
         df=df_ok,
         new_notion=factorization.holds,
-        agree=len(set(flags)) == 1,
+        agree=len(set(flags) - {None}) == 1,
         witnesses=witnesses,
     )
 
@@ -409,7 +373,7 @@ def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceRepo
 class BatteryResult:
     """Aggregate outcome of `agreement_battery`.
 
-    ``disagreements`` lists every (trial, blocks, flags) where the five
+    ``disagreements`` lists every (trial, blocks, flags) where the decided
     verdicts failed to coincide; ``block_failures`` lists block-structured
     trials whose generating bipartition was not certified independent;
     ``notion_mismatches`` counts instances where the support criterion and
@@ -455,8 +419,8 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
     ``n_atoms`` atoms; every even-numbered trial is block structured along
     a random bipartition.  All bipartitions are tested for d <= 4,
     otherwise 10 random ones (plus, for block trials, the generating
-    split).  Each trial's reports share one full exponent on the grid,
-    computed once per measure.  Deterministic in ``seed``.
+    split).  A block failure is a generating split that some decided
+    criterion calls dependent.  Deterministic in ``seed``.
     """
     from .measure import random_measure
     from .partition import all_bipartitions, random_bipartition
@@ -490,14 +454,13 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
         for part in parts:
             rep = full_report(measure, part)
             instances += 1
-            flags = {"cond_i": rep.cond_i, "cond_ii": rep.cond_ii,
-                     "cond_iii": rep.cond_iii, "df": rep.df,
-                     "new_notion": rep.new_notion}
             if not rep.agree:
-                disagreements.append((t, part.a, part.c, flags))
+                disagreements.append((t, part.a, part.c, rep.flags))
             if rep.cond_i != rep.new_notion:
                 notion_mismatches += 1
-            if generating is not None and part == generating and not all(flags.values()):
+            # only a decided criterion can fail to certify the generating split
+            if generating is not None and part == generating \
+                    and False in rep.flags.values():
                 block_failures.append((t, part.a, part.c))
 
     return BatteryResult(

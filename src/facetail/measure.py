@@ -385,16 +385,23 @@ def standardize(measure: ExponentMeasure) -> ExponentMeasure:
     """Rescale coordinates so every marginal mass equals 1.
 
     Each direction entry is divided by its coordinate's marginal mass and
-    masses are untouched.  Faces are preserved unless the division shrinks
-    an entry to ``ZERO_TOL`` of its direction's largest entry or below:
-    the zero-snap then drops it, and its share of the margin with it.
-    Requires a valid measure (in particular no dead coordinate, so every
-    ``m_i`` is positive).
+    masses are untouched, so every face is kept: a division that would
+    shrink an entry to ``ZERO_TOL`` of its direction's largest entry or
+    below, where the zero-snap would drop it from its face, raises
+    ValueError naming the atom and the coordinate.  Requires a valid
+    measure (in particular no dead coordinate, so every ``m_i`` is positive).
     """
     m = margins(measure)
     if np.any(~np.isfinite(m)) or np.any(m <= 0.0):
         raise ValueError("standardize needs strictly positive marginal masses")
-    return ExponentMeasure(measure.d, measure.omega_matrix / m, measure.mass_vector)
+    snapped = measure.omega_matrix / m
+    _snap_zeros(snapped)
+    lost = np.argwhere((measure.omega_matrix > 0.0) & (snapped == 0.0))
+    if lost.size:
+        j, i = lost[0].tolist()
+        raise ValueError(f"standardize would snap atom {j}'s entry at coordinate {i} to 0, "
+                         f"removing coordinate {i} from its face")
+    return ExponentMeasure(measure.d, snapped, measure.mass_vector)
 
 
 def is_standardized(measure: ExponentMeasure) -> bool:
@@ -493,6 +500,26 @@ def measure_from_dict(data: dict) -> ExponentMeasure:
     raw_atoms = data["atoms"]
     if not isinstance(raw_atoms, list):
         raise MeasureFormatError('"atoms" must be a list')
+    # one type scan per atom, then one vectorised value check; the walk
+    # entry by entry runs only when these find a problem, to name it
+    omegas, masses = [], []
+    for entry in raw_atoms:
+        if type(entry) is not dict or entry.keys() != {"omega", "mass"} \
+                or type(entry["omega"]) is not list or len(entry["omega"]) != d \
+                or type(entry["mass"]) not in (int, float) \
+                or not set(map(type, entry["omega"])) <= {int, float}:
+            return _walk_atoms(raw_atoms, d)
+        omegas.append(entry["omega"])
+        masses.append(entry["mass"])
+    omega, mass = np.array(omegas, dtype=float), np.array(masses, dtype=float)
+    if np.all(np.isfinite(omega) & (omega >= 0.0)) and np.all(np.isfinite(mass) & (mass >= 0.0)):
+        return ExponentMeasure(d, omega, mass)
+    return _walk_atoms(raw_atoms, d)
+
+
+def _walk_atoms(raw_atoms: list, d: int) -> ExponentMeasure:
+    """`measure_from_dict`'s atoms checked entry by entry, raising at the first
+    bad atom and entry; numbers the type scan skips (numpy scalars) pass."""
     omegas, masses = [], []
     for j, entry in enumerate(raw_atoms):
         if not isinstance(entry, dict) or set(entry.keys()) != {"omega", "mass"}:

@@ -26,8 +26,10 @@ from .measure import ExponentMeasure, _row_blocks, require_valid
 
 RNG_ID = "philox4x64"
 
-#: rows per string-format block in `save_batch`
-SAVE_ROWS = 4096
+#: rows per drawn and string-formatted block in `save_batch` and
+#: `write_samples`: 4096-row blocks made glibc trim and re-fault its heap
+#: on every block, 1024-row blocks reuse their pages
+SAVE_ROWS = 1024
 
 _KIND_MAX_STABLE = "max_stable"
 _KIND_CONDITIONAL = "conditional"
@@ -99,22 +101,15 @@ def _batch_key(seed: int, kind: str, k: int | None) -> np.ndarray:
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
-def _open_uniform(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # top 53 bits, centered: values in (0, 1) strictly; the words are shifted
-    # in place and out takes the conversion, the offset and the scale
-    np.right_shift(words, np.uint64(11), out=words)
-    np.copyto(out, words, casting="unsafe")
-    out += 0.5
-    out *= 2.0 ** -53
+def _uniforms(key: np.ndarray, ticks: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Open uniforms of samples ``start, start + 1, ...`` into the rows of
+    ``out``, C-ordered (rows, 4 * t): sample i owns ticks ``[i * t, (i + 1)
+    * t)``, and each 64-bit word w gives ``((w >> 11) + 1/2) * 2**-53``, which
+    is Philox's double ``(w >> 11) * 2**-53`` plus 2**-54, rounded alike."""
+    bits = np.random.Philox(key=key, counter=start * ticks)
+    np.random.Generator(bits).random(out=out)
+    out += 2.0 ** -54
     return out
-
-
-def _sample_words(key: np.ndarray, ticks_per_sample: int,
-                  start: int, stop: int, words_per_sample: int) -> np.ndarray:
-    # rows = samples [start, stop); sample i owns ticks [i*t, (i+1)*t)
-    bg = np.random.Philox(key=key, counter=start * ticks_per_sample)
-    raw = bg.random_raw(_WORDS_PER_TICK * ticks_per_sample * (stop - start))
-    return raw.reshape(stop - start, _WORDS_PER_TICK * ticks_per_sample)[:, :words_per_sample]
 
 
 def _largest(blocks) -> int:
@@ -156,7 +151,7 @@ def _sample(measure: ExponentMeasure, k: int | None, n: int, seed: int) -> Sampl
 def _row_function(measure: ExponentMeasure, k: int | None, n: int, seed: int):
     """Check a draw of n samples, max-stable for k None and conditional at k
     otherwise, before any row exists; return its kind and its row function
-    ``(start, stop) -> rows``."""
+    ``(start, stop, out=None) -> rows``."""
     if k is None:
         require_valid(measure)
         kind, rows = _KIND_MAX_STABLE, partial(_max_stable_rows, measure, seed)
@@ -169,41 +164,50 @@ def _row_function(measure: ExponentMeasure, k: int | None, n: int, seed: int):
     return kind, rows
 
 
-def _max_stable_rows(measure: ExponentMeasure, seed: int, start: int, stop: int) -> np.ndarray:
+def _max_stable_rows(measure: ExponentMeasure, seed: int, start: int, stop: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Samples ``[start, stop)``, into ``out`` when given."""
     # row blocks bound every temporary; Philox makes them chunk-invariant
     n_atoms = measure.n_atoms
     key = _batch_key(seed, _KIND_MAX_STABLE, None)
     ticks = max(1, math.ceil(n_atoms / _WORDS_PER_TICK))
-    # rays coordinate-major, so each coordinate's row is contiguous
-    rays = np.ascontiguousarray((measure.omega_matrix * measure.mass_vector[:, None]).T)
-    out = np.empty((stop - start, measure.d))
+    width = _WORDS_PER_TICK * ticks
+    # rays coordinate-major, so each coordinate's row is contiguous, and
+    # padded with zero rays to all of a sample's words: every array below is
+    # contiguous, and a zero ratio never wins the max over nonnegative ones
+    rays = np.zeros((measure.d, width))
+    rays[:, :n_atoms] = (measure.omega_matrix * measure.mass_vector[:, None]).T
+    out = np.empty((stop - start, measure.d)) if out is None else out
     blocks = _row_blocks(stop - start, n_atoms)
-    # one buffer of exponentials and one division buffer, shared by every block
-    size = _largest(blocks) * n_atoms
+    # one buffer of uniforms and one division buffer, shared by every block
+    size = _largest(blocks) * width
     work = np.empty(2 * size)
     for lo, hi in blocks:
-        words = _sample_words(key, ticks, start + lo, start + hi, n_atoms)
-        exponentials = _open_uniform(words, work[:words.size].reshape(words.shape))
+        exponentials = work[:(hi - lo) * width].reshape(-1, width)
+        _uniforms(key, ticks, start + lo, exponentials)
         np.log(exponentials, out=exponentials)
-        np.negative(exponentials, out=exponentials)  # (rows, n_atoms), finite positive
-        ratio = work[size:size + words.size].reshape(words.shape)
+        np.negative(exponentials, out=exponentials)  # (rows, width), finite positive
+        ratio = work[size:size + exponentials.size].reshape(exponentials.shape)
         for i in range(measure.d):
             np.max(np.divide(rays[i], exponentials, out=ratio), axis=1, out=out[lo:hi, i])
     return out
 
 
-def _conditional_rows(law: ConditionalLaw, seed: int, start: int, stop: int) -> np.ndarray:
+def _conditional_rows(law: ConditionalLaw, seed: int, start: int, stop: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Samples ``[start, stop)``, into ``out`` when given."""
     # row blocks bound every temporary, as in `_max_stable_rows`
     key = _batch_key(seed, _KIND_CONDITIONAL, law.k)
     cum = np.cumsum(law.weights)
     cum[-1] = 1.0  # guard the last bin against accumulated roundoff
     atoms = np.array(law.atom_indices, dtype=int)
     omega = law.measure.omega_matrix
-    out = np.empty((stop - start, law.measure.d))
+    out = np.empty((stop - start, law.measure.d)) if out is None else out
     blocks = _row_blocks(stop - start, law.measure.d)
-    u = np.empty((_largest(blocks), 2))  # one buffer of uniforms for every block
+    # one buffer of uniforms for every block: one tick per sample, two words used
+    u = np.empty((_largest(blocks), _WORDS_PER_TICK))
     for lo, hi in blocks:
-        uniforms = _open_uniform(_sample_words(key, 1, start + lo, start + hi, 2), u[:hi - lo])
+        uniforms = _uniforms(key, 1, start + lo, u[:hi - lo])
         choice = np.searchsorted(cum, uniforms[:, 0], side="left")
         radius = law.r_min[choice] / uniforms[:, 1]
         np.take(omega, atoms[choice], axis=0, out=out[lo:hi])
@@ -248,14 +252,17 @@ def write_samples(measure: ExponentMeasure, n: int, seed: int, csv_path,
     writes, or for a k ``sample_conditional(measure, k, n, seed)``, without
     ever holding the batch; return the sidecar metadata.
 
-    Rows ``[lo, lo + SAVE_ROWS)`` are drawn and written one block at a
-    time.  Sample i owns a fixed slice of the Philox stream, so the blocks
-    are the batch's rows bit for bit and memory does not grow with n.
+    Rows ``[lo, lo + SAVE_ROWS)`` are drawn into one reused output block
+    and written one block at a time.  Sample i owns a fixed slice of the
+    Philox stream, so the blocks are the batch's rows bit for bit and
+    memory does not grow with n.
     """
     kind, rows = _row_function(measure, k, n, seed)
     meta = _metadata(kind, None if k is None else int(k), n, int(seed))
+    block = np.empty((min(n, SAVE_ROWS), measure.d))  # one output block for the stream
     _write_csv(csv_path, measure.d,
-               (rows(lo, min(lo + SAVE_ROWS, n)) for lo in range(0, n, SAVE_ROWS)), meta)
+               (rows(lo, min(lo + SAVE_ROWS, n), out=block[:n - lo])
+                for lo in range(0, n, SAVE_ROWS)), meta)
     return meta
 
 

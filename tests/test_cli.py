@@ -93,8 +93,9 @@ def test_check_independent_split(capsys, measure_file):
     assert code == 0
     payload = json.loads(out)
     assert payload["agree"] is True
-    assert all(payload[k] is True for k in
-               ("cond_i", "cond_ii", "cond_iii", "df", "new_notion"))
+    assert all(payload[k] is True for k in ("cond_i", "cond_ii", "cond_iii", "new_notion"))
+    # floating point cannot show the df factorize: null, and listed
+    assert payload["df"] is None and payload["undecided"] == ["df"]
     assert payload["witnesses"] == {}
 
 
@@ -138,25 +139,55 @@ def test_check_rejects_malformed_coords(capsys, measure_file):
 
 
 def test_check_overflow_prints_strict_json_and_no_warnings(tmp_path, child_env):
-    # the exponent overflows to +inf, from a huge mass or from a huge omega
-    # over a small grid coordinate: no numpy warning on stderr, and an
-    # infinite residual is the string "inf", not the non-JSON Infinity
+    # exponents near or past the float range, from a huge mass or a huge
+    # omega: no numpy warning on stderr, and the df point t * 1, past the
+    # range when exponent(1) is, is the string "inf", not the non-JSON Infinity
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
 
-    residuals = []
+    points = []
     for name, atom in (("huge_mass", {"omega": [1, 1], "mass": 1e308}),
-                       ("huge_omega", {"omega": [1e308, 1e308], "mass": 1e-308})):
+                       ("huge_omega", {"omega": [1e308, 1e308], "mass": 1e-308}),
+                       ("past_range", {"omega": [1e308, 1e308], "mass": 1e10})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"d": 2, "atoms": [atom]}))
         proc = subprocess.run(
             [sys.executable, "-m", "facetail", "check", str(path), "--A", "1", "--C", "2"],
             capture_output=True, text=True, env=child_env)
         payload = json.loads(proc.stdout, parse_constant=reject)
-        assert proc.stderr == ""
-        residuals.append(payload["witnesses"]["cond_ii"]["residual"])
-    # the huge omega overflows only below the grid point (1, 1), which decides
-    assert residuals[0] == "inf" and 0.49 < residuals[1] < 0.51
+        assert proc.stderr == "" and proc.returncode == 3
+        # one atom on both coordinates: the defect at 1 is all of exponent(1)
+        assert payload["witnesses"]["cond_ii"] == {"residual": 1.0, "point": [1.0, 1.0]}
+        points.append(payload["witnesses"]["df"]["point"][0])
+    # exponent(1) is 1e308 (t = 2**1024), 1 - 2**-53 (t = 1) and 1e318
+    assert points == ["inf", 1.0, "inf"]
+
+
+#: measures that once made `check` exit 4: (a) a defect below a fixed
+#: tolerance, (b) exp(-exponent) underflowing to 0 on both sides, (c) a
+#: defect below double resolution, (d) an exponent past the float range
+#: and (e) an unstandardized measure with a relative defect of 1e-14
+ONE_POINT_CASES = {
+    "a": ([[1, 1, 0], [0, 0, 1], [1e-3, 0, 1e-3]], [1, 1, 1e-8], "1,2", "3", 3),
+    "b": ([[1, 1]], [1e4], "1", "2", 3),
+    "c": ([[1, 1, 0], [0, 0, 1], [1, 0, 1]], [1, 1, 1e-20], "1,2", "3", 3),
+    "d": ([[1e308, 0], [0, 1e308]], [1e10, 1e10], "1", "2", 0),
+    "e": ([[1e-6, 1], [1, 0]], [1, 1e8], "1", "2", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_POINT_CASES))
+def test_check_decides_valid_measures_without_disagreement(capsys, tmp_path, case):
+    omega, mass, a, c, expected = ONE_POINT_CASES[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps({"d": len(omega[0]), "atoms": [
+        {"omega": row, "mass": w} for row, w in zip(omega, mass)]}))
+    code, out, _ = run_cli(capsys, "check", str(path), "--A", a, "--C", c)
+    payload = json.loads(out)
+    assert code == expected and payload["agree"] is True
+    # the exact additivity sum decides every case; only the df may be undecided
+    assert payload["cond_ii"] is (expected == 0)
+    assert set(payload["undecided"]) <= {"df"}
 
 
 def test_check_output_is_byte_stable(capsys, measure_file):

@@ -1,26 +1,23 @@
-"""How reports evaluate exponents, against the per-report code it replaced.
+"""How reports decide the numeric criteria: at one point, never on a grid.
 
-Every `full_report`, `check_additivity` and `check_df_factorization` on a
-measure reads one full exponent on `default_grid`, computed by the first
-of them (`_full_exponents`) and freed with the measure, and evaluates each
-block exponent over the measure's own columns, only at the distinct points
-of the block's projection (`_split_sum`).  Reports on one measure share no
-writable memory, so they may run concurrently.  The ``oracle_*`` functions
-below are full-grid evaluations and the per-report code built on them;
-reports must equal the column-subset oracle bit for bit, and the earlier
-split through `marginalize`, which re-canonicalises each block, to within
-the rounding of its sums.  The grid has no zero coordinate, and a property
-test shows that such points could decide nothing.
+`full_report`, `check_additivity` and `check_df_factorization` read the
+measure's atoms at the point 1 only.  Additivity is the sign of the exact
+defect ``exponent_A(1) + exponent_C(1) - exponent(1)``; the ``oracle_*``
+functions below sum the three exponents in exact rational arithmetic
+(`fractions.Fraction`) and evaluate the df comparison at 60 digits
+(`decimal`), so the report must match the first exactly and the second
+within the rounding bound it states.  Reports keep nothing between calls,
+so they may run concurrently.
 """
 
-import gc
 import inspect
 import itertools
 import subprocess
 import sys
 import threading
 import tracemalloc
-import weakref
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,83 +27,31 @@ from hypothesis import strategies as st
 import facetail as ft
 import facetail.independence as independence
 import facetail.measure as measure_module
-from facetail.conditional import conditional_factorization
-from facetail.independence import (
-    ADDITIVITY_TOL,
-    IndependenceReport,
-    _full_exponents,
-    _split_sum,
-    check_mixed_margins,
-    check_support,
-)
-from facetail.measure import _ratio_kernel, exponent_function_grid, marginalize
+from facetail.measure import marginalize
 
 MB = 2**20
+EPS = np.finfo(float).eps
 
 
-def oracle_column_split(measure, part, grid):
-    # one pass shared by the additivity and df checks: each block exponent
-    # over the whole grid and the measure's own columns of the block
-    lam_a, lam_c = (_ratio_kernel(measure.omega_matrix[:, list(block)], measure.mass_vector,
-                                  grid[:, list(block)], np.maximum)
-                    for block in (part.a_sorted, part.c_sorted))
-    return exponent_function_grid(measure, grid), lam_a + lam_c
+def oracle_exponents(measure, part):
+    """``exponent_A(1)``, ``exponent_C(1)`` and ``exponent(1)``, each an
+    exact sum over the measure's atoms (an atom off a block adds 0)."""
+    omega, mass = measure.omega_matrix.tolist(), measure.mass_vector.tolist()
+
+    def exponent(cols):
+        return sum((Fraction(w) * Fraction(max(row[i] for i in cols))
+                    for row, w in zip(omega, mass)), Fraction(0))
+
+    return exponent(part.a_sorted), exponent(part.c_sorted), exponent(range(measure.d))
 
 
-def oracle_split_exponents(measure, part, grid):
-    # the same through the block marginals, which drop the atoms that miss
-    # the block and merge the rest anew, so the sums round differently
-    lam_a, lam_c = (exponent_function_grid(marginalize(measure, block), grid[:, list(block)])
-                    for block in (part.a_sorted, part.c_sorted))
-    return exponent_function_grid(measure, grid), lam_a + lam_c
-
-
-def within_ulps(got, want, ulps):
-    return bool(np.all((got == want) | (np.abs(got - want) <= ulps * np.spacing(np.abs(want)))))
-
-
-def oracle_full_report(measure, part):
-    grid = ft.default_grid(measure.d)
-
-    support_ok, support_witness = check_support(measure, part)
-
-    lam, lam_sum = oracle_column_split(measure, part, grid)
-    add_residuals = np.abs(lam - lam_sum) / (1.0 + np.abs(lam))
-    df_diffs = np.abs(np.exp(-lam) - np.exp(-lam_sum)) / (1.0 + np.exp(-lam))
-
-    witnesses: dict = {}
-    if not support_ok:
-        witnesses["cond_i"] = {"atom": support_witness}
-
-    cond_ii = not (add_residuals.max() > ADDITIVITY_TOL)
-    if not cond_ii:
-        witnesses["cond_ii"] = {"residual": float(add_residuals.max()),
-                                "point": grid[int(np.argmax(add_residuals))].tolist()}
-
-    mixed_ok, mixed_witness = check_mixed_margins(measure, part)
-    if not mixed_ok:
-        witnesses["cond_iii"] = {"subset": sorted(mixed_witness)}
-
-    df_ok = not (df_diffs.max() > ADDITIVITY_TOL)
-    if not df_ok:
-        witnesses["df"] = {"difference": float(df_diffs.max()),
-                           "point": grid[int(np.argmax(df_diffs))].tolist()}
-
-    factorization = conditional_factorization(measure, part)
-    if not factorization.holds:
-        k = int(np.flatnonzero(~factorization.ok)[0])
-        witnesses["new_notion"] = {"k": k, "atom": int(factorization.atom[k])}
-
-    flags = (support_ok, cond_ii, mixed_ok, df_ok, factorization.holds)
-    return IndependenceReport(
-        cond_i=support_ok,
-        cond_ii=cond_ii,
-        cond_iii=mixed_ok,
-        df=df_ok,
-        new_notion=factorization.holds,
-        agree=len(set(flags)) == 1,
-        witnesses=witnesses,
-    )
+def oracle_df_difference(exponents, t):
+    """``F(t * 1) - F_A(t * 1) * F_C(t * 1)`` at 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam_a, lam_c, lam = (Decimal(f.numerator) / Decimal(f.denominator) / Decimal(t)
+                             for f in exponents)
+        return (-lam).exp() - (-lam_a).exp() * (-lam_c).exp()
 
 
 def split_of_mask(d, a_mask):
@@ -139,31 +84,42 @@ def measures(draw, d_min, d_max, max_atoms):
 
 @settings(max_examples=60, deadline=None)
 @given(measures(2, 10, 40), st.data())
-def test_plan_reports_equal_the_per_report_split_bit_for_bit(drawn, data):
+def test_reports_decide_as_the_exact_defect(drawn, data):
     m, a_mask = drawn
     d = m.d
     masks = data.draw(st.lists(st.integers(1, 2 ** d - 2), min_size=1, max_size=6))
     if a_mask is not None:
         masks.append(a_mask)
-    parts = data.draw(st.permutations([split_of_mask(d, mask) for mask in masks]))
-    grid = ft.default_grid(d)
-    for part in parts:
-        assert ft.full_report(m, part).to_dict() == oracle_full_report(m, part).to_dict()
-        # to_dict hides the residual bits of an independent split
-        split = _full_exponents(m)[0], _split_sum(m, part)
-        for got, want in zip(split, oracle_column_split(m, part, grid)):
-            assert np.array_equal(got, want)
-        # the marginals' sums run over other atoms in another order: two
-        # sums of at most J nonnegative terms each, a few ulps for the merges
-        lam, lam_sum = oracle_split_exponents(m, part, grid)
-        assert np.array_equal(split[0], lam)
-        assert within_ulps(split[1], lam_sum, 2 * m.n_atoms + 8)
+    for part in [split_of_mask(d, mask) for mask in masks]:
+        report = ft.full_report(m, part)
+        lam_a, lam_c, lam = exponents = oracle_exponents(m, part)
+        defect = lam_a + lam_c - lam
+        # products within 1e30 of each other never underflow after scaling
+        assert report.cond_ii == (defect == 0) == report.cond_i
+        additivity = ft.check_additivity(m, part)
+        assert additivity.ok == report.cond_ii
+        # the defect and exponent(1) are each rounded once, then divided
+        want = float(defect / lam)
+        assert abs(additivity.residual - want) <= 2 * EPS * want
+        if defect:
+            assert report.witnesses["cond_ii"] == {"residual": additivity.residual,
+                                                   "point": [1.0] * d}
+        # floating point can show the df factorization fail, never hold,
+        # and the stated bound covers the difference's rounding
+        df_ok, witness = ft.check_df_factorization(m, part)
+        assert df_ok == report.df and df_ok in (False, None)
+        assert df_ok is None or defect > 0
+        t = witness["point"][0]
+        assert witness["point"] == [t] * d and 0.5 <= float(lam) / t < 1.0
+        error = Decimal(witness["difference"]) - oracle_df_difference(exponents, t)
+        assert abs(error) <= Decimal(witness["bound"])
+        assert report.agree
 
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_default_grid_is_the_truncated_lex_product(d):
-    # the layout _split_sum relies on: the lex-first 4096 rows of the product,
-    # so only the last min(d, 6) coordinates vary, then the random rows
+    # the lex-first 4096 rows of the product, so only the last min(d, 6)
+    # coordinates vary, then the random rows
     grid = ft.default_grid(d)
     tensor = np.array(list(itertools.islice(
         itertools.product(independence._GRID_AXIS, repeat=d), independence._GRID_CAP)))
@@ -171,16 +127,15 @@ def test_default_grid_is_the_truncated_lex_product(d):
         0.1, 10.0, size=(independence._GRID_RANDOM, d))
     assert np.array_equal(grid, np.vstack([tensor, random_part]))
     assert grid.flags.c_contiguous and not grid.flags.writeable
-    first, k = independence._grid_layout(d)
-    assert (first, k) == (d - min(d, 6), min(d, 6))
-    assert np.all(grid[:4 ** k, :first] == 0.5)
+    k = min(d, 6)
+    assert np.all(grid[:4 ** k, :d - k] == 0.5)
 
 
 @settings(max_examples=200, deadline=None)
 @given(measures(2, 6, 10), st.data())
 def test_boundary_points_decide_nothing(drawn, data):
-    # why the grid has no zero coordinate: with every coordinate charged,
-    # F(x) = 0 = F_A(x_A) * F_C(x_C) wherever x has one
+    # why the df is compared at a point with no zero coordinate: with every
+    # coordinate charged, F(x) = 0 = F_A(x_A) * F_C(x_C) wherever x has one
     m, _ = drawn
     d = m.d
     x = np.array([data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0, 1e-300, 1e300]))
@@ -209,7 +164,7 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_certification_evaluates_the_full_exponent_once(kernel_calls, monkeypatch):
+def test_reports_never_evaluate_the_grid(kernel_calls, monkeypatch):
     m = ft.random_measure(10, 16, seed=3)
     merges = []
     merge_rays = measure_module._merge_rays
@@ -225,55 +180,18 @@ def test_certification_evaluates_the_full_exponent_once(kernel_calls, monkeypatc
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one report per bipartition recomputed it 511 times; keeping every
-    # block exponent as well would add about 34 MB
-    assert sum(cols == m.d for cols, _ in kernel_calls) == 1
-    assert len(kernel_calls) == 1 + 2 * 511
-    # each block exponent at the distinct points of its projection only:
-    # 1022 blocks of 4160 rows were 4,251,520
-    assert sum(rows for cols, rows in kernel_calls if cols < m.d) == 311_800
-    assert peak < 4 * MB
-    # block exponents are sums over the measure's own atoms: no report
-    # builds a marginal measure, so none re-canonicalises one
-    assert merges == []
-
-
-def test_full_exponent_is_computed_once_per_measure(kernel_calls):
-    m = ft.random_measure(8, 40, seed=5)
-    dependent, other = ft.bipartition([0, 1, 2], [3, 4, 5, 6, 7]), ft.bipartition([0], range(1, 8))
-    reports = [ft.full_report(m, part).to_dict() for part in (dependent, other)]
-    additivity = ft.check_additivity(m, dependent)
-    df_ok, _ = ft.check_df_factorization(m, other)
-    assert [cols for cols, _ in kernel_calls].count(m.d) == 1
-    assert reports[0]["cond_ii"] == additivity.ok and reports[1]["df"] == df_ok
-    # the cached vectors are shared read-only, never handed out writable
-    lam, df = independence._FULL_EXPONENTS[m]
-    assert not lam.flags.writeable and not df.flags.writeable
-    assert _full_exponents(m)[0] is lam and _full_exponents(m)[1] is df
-    with pytest.raises(ValueError):
-        _full_exponents(m)[0][0] = 0.0
-    assert np.array_equal(df, np.exp(-exponent_function_grid(m, ft.default_grid(8))))
-
-
-def test_full_exponent_is_freed_with_its_measure():
-    # the cache holds a measure weakly, so memory stays bounded in the
-    # number of measures a process has seen
-    cache = independence._FULL_EXPONENTS
-    gc.collect()
-    before = len(cache)
-    m = ft.random_measure(8, 40, seed=6)
-    ft.full_report(m, ft.bipartition([0, 1], range(2, 8)))
-    assert len(cache) == before + 1
-    refs = [weakref.ref(m), *(weakref.ref(array) for array in cache[m])]
-    del m
-    gc.collect()
-    assert all(ref() is None for ref in refs) and len(cache) == before
+    part = ft.bipartition([0, 1, 2], range(3, 10))
+    ft.check_additivity(m, part)
+    ft.check_df_factorization(m, part)
+    # 511 reports at one point each: no kernel call over default_grid's 4160
+    # rows, no block exponent kept, no marginal measure built or merged
+    assert kernel_calls == [] and merges == []
+    assert peak < MB
 
 
 def test_concurrent_reports_on_one_measure():
-    # reports on one measure share only the read-only full exponent, so two
-    # threads racing through every bipartition, the cache cold at the start,
-    # each get what one thread gets alone on a fresh measure
+    # reports keep nothing between calls, so two threads racing through every
+    # bipartition each get what one thread gets alone on a fresh measure
     m = ft.random_measure(8, 40, seed=5)
     parts = list(ft.all_bipartitions(8))
     assert len(parts) == 127
@@ -303,9 +221,10 @@ def oracle_max_stable_rows(measure, seed, n):
     # the sampler before its row blocks, coordinate-major rays and in-place
     # buffers: one (n, J) temporary per coordinate, and the uniforms written
     # out here rather than taken from the code under test
-    from facetail.simulate import _batch_key, _sample_words
+    from facetail.simulate import _batch_key
     ticks = max(1, -(-measure.n_atoms // 4))
-    words = _sample_words(_batch_key(seed, "max_stable", None), ticks, 0, n, measure.n_atoms)
+    bits = np.random.Philox(key=_batch_key(seed, "max_stable", None), counter=0)
+    words = bits.random_raw(4 * ticks * n).reshape(n, 4 * ticks)[:, :measure.n_atoms]
     uniforms = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
     exponentials = -np.log(uniforms)
     rays = measure.omega_matrix * measure.mass_vector[:, None]
@@ -313,19 +232,16 @@ def oracle_max_stable_rows(measure, seed, n):
                     axis=1)
 
 
-SPLIT_HASH = """
+REPORT_HASH = """
 import hashlib
+import json
 import numpy as np
 import facetail as ft
-from facetail.independence import _full_exponents, _split_sum
-from facetail.measure import _ratio_kernel, exponent_function_grid
 from facetail.simulate import _max_stable_rows
-
-{oracle}
 
 {sampler_oracle}
 
-split_hash, oracle_hash = hashlib.sha256(), hashlib.sha256()
+report_hash, sample_hash, oracle_hash = (hashlib.sha256() for _ in range(3))
 for d, n_atoms, seed in [(4, 8, 1), (4, 300, 2), (6, 8, 3), (6, 120, 4),
                          (8, 8, 5), (8, 300, 6), (10, 10, 7), (10, 16, 8), (10, 300, 9)]:
     rng = np.random.default_rng(seed)
@@ -333,32 +249,31 @@ for d, n_atoms, seed in [(4, 8, 1), (4, 300, 2), (6, 8, 3), (6, 120, 4),
     a = sorted(rng.choice(d, size=d // 2, replace=False).tolist())
     m = ft.random_measure(d, n_atoms, split=(a, sorted(set(range(d)) - set(a))) if block
                           else None, seed=seed)
-    # the first call computes the full exponent, every later one reads it back
-    _full_exponents(m)
     for mask in rng.integers(1, 2 ** d - 1, size=12).tolist():
         a = [i for i in range(d) if mask >> i & 1]
         part = ft.bipartition(a, sorted(set(range(d)) - set(a)))
-        oracle = oracle_column_split(m, part, ft.default_grid(d))
-        for _ in range(2):
-            split = _full_exponents(m)[0], _split_sum(m, part)
-            for h, arrays in ((split_hash, split), (oracle_hash, oracle)):
-                for array in arrays:
-                    h.update(array.tobytes())
-    split_hash.update(_max_stable_rows(m, seed, 0, 1001).tobytes())
+        # the df witness is given either way, so its bits show even when the
+        # report has no df entry
+        payload = [ft.full_report(m, part).to_dict(), ft.check_df_factorization(m, part)]
+        report_hash.update(json.dumps(payload, sort_keys=True).encode())
+    sample_hash.update(_max_stable_rows(m, seed, 0, 1001).tobytes())
     oracle_hash.update(oracle_max_stable_rows(m, seed, 1001).tobytes())
-print(split_hash.hexdigest(), oracle_hash.hexdigest())
+print(report_hash.hexdigest(), sample_hash.hexdigest(), oracle_hash.hexdigest())
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_plan_split_is_bit_identical_under_blas_threads(threads, child_env):
-    # how BLAS sums a row may depend on the thread count and the rows around
-    # it; the projected rows, a cached full exponent and the sampler must
-    # reproduce the full-grid call and the unchunked draw either way
-    code = SPLIT_HASH.format(oracle=inspect.getsource(oracle_column_split),
-                             sampler_oracle=inspect.getsource(oracle_max_stable_rows))
-    env = {**child_env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    split_hash, oracle_hash = proc.stdout.split()
-    assert split_hash == oracle_hash
+def test_reports_and_samples_are_bit_identical_under_blas_threads(child_env):
+    # how BLAS sums a row may depend on the thread count: the df sums, and so
+    # every report digit, must not, and the sampler must reproduce the
+    # unchunked draw either way
+    code = REPORT_HASH.format(sampler_oracle=inspect.getsource(oracle_max_stable_rows))
+    reports = set()
+    for threads in ("1", "2"):
+        env = {**child_env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        report_hash, sample_hash, oracle_hash = proc.stdout.split()
+        assert sample_hash == oracle_hash
+        reports.add(report_hash)
+    assert len(reports) == 1

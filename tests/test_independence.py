@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import facetail as ft
 from facetail import bipartition
-from facetail.independence import _GRID_CAP, _GRID_RANDOM, ADDITIVITY_TOL
+from facetail.independence import _GRID_CAP, _GRID_RANDOM
 
 
 PART2 = bipartition([0], [1])
@@ -44,25 +45,21 @@ def test_support_criterion(m_ind, m_dep, m_blk):
 
 
 def test_additivity_verdicts(m_ind, m_dep, m_blk):
-    good = ft.check_additivity(m_ind, PART2)
-    assert good.ok
-    assert good.max_residual <= ADDITIVITY_TOL
-    assert good.witness is None
-
-    bad = ft.check_additivity(m_dep, PART2)
-    assert not bad.ok
-    assert bad.witness is not None
-
-    assert ft.check_additivity(m_blk, SPLIT_01_2).ok
-    assert not ft.check_additivity(m_blk, SPLIT_02_1).ok
+    # the defect at 1 over exponent(1): 0 exactly, 1 / 1 and 1 / 2
+    assert ft.check_additivity(m_ind, PART2) == ft.AdditivityCheck(ok=True, residual=0.0)
+    assert ft.check_additivity(m_dep, PART2) == ft.AdditivityCheck(ok=False, residual=1.0)
+    assert ft.check_additivity(m_blk, SPLIT_01_2) == ft.AdditivityCheck(ok=True, residual=0.0)
+    assert ft.check_additivity(m_blk, SPLIT_02_1) == ft.AdditivityCheck(ok=False, residual=0.5)
 
 
 def test_df_factorization(m_ind, m_dep, m_blk):
-    assert ft.check_df_factorization(m_ind, PART2) == (True, None)
+    # an independent split is below resolution, never decided independent
+    for m, part in ((m_ind, PART2), (m_blk, SPLIT_01_2)):
+        ok, witness = ft.check_df_factorization(m, part)
+        assert ok is None and abs(witness["difference"]) <= witness["bound"] < 1e-14
     ok, witness = ft.check_df_factorization(m_dep, PART2)
-    assert not ok and witness is not None
-    assert ft.check_df_factorization(m_blk, SPLIT_01_2)[0]
-    assert not ft.check_df_factorization(m_blk, SPLIT_02_1)[0]
+    assert ok is False and witness["point"] == [2.0, 2.0]
+    assert ft.check_df_factorization(m_blk, SPLIT_02_1)[0] is False
 
 
 def test_mixed_margin_criterion(m_ind, m_dep, m_blk):
@@ -236,7 +233,8 @@ def test_report_on_independent_pair(m_ind):
     rep = ft.full_report(m_ind, PART2)
     assert rep.independent and rep.agree
     assert (rep.cond_i, rep.cond_ii, rep.cond_iii, rep.df, rep.new_notion) == \
-        (True,) * 5
+        (True, True, True, None, True)
+    assert rep.undecided == ["df"] and rep.to_dict()["undecided"] == ["df"]
     assert rep.witnesses == {}
 
 
@@ -245,12 +243,13 @@ def test_report_on_dependent_pair_with_witnesses(m_dep):
     assert not rep.independent and rep.agree
     w = rep.witnesses
     assert w["cond_i"] == {"atom": 0}
-    assert math.isclose(w["cond_ii"]["residual"], 2.0 / 3.0)
-    assert w["cond_ii"]["point"] == [0.5, 0.5]
+    assert w["cond_ii"] == {"residual": 1.0, "point": [1.0, 1.0]}
     assert w["cond_iii"] == {"subset": [0, 1]}
-    assert math.isclose(w["df"]["difference"],
-                        (math.exp(-1) - math.exp(-2)) / (1 + math.exp(-1)))
-    assert w["df"]["point"] == [1.0, 1.0]
+    # exponent(1) = 1, so t = 2: F(2, 2) = exp(-1/2), F_A * F_C = exp(-1)
+    assert w["df"]["point"] == [2.0, 2.0]
+    assert math.isclose(w["df"]["difference"], math.exp(-0.5) - math.exp(-1.0))
+    assert 0.0 < w["df"]["bound"] < 1e-14
+    assert rep.undecided == []
     assert w["new_notion"]["atom"] == 0
 
 
@@ -284,7 +283,7 @@ def test_report_symmetric_under_block_swap(m_blk):
 
 
 def test_numeric_and_structural_routes_stay_consistent():
-    # the grid verdict of additivity against the exact support criterion
+    # the additivity verdict at one point against the exact support criterion
     rng = np.random.default_rng(41)
     for seed in range(15):
         d = int(rng.integers(2, 6))
@@ -297,44 +296,70 @@ def test_numeric_and_structural_routes_stay_consistent():
             assert ft.check_additivity(m, part).ok == ft.check_support(m, part)[0]
 
 
-def test_overflowed_grid_points_decide_nothing():
-    # masses near the float maximum overflow the exponent to +inf at small
-    # points, where the residual is inf - inf; the other points decide
+def test_extreme_products_are_decided_exactly():
+    # products mass * omega from 1e-300 to 1e318, beyond the float range: the
+    # exact sum scales them by powers of two, so each split is decided as
+    # the rational defect says
     part = bipartition([0], [1])
-    dep = ft.ExponentMeasure(2, [[1.0, 1.0]], [1e308])
-    ind = ft.ExponentMeasure(2, [[1.0, 0.0], [0.0, 1.0]], [1e308, 1e308])
-    # dependent, with an exponent that overflows at every grid point
-    everywhere = ft.ExponentMeasure(2, [[1e308, 1e308]], [1e10])
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad, good = ft.check_additivity(dep, part), ft.check_additivity(ind, part)
-        rep_dep, rep_ind = ft.full_report(dep, part), ft.full_report(ind, part)
-        lonely = ft.check_additivity(everywhere, part)
-    assert not bad.ok and bad.max_residual >= 0.5
-    assert not rep_dep.cond_ii and rep_dep.witnesses["cond_ii"]["residual"] == bad.max_residual
-    assert good.ok and good.max_residual <= ADDITIVITY_TOL
-    assert rep_ind.cond_ii and rep_ind.agree
-    # with no point left to decide, the check fails
-    assert not lonely.ok and math.isnan(lonely.max_residual)
+    cases = {
+        "dep": (ft.ExponentMeasure(2, [[1.0, 1.0]], [1e308]), False),
+        "ind": (ft.ExponentMeasure(2, [[1.0, 0.0], [0.0, 1.0]], [1e308, 1e308]), True),
+        "dep_beyond_range": (ft.ExponentMeasure(2, [[1e308, 1e308]], [1e10]), False),
+        "ind_beyond_range": (ft.ExponentMeasure(2, [[1e308, 0.0], [0.0, 1e308]],
+                                                [1e10, 1e10]), True),
+        "tiny_straddler": (ft.ExponentMeasure(2, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                              [1.0, 1.0, 1e-300]), False),
+    }
+    for name, (m, independent) in cases.items():
+        omega, mass = m.omega_matrix.tolist(), m.mass_vector.tolist()
+        lam, lam_a, lam_c = (sum(Fraction(w) * Fraction(max(row[i] for i in cols))
+                                 for row, w in zip(omega, mass))
+                             for cols in ((0, 1), (0,), (1,)))
+        defect = lam_a + lam_c - lam
+        assert (defect == 0) == independent, name
+        check = ft.check_additivity(m, part)
+        assert check.ok is independent, name
+        assert check.residual == float(defect / lam), name
+        rep = ft.full_report(m, part)
+        assert rep.cond_ii is independent and rep.agree and rep.independent is independent
+    # a straddling product 1e-600 times the largest underflows to 0 after
+    # scaling: the sum is 0, and that is "below resolution", not "independent"
+    m = ft.ExponentMeasure(2, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1e300, 1.0, 1e-300])
+    assert ft.check_additivity(m, part) == ft.AdditivityCheck(ok=None, residual=0.0)
+    rep = ft.full_report(m, part)
+    assert (rep.cond_i, rep.cond_ii, rep.df) == (False, None, None)
+    assert rep.agree and rep.undecided == ["cond_ii", "df"]
 
 
 def test_overflow_to_inf_raises_no_numpy_warning():
     # an exponent past the float range, from huge masses or from huge
-    # directions, is +inf without a warning on every entry point
+    # directions, raises no warning on any entry point, and is decided
     part = bipartition([0, 1], [2])
     huge = ft.ExponentMeasure(3, [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1e308, 1e308])
-    # a huge omega with a tiny mass: the ratio omega / x overflows before
+    # a huge omega with a tiny mass: a ratio omega / x would overflow before
     # the mass scales it down
     stretched = ft.ExponentMeasure(3, [[1e308, 1e308, 0.0], [0.0, 1e308, 1e308]],
                                    [1e-308, 1e-308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not ft.full_report(huge, part).cond_ii
-        assert not ft.check_additivity(huge, part).ok
-        assert not ft.full_report(stretched, part).cond_ii
-        assert not ft.check_additivity(stretched, part).ok
-        assert not ft.check_df_factorization(stretched, part)[0]
-        # the df verdict here is the underflow of ROADMAP item 1(b)
-        ft.check_df_factorization(huge, part)
+        for m in (huge, stretched):
+            assert ft.full_report(m, part).cond_ii is False
+            assert ft.check_additivity(m, part).ok is False
+            # compared at t * 1, exp(-exponent) cannot underflow to 0 on both sides
+            assert ft.check_df_factorization(m, part)[0] is False
+
+
+def test_numeric_criteria_refuse_nonfinite_measures():
+    # an invalid measure with an infinite entry or a NaN mass: a clear error,
+    # not a warning and a verdict made of inf - inf
+    part = bipartition([0], [1])
+    for m in (ft.ExponentMeasure(2, [[np.inf, 1.0]], [1.0]),
+              ft.ExponentMeasure(2, [[1.0, 1.0]], [np.nan])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (ft.full_report, ft.check_additivity, ft.check_df_factorization):
+                with pytest.raises(ValueError, match="finite directions and masses"):
+                    check(m, part)
 
 
 # ---- randomized battery ----------------------------------------------------

@@ -8,13 +8,21 @@ be exactly 0.0 where the oracle is, over masses from 1e-12 to 1e6 and
 direction entries down to 1e-11.
 """
 
+import contextlib
+import io
+import json
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facetail as ft
+from facetail.cli import main
+from facetail.measure import ZERO_TOL
 
 EPS = np.finfo(float).eps
 
@@ -89,6 +97,22 @@ def measures(draw, d_min=1, cover=False):
 thresholds = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
 
 
+def standardized(m):
+    """``standardize(m)`` with its faces checked, or None when `standardize`
+    refuses, after checking that the entry it names would indeed fall to
+    the zero-snap and leave its face."""
+    try:
+        std = ft.standardize(m)
+    except ValueError as exc:
+        j, i = (int(word) for word in re.findall(r"(?:atom|coordinate) (\d+)", str(exc))[:2])
+        row = m.omega_matrix[j] / ft.margins(m)
+        assert m.omega_matrix[j, i] > 0.0 and row[i] <= ZERO_TOL * row.max()
+        return None
+    # atoms that scaling brings within RAY_TOL of each other merge, on one face
+    assert set(std.face_masks.tolist()) == set(m.face_masks.tolist())
+    return std
+
+
 @settings(max_examples=300, deadline=None)
 @given(measures(), st.data())
 def test_conditional_rectangles_match_the_pareto_tail_code(m, data):
@@ -126,7 +150,9 @@ def test_extended_exponent_matches_the_running_sum_code(m, data):
 @settings(max_examples=300, deadline=None)
 @given(measures(d_min=2, cover=True), st.data())
 def test_chi_exact_matches_two_minus_the_pair_exponent(m, data):
-    m = ft.standardize(m)
+    m = standardized(m)
+    if m is None:
+        return
     i, j = data.draw(st.lists(st.integers(0, m.d - 1), min_size=2, max_size=2, unique=True))
     got, want = ft.chi_exact(m, i, j), oracle_chi_exact(m, i, j)
     if np.any((m.omega_matrix[:, i] > 0.0) & (m.omega_matrix[:, j] > 0.0)):
@@ -147,3 +173,34 @@ def test_extended_exponent_edge_cases():
     assert ft.exponent_function_extended(m, np.zeros(3)) == math.inf
     # an uncharged zero coordinate is neutral
     assert ft.exponent_function_extended(m, [1.0, 1.0, 0.0]) == 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(measures(d_min=2, cover=True), st.data())
+def test_a_straddling_atom_never_makes_the_criteria_disagree(m, data):
+    # one atom across a split, its product mass * max omega from 1e-30 to
+    # 1e6 times the measure's largest: every decided criterion calls that
+    # split dependent, no bipartition disagrees, and `check` never exits 4
+    d = m.d
+    a_mask = data.draw(st.integers(1, 2 ** d - 2))
+    part = ft.bipartition([i for i in range(d) if a_mask >> i & 1],
+                          [i for i in range(d) if not a_mask >> i & 1])
+    face = {data.draw(st.sampled_from(part.a_sorted)), data.draw(st.sampled_from(part.c_sorted))}
+    face |= data.draw(st.sets(st.integers(0, d - 1)))
+    row = np.zeros(d)
+    row[sorted(face)] = [10.0 ** data.draw(st.floats(-11.0, 0.0)) for _ in face]
+    largest = float(np.max(m.mass_vector * m.omega_matrix.max(axis=1)))
+    mass = 10.0 ** data.draw(st.floats(-30.0, 6.0)) * largest / row.max()
+    m = ft.ExponentMeasure(d, np.vstack([m.omega_matrix, row]), [*m.mass_vector, mass])
+    report = ft.full_report(m, part)
+    assert report.agree and not report.independent
+    assert report.cond_ii is False and report.df in (False, None)
+    for other in ft.all_bipartitions(d):
+        assert ft.full_report(m, other).agree
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        ft.save_measure(m, path)
+        blocks = [",".join(str(i + 1) for i in block) for block in (part.a_sorted, part.c_sorted)]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["check", path, "--A", blocks[0], "--C", blocks[1]])
+    assert code == 3 and json.loads(out.getvalue())["agree"] is True

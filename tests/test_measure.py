@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import facetail as ft
 from facetail import ExponentMeasure
@@ -354,6 +356,16 @@ def test_is_standardized_allows_margin_tol_only():
     assert not ft.is_standardized(measure(1.0 + 2.0 * MARGIN_TOL))
 
 
+def test_standardize_refuses_to_drop_a_face():
+    # coordinate 0 has margin 1e8 + 1e-6, so atom 0's entry 1e-6 would become
+    # about 1e-14 of its direction's largest entry, and the zero-snap would
+    # turn face masks [3, 1] into [2, 1], an independent measure
+    m = ExponentMeasure(2, [[1e-6, 1.0], [1.0, 0.0]], [1.0, 1e8])
+    assert m.face_masks.tolist() == [3, 1]
+    with pytest.raises(ValueError, match="atom 0's entry at coordinate 0"):
+        ft.standardize(m)
+
+
 def test_standardize_rejects_dead_coordinates():
     m = ExponentMeasure(2, [[1.0, 0.0]], [1.0])
     with pytest.raises(ValueError):
@@ -433,6 +445,65 @@ def test_parser_rejects_bad_values():
     ):
         with pytest.raises(ft.MeasureFormatError):
             ft.measure_from_dict(bad)
+
+
+def oracle_measure_from_dict(data):
+    # the parser's atom loop before the vectorised value check, kept verbatim:
+    # every entry checked on its own, in order
+    d, omegas, masses = data["d"], [], []
+    for j, entry in enumerate(data["atoms"]):
+        if not isinstance(entry, dict) or set(entry.keys()) != {"omega", "mass"}:
+            raise ft.MeasureFormatError(
+                f'atom {j} must be an object with keys "omega" and "mass"')
+        omega = entry["omega"]
+        if not isinstance(omega, list) or len(omega) != d:
+            raise ft.MeasureFormatError(f'atom {j}: "omega" must be a list of length {d}')
+        for where, v in [*((f"atom {j}, omega[{i}]", v) for i, v in enumerate(omega)),
+                         (f"atom {j}, mass", entry["mass"])]:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ft.MeasureFormatError(f"{where}: not a number")
+            if math.isnan(float(v)) or math.isinf(float(v)):
+                raise ft.MeasureFormatError(f"{where}: NaN and infinities are not allowed")
+            if float(v) < 0.0:
+                raise ft.MeasureFormatError(f"{where}: negative values are not allowed")
+        omegas.append(omega)
+        masses.append(float(entry["mass"]))
+    return ExponentMeasure(d, omegas, masses)
+
+
+BAD_VALUES = [True, False, "1", None, [1.0], float("nan"), float("inf"), -float("inf"),
+              -0.5, -1, -0.0, 0, 3, np.float64(0.25), 1e300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parser_names_the_first_bad_entry_as_the_entry_walk_does(data):
+    d = data.draw(st.integers(1, 4))
+    n_atoms = data.draw(st.integers(0, 6))
+    atoms = [{"omega": [data.draw(st.sampled_from([0.0, 0.5, 1.0, 2])) for _ in range(d)],
+              "mass": data.draw(st.sampled_from([0.5, 1.0, 3]))} for _ in range(n_atoms)]
+    for _ in range(data.draw(st.integers(0, 3)) if atoms else 0):
+        atom = data.draw(st.sampled_from(atoms))
+        kind = data.draw(st.sampled_from(["entry", "mass", "length", "keys"]))
+        if kind == "entry" and isinstance(atom["omega"], list):
+            atom["omega"][data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from(BAD_VALUES))
+        elif kind == "mass":
+            atom["mass"] = data.draw(st.sampled_from(BAD_VALUES))
+        elif kind == "length":
+            atom["omega"] = [*atom["omega"], 1.0] if data.draw(st.booleans()) else "1"
+        else:
+            atom["extra"] = 1
+    raw = {"d": d, "atoms": atoms}
+    try:
+        want = oracle_measure_from_dict(raw)
+    except ft.MeasureFormatError as exc:
+        with pytest.raises(ft.MeasureFormatError) as got:
+            ft.measure_from_dict(raw)
+        assert str(got.value) == str(exc)
+    else:
+        got = ft.measure_from_dict(raw)
+        assert np.array_equal(got.omega_matrix, want.omega_matrix)
+        assert np.array_equal(got.mass_vector, want.mass_vector)
 
 
 def test_loader_applies_canonicalization_and_validation(tmp_path):

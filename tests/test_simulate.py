@@ -304,7 +304,7 @@ def test_sidecar_path_convention():
 @pytest.mark.parametrize("k", [None, 1])
 def test_streamed_csv_equals_the_saved_batch(tmp_path, k):
     m = ft.random_measure(4, 9, seed=8)
-    n = 10_000  # three blocks of SAVE_ROWS
+    n = 10_000  # several blocks of SAVE_ROWS, the last one short
     assert n > 2 * simulate.SAVE_ROWS
     batch = sample_max_stable(m, n, seed=5) if k is None else sample_conditional(m, k, n, seed=5)
     save_batch(batch, tmp_path / "saved.csv")
