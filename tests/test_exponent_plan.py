@@ -164,7 +164,24 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_reports_never_evaluate_the_grid(kernel_calls, monkeypatch):
+@pytest.fixture
+def term_calls(monkeypatch):
+    """Record the atom count of every `_point_terms` call: the one place a
+    report reads the full exponent, ``exponent(1)``, from the atoms."""
+    point_terms = independence._point_terms
+    calls = []
+
+    def counting(measure, part):
+        calls.append(measure.n_atoms)
+        return point_terms(measure, part)
+
+    monkeypatch.setattr(independence, "_point_terms", counting)
+    return calls
+
+
+def test_certification_evaluates_the_full_exponent_once(kernel_calls, term_calls, monkeypatch):
+    # once per report: both numeric criteria of a report share one set of
+    # terms at the point 1, and no report evaluates an exponent on the grid
     m = ft.random_measure(10, 16, seed=3)
     merges = []
     merge_rays = measure_module._merge_rays
@@ -180,13 +197,35 @@ def test_reports_never_evaluate_the_grid(kernel_calls, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert term_calls == [m.n_atoms] * 511
     part = ft.bipartition([0, 1, 2], range(3, 10))
     ft.check_additivity(m, part)
     ft.check_df_factorization(m, part)
+    assert len(term_calls) == 511 + 2
     # 511 reports at one point each: no kernel call over default_grid's 4160
     # rows, no block exponent kept, no marginal measure built or merged
     assert kernel_calls == [] and merges == []
     assert peak < MB
+
+
+def test_full_exponent_is_computed_once_per_measure(kernel_calls, term_calls):
+    # a report computes exponent(1) once and keeps nothing: each call reads
+    # the measure's own read-only arrays again, and the standalone checks
+    # reach the report's verdicts from the same terms
+    m = ft.random_measure(8, 40, seed=5)
+    state = dict(vars(m))
+    dependent, other = ft.bipartition([0, 1, 2], [3, 4, 5, 6, 7]), ft.bipartition([0], range(1, 8))
+    reports = [ft.full_report(m, part).to_dict() for part in (dependent, other)]
+    assert term_calls == [m.n_atoms] * 2
+    additivity = ft.check_additivity(m, dependent)
+    df_ok, _ = ft.check_df_factorization(m, other)
+    assert term_calls == [m.n_atoms] * 4 and kernel_calls == []
+    assert reports[0]["cond_ii"] == additivity.ok and reports[1]["df"] == df_ok
+    assert reports == [ft.full_report(m, part).to_dict() for part in (dependent, other)]
+    assert vars(m).keys() == state.keys()
+    assert all(vars(m)[key] is value for key, value in state.items())
+    for array in (m.omega_matrix, m.mass_vector, m.face_masks):
+        assert not array.flags.writeable
 
 
 def test_concurrent_reports_on_one_measure():
@@ -232,48 +271,43 @@ def oracle_max_stable_rows(measure, seed, n):
                     axis=1)
 
 
-REPORT_HASH = """
-import hashlib
-import json
-import numpy as np
-import facetail as ft
-from facetail.simulate import _max_stable_rows
+def blas_digests():
+    import hashlib
+    import json
+    from facetail.simulate import _max_stable_rows
 
-{sampler_oracle}
-
-report_hash, sample_hash, oracle_hash = (hashlib.sha256() for _ in range(3))
-for d, n_atoms, seed in [(4, 8, 1), (4, 300, 2), (6, 8, 3), (6, 120, 4),
-                         (8, 8, 5), (8, 300, 6), (10, 10, 7), (10, 16, 8), (10, 300, 9)]:
-    rng = np.random.default_rng(seed)
-    block = seed % 2 == 0
-    a = sorted(rng.choice(d, size=d // 2, replace=False).tolist())
-    m = ft.random_measure(d, n_atoms, split=(a, sorted(set(range(d)) - set(a))) if block
-                          else None, seed=seed)
-    for mask in rng.integers(1, 2 ** d - 1, size=12).tolist():
-        a = [i for i in range(d) if mask >> i & 1]
-        part = ft.bipartition(a, sorted(set(range(d)) - set(a)))
-        # the df witness is given either way, so its bits show even when the
-        # report has no df entry
-        payload = [ft.full_report(m, part).to_dict(), ft.check_df_factorization(m, part)]
-        report_hash.update(json.dumps(payload, sort_keys=True).encode())
-    sample_hash.update(_max_stable_rows(m, seed, 0, 1001).tobytes())
-    oracle_hash.update(oracle_max_stable_rows(m, seed, 1001).tobytes())
-print(report_hash.hexdigest(), sample_hash.hexdigest(), oracle_hash.hexdigest())
-"""
+    report_hash, sample_hash, oracle_hash = (hashlib.sha256() for _ in range(3))
+    for d, n_atoms, seed in [(4, 8, 1), (4, 300, 2), (6, 8, 3), (6, 120, 4),
+                             (8, 8, 5), (8, 300, 6), (10, 10, 7), (10, 16, 8), (10, 300, 9)]:
+        rng = np.random.default_rng(seed)
+        block = seed % 2 == 0
+        a = sorted(rng.choice(d, size=d // 2, replace=False).tolist())
+        m = ft.random_measure(d, n_atoms, split=(a, sorted(set(range(d)) - set(a))) if block
+                              else None, seed=seed)
+        for mask in rng.integers(1, 2 ** d - 1, size=12).tolist():
+            a = [i for i in range(d) if mask >> i & 1]
+            part = ft.bipartition(a, sorted(set(range(d)) - set(a)))
+            # the df witness is given either way, so its bits show even when
+            # the report has no df entry
+            payload = [ft.full_report(m, part).to_dict(), ft.check_df_factorization(m, part)]
+            report_hash.update(json.dumps(payload, sort_keys=True).encode())
+        sample_hash.update(_max_stable_rows(m, seed, 0, 1001).tobytes())
+        oracle_hash.update(oracle_max_stable_rows(m, seed, 1001).tobytes())
+    return report_hash.hexdigest(), sample_hash.hexdigest(), oracle_hash.hexdigest()
 
 
-def test_reports_and_samples_are_bit_identical_under_blas_threads(child_env):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_plan_split_is_bit_identical_under_blas_threads(threads, child_env):
     # how BLAS sums a row may depend on the thread count: the df sums, and so
     # every report digit, must not, and the sampler must reproduce the
-    # unchunked draw either way
-    code = REPORT_HASH.format(sampler_oracle=inspect.getsource(oracle_max_stable_rows))
-    reports = set()
-    for threads in ("1", "2"):
-        env = {**child_env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        report_hash, sample_hash, oracle_hash = proc.stdout.split()
-        assert sample_hash == oracle_hash
-        reports.add(report_hash)
-    assert len(reports) == 1
+    # unchunked draw either way; a child at each thread count must print the
+    # digests this process computes
+    code = "\n\n".join(["import numpy as np\nimport facetail as ft",
+                         inspect.getsource(oracle_max_stable_rows),
+                         inspect.getsource(blas_digests), "print(*blas_digests())"])
+    env = {**child_env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report_hash, sample_hash, oracle_hash = proc.stdout.split()
+    assert sample_hash == oracle_hash
+    assert (report_hash, sample_hash) == blas_digests()[:2]
