@@ -222,7 +222,7 @@ def check_mixed_margins(
     a false "independent".
     """
     check_dimension(part, measure.d)
-    masks = measure.face_masks.tolist()
+    masks = set(measure.face_masks.tolist())
     for i, j in itertools.combinations(range(measure.d), 2):
         imask = (1 << i) | (1 << j)
         if imask & part.a_mask and imask & part.c_mask \

@@ -26,9 +26,11 @@ import numpy as np
 #: so face membership is an exact and scale-free zero test afterwards.
 ZERO_TOL = 1e-12
 
-#: two atoms are the same ray when their faces agree and their sup-norm
-#: normalized directions differ by at most this, componentwise.
-RAY_TOL = 1e-9
+#: atoms on one face are one ray when every sup-normalized entry is within this
+#: many ulps of the other's: normalized, fl(c1 * omega) and fl(c2 * omega) are six
+#: roundings apart (c * x_i, c * x_max and a quotient each), each of relative size
+#: 2^-53 at most (Higham 2002, sec. 2.2), so at most 6 ulps, barring under/overflow
+RAY_ULPS = 6
 
 #: how far a marginal mass may lie from 1 in `is_standardized`: a fixed
 #: constant, not yet derived from the rounding bound of the margin sums
@@ -66,11 +68,13 @@ class ExponentMeasure:
     and ``face_masks`` (J,), bit i set iff coordinate i is positive.
     Construction zero-snaps each direction relative to its largest entry
     (see ``ZERO_TOL``) and merges each atom into the first kept atom of
-    its face whose sup-normalized direction is within ``RAY_TOL``
-    componentwise, adding its intensity ``mass * omega`` to that atom's
-    mass; kept atoms keep first-occurrence order.  Only kept atoms whose
-    normalized entries have a sum within a window are compared, so the
-    merge is O(J) for distinct directions.
+    its face whose sup-normalized entries are each within ``RAY_ULPS``
+    ulps of its own (never across a sign, so an atom with a negative entry
+    never merges into a valid one), adding its intensity ``mass * omega``
+    to that atom's mass; kept atoms keep first-occurrence order.  After sorting
+    each coordinate's entries, each atom makes one dict probe, so the merge
+    does O(J*d) Python work unless many distinct rays are linked, in every
+    entry, by chains of other atoms' entries at most ``RAY_ULPS`` apart.
 
     Directions are stored as given (no normalization): every operation in
     this package depends only on the products ``mass * omega`` and the snap
@@ -132,27 +136,25 @@ def _snap_zeros(omega: np.ndarray) -> None:
 
 
 def _merge_rays(omega, mass, masks):
-    """Indices of the kept atoms; merges the absorbed masses into ``mass``."""
-    width = omega.shape[1]
+    """Indices of the kept atoms; merges the absorbed masses into ``mass``.  A column's
+    cells end at its gaps wider than RAY_ULPS, so atoms within reach share a key."""
     with np.errstate(invalid="ignore", divide="ignore"):
         peak = omega.max(axis=1, initial=-np.inf)
         unit = omega / peak[:, None]
-    # atoms within RAY_TOL have face sums within slack/2 even after roundoff,
-    # so they sit in the same or adjacent cells of one face's window; a NaN
-    # or infinite normalized entry never compares within RAY_TOL
-    slack = 2.0 * width * (RAY_TOL + width * 2.0 ** -52)
-    cells = np.floor(np.maximum(unit, 0.0).sum(axis=1) / slack).tolist()
     mergeable = np.flatnonzero((masks != 0) & np.all(np.isfinite(unit), axis=1))
-    rows, faces = unit.tolist(), masks.tolist()
-    target, kept = np.arange(len(mass)), {}  # kept: (face, cell) -> kept atoms
-    for a in mergeable.tolist():
-        near = [k for cell in (cells[a] - 1, cells[a], cells[a] + 1)
-                for k in kept.get((faces[a], cell), ())
-                if max(abs(p - q) for p, q in zip(rows[a], rows[k])) <= RAY_TOL]
-        if near:
-            target[a] = min(near)
-        else:
-            kept.setdefault((faces[a], cells[a]), []).append(a)
+    bits = unit[mergeable].view(np.int64)  # differences count ulps within one sign
+    order = np.argsort(bits, axis=0)
+    ranked = np.take_along_axis(bits, order, 0)
+    cells = np.cumsum(np.diff(ranked, axis=0, prepend=ranked[:1]) > RAY_ULPS, axis=0)
+    cells = np.take_along_axis(cells, np.argsort(order, axis=0), 0).tolist()
+    target, kept = np.arange(len(mass)), {}  # kept: (face, *cells) -> [(atom, bits)]
+    for a, face, cell, row in zip(mergeable.tolist(), masks[mergeable].tolist(), cells,
+                                  bits.tolist()):
+        group = kept.setdefault((face, *cell), [])
+        target[a] = k = next((j for j, other in group
+                              if max(abs(p - q) for p, q in zip(row, other)) <= RAY_ULPS), a)
+        if k == a:
+            group.append((a, row))
     merged = np.flatnonzero(target != np.arange(len(mass)))
     np.add.at(mass, target[merged], mass[merged] * (peak[merged] / peak[target[merged]]))
     return np.flatnonzero(target == np.arange(len(mass)))

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Bipartition:
     """An ordered split of ``{0, ..., d-1}`` into two nonempty blocks.
 
@@ -56,12 +56,6 @@ class Bipartition:
     def swapped(self) -> "Bipartition":
         return Bipartition(self.c, self.a)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Bipartition) and self.a == other.a and self.c == other.c
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.c))
-
     def __repr__(self) -> str:
         return f"Bipartition({sorted(self.a)}, {sorted(self.c)})"
 
@@ -87,9 +81,7 @@ def all_bipartitions(d: int) -> Iterator[Bipartition]:
     if d < 2:
         return
     for rest in range(2 ** (d - 1) - 1):
-        a = {0} | {i + 1 for i in range(d - 1) if rest >> i & 1}
-        c = set(range(d)) - a
-        yield Bipartition(frozenset(a), frozenset(c))
+        yield _decode(d, rest)
 
 
 def random_bipartition(d: int, rng: np.random.Generator) -> Bipartition:
@@ -98,6 +90,11 @@ def random_bipartition(d: int, rng: np.random.Generator) -> Bipartition:
         raise ValueError("bipartitions need d >= 2")
     if d > 64:  # the draw's bound 2**(d-1) - 1 must fit numpy's int64
         raise ValueError(f"random bipartitions need d <= 64, got d={d}")
-    rest = int(rng.integers(0, 2 ** (d - 1) - 1))
+    return _decode(d, int(rng.integers(0, 2 ** (d - 1) - 1)))
+
+
+def _decode(d: int, rest: int) -> Bipartition:
+    """The bipartition of range(d) whose block ``a`` holds 0 and i + 1 for each
+    bit i set in ``rest``."""
     a = {0} | {i + 1 for i in range(d - 1) if rest >> i & 1}
     return Bipartition(frozenset(a), frozenset(set(range(d)) - a))

@@ -1,20 +1,27 @@
-"""Canonicalisation against the original per-atom merge loop.
+"""Canonicalisation against the pairwise merge rule.
 
-`oracle_merge` is the merge `ExponentMeasure` ran before its canonical form
-became arrays, kept verbatim on (row, mass) pairs.  The array merge must
+`oracle_merge` is the rule itself, one atom at a time: an atom joins the
+first kept atom of its face whose sup-normalized entries are each within
+`RAY_ULPS` ulps of its own, counted by `np.nextafter` steps, and adds its
+intensity to that atom's mass.  The keyed merge of `ExponentMeasure` must
 return the same atoms in the same order with bit-identical directions and
-masses.  `test_canonical_form_is_pinned` pins the digests of the canonical
-arrays on fixed inputs.
+masses, and a canonical measure must canonicalise to itself.
+`test_canonical_form_is_pinned` pins the digests of the canonical arrays
+on fixed inputs.
 """
 
 import hashlib
+import math
+import time
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facetail import ExponentMeasure
-from facetail.measure import RAY_TOL, ZERO_TOL
+from facetail.measure import RAY_ULPS, ZERO_TOL
+
+B = RAY_ULPS
 
 
 def snapped(row):
@@ -28,6 +35,17 @@ def snapped(row):
     return row
 
 
+def ulps_apart(x, y):
+    """Number of `np.nextafter` steps from x to y, or None for opposite signs
+    (an entry never reaches one of the other sign)."""
+    if math.copysign(1.0, x) != math.copysign(1.0, y):
+        return None
+    steps, x, y = 0, min(x, y), max(x, y)
+    while x < y and steps <= B:
+        x, steps = np.nextafter(x, math.inf), steps + 1
+    return steps
+
+
 def oracle_merge(rows, masses):
     # first-occurrence order; the kept atom absorbs the other's intensity
     # contribution mass * omega, so its mass grows by the direction ratio
@@ -35,19 +53,21 @@ def oracle_merge(rows, masses):
     for row, mass in zip(rows, masses):
         omega, mass = snapped(row), float(mass)
         face = frozenset(np.flatnonzero(omega > 0.0).tolist())
-        merged = False
-        if face:
-            peak = float(np.max(omega))
-            for idx, (other, other_mass) in enumerate(kept):
-                if frozenset(np.flatnonzero(other > 0.0).tolist()) != face:
-                    continue
-                other_peak = float(np.max(other))
-                if np.max(np.abs(omega / peak - other / other_peak)) <= RAY_TOL:
-                    scale = peak / other_peak
-                    kept[idx] = (other, other_mass + mass * scale)
-                    merged = True
-                    break
-        if not merged:
+        peak = float(np.max(omega))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = omega / peak
+        mergeable = bool(face) and bool(np.all(np.isfinite(unit)))
+        for idx, (other, other_mass) in enumerate(kept):
+            other_peak = float(np.max(other))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                other_unit = other / other_peak
+            if mergeable and np.all(np.isfinite(other_unit)) \
+                    and frozenset(np.flatnonzero(other > 0.0).tolist()) == face \
+                    and all(ulps_apart(p, q) is not None and ulps_apart(p, q) <= B
+                            for p, q in zip(unit.tolist(), other_unit.tolist())):
+                kept[idx] = (other, other_mass + mass * (peak / other_peak))
+                break
+        else:
             kept.append((omega, mass))
     return kept
 
@@ -68,31 +88,54 @@ def assert_matches_oracle(d, rows, masses):
     assert again.omega_matrix.tobytes() == measure.omega_matrix.tobytes()
     assert again.mass_vector.tobytes() == measure.mass_vector.tobytes()
     assert again.face_masks.tolist() == measure.face_masks.tolist()
+    return measure
+
+
+def moved(x, steps):
+    """x moved ``steps`` ulps up (down for negative steps), by `np.nextafter`."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def step_below_peak(om, steps, coords):
+    """``om`` (largest entry exactly 1.0) with its positive entries below the
+    peak at ``coords`` moved ``steps`` ulps, none of them past the peak."""
+    om = om.copy()
+    for i in coords:
+        if 0.0 < om[i] < 1.0:
+            om[i] = min(moved(om[i], steps), np.nextafter(1.0, 0.0))
+    return om
 
 
 @st.composite
 def atom_lists(draw):
-    """Directions built to hit every merge path: scaled duplicates, chains
-    of steps just under the tolerance in one or in every coordinate below
-    the peak, entries that snap to zero, and repeated faces."""
+    """Directions built to hit every merge path: scaled duplicates, steps of
+    B - 1, B and B + 1 ulps in one entry or in every entry below the peak
+    (from a base or from an earlier row, so steps chain), entries that snap
+    to zero or stay just negative, and repeated faces."""
     d = draw(st.integers(1, 5))
     n_base = draw(st.integers(1, 6))
     entry = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.just(ZERO_TOL / 2))
-    bases = [np.array(draw(st.lists(entry, min_size=d, max_size=d))) for _ in range(n_base)]
+    bases = []
+    for _ in range(n_base):
+        base = np.array(draw(st.lists(entry, min_size=d, max_size=d)))
+        bases.append(base / base.max() if base.max() > ZERO_TOL else base)
     rows, masses = [], []
     for _ in range(draw(st.integers(1, 24))):
-        om = bases[draw(st.integers(0, n_base - 1))].copy()
-        kind = draw(st.sampled_from(["copy", "scaled", "chain", "shift", "snap"]))
+        pool = bases + rows
+        om = pool[draw(st.integers(0, len(pool) - 1))].copy()
+        kind = draw(st.sampled_from(["copy", "scaled", "one", "all", "snap", "negative"]))
         if kind == "scaled":
             om = om * draw(st.floats(0.25, 4.0))
-        elif kind == "chain" and np.any(om > 0.0):
-            i = int(np.argmin(np.where(om > 0.0, om, np.inf)))
-            om[i] += draw(st.sampled_from([0.9, 1.8, 2.7, -0.9])) * RAY_TOL * np.max(om)
-        elif kind == "shift":
-            below_peak = (om > 0.0) & (om < np.max(om))
-            om[below_peak] += draw(st.sampled_from([0.9, -0.9, 1.8])) * RAY_TOL * np.max(om)
+        elif kind in ("one", "all") and om.max() == 1.0:
+            steps = draw(st.sampled_from([B - 1, B, B + 1, 1 - B, -B, -B - 1]))
+            coords = [draw(st.integers(0, d - 1))] if kind == "one" else range(d)
+            om = step_below_peak(om, steps, coords)
         elif kind == "snap":
             om[draw(st.integers(0, d - 1))] = draw(st.sampled_from([ZERO_TOL, -ZERO_TOL, 1e-13]))
+        elif kind == "negative":
+            om[draw(st.integers(0, d - 1))] = -2 * ZERO_TOL * np.max(np.abs(om))
         rows.append(om)
         masses.append(draw(st.floats(1e-3, 1e3)))
     return d, np.array(rows), masses
@@ -104,44 +147,133 @@ def test_merge_matches_the_per_atom_loop(case):
     assert_matches_oracle(*case)
 
 
+@st.composite
+def packed_clusters(draw):
+    """Up to 40 atoms on one face whose entries below the peak lie within 3B
+    ulps of a base's, so many pairs are within B and the gaps that end the
+    merge's cells fall between them."""
+    d = draw(st.integers(2, 4))
+    base = np.array([1.0] + draw(st.lists(st.floats(0.05, 0.99), min_size=d - 1,
+                                          max_size=d - 1)))
+    n = draw(st.integers(2, 40))
+    rows = [np.r_[1.0, [moved(x, draw(st.integers(0, 3 * B))) for x in base[1:]]]
+            for _ in range(n)]
+    return d, np.array(rows), draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_clusters())
+def test_packed_clusters_merge_like_the_loop(case):
+    assert_matches_oracle(*case)
+
+
+def stepped_chain(steps, coords, d=4):
+    """Atoms whose entries at ``coords`` move by ``steps`` ulps from one atom to
+    the next, from 0.75, with peak 1.0 and 0.75 elsewhere: a step of B + 1 is
+    a gap that ends a cell, a step of B is not."""
+    rows = np.full((len(steps) + 1, d), 0.75)
+    rows[:, 0] = 1.0
+    for k, step in enumerate(steps):
+        rows[k + 1, coords] = moved(rows[k, coords[0]], step)
+    return rows
+
+
+def test_chains_across_cell_edges_merge_like_the_loop():
+    rng = np.random.default_rng(3)
+    for steps, atoms in (([B] * 9, 5), ([B + 1] * 9, 10), ([B, B + 1] * 5, 6),
+                         ([B + 1, 1, B, B + 1, B - 1, 1, B + 1], None)):
+        for coords in ([1], [1, 2], [1, 2, 3]):
+            rows = stepped_chain(steps, coords)
+            if atoms is not None:
+                # each kept atom takes in the next one when it is B ulps on,
+                # never the one after
+                assert ExponentMeasure(4, rows, np.ones(len(rows))).n_atoms == atoms
+            for order in (rows, rows[::-1], rng.permutation(rows)):
+                assert_matches_oracle(4, order, np.ones(len(rows)))
+
+
 def test_near_tolerance_chain_is_not_transitive():
-    a = np.array([1.0, 0.5, 0.25])
-    step = np.array([0.0, 0.9 * RAY_TOL, 0.0])
-    chain = np.array([a + k * step for k in range(3)])
+    chain = np.array([np.r_[1.0, moved(0.5, k * B), 0.25] for k in range(3)])
     ones = [1.0, 1.0, 1.0]
-    # a keeps, a + 0.9 tol joins it, a + 1.8 tol is too far from a: two atoms
+    # a keeps, a + B ulps joins it, a + 2B ulps is too far from a: two atoms
     assert ExponentMeasure(3, chain, ones).n_atoms == 2
     assert_matches_oracle(3, chain, ones)
-    # led by the middle atom, both neighbours are within tolerance: one atom
+    # led by the middle atom, both neighbours are within B ulps: one atom
     middle_first = chain[[1, 0, 2]]
     assert ExponentMeasure(3, middle_first, ones).n_atoms == 1
     assert_matches_oracle(3, middle_first, ones)
 
 
 def test_directions_exactly_one_tolerance_apart_merge():
-    # 2e-9 - 1e-9 is exactly RAY_TOL in binary floating point
-    rows = [[1.0, RAY_TOL], [1.0, 2 * RAY_TOL]]
-    assert ExponentMeasure(2, rows, [1.0, 1.0]).n_atoms == 1
-    assert_matches_oracle(2, rows, [1.0, 1.0])
+    # B ulps apart merge and B + 1 do not, across binade edges too, where
+    # the ulp halves (0.5 stepped down) or doubles (nextafter(0.5, 0) up)
+    for x in (0.3, 0.5, np.nextafter(0.5, 0.0), 2.0 ** -20, 0.999):
+        for steps in (B, -B):
+            rows = [[1.0, x], [1.0, moved(x, steps)]]
+            assert assert_matches_oracle(2, rows, [1.0, 1.0]).n_atoms == 1
+        for steps in (B + 1, -B - 1):
+            rows = [[1.0, x], [1.0, moved(x, steps)]]
+            assert assert_matches_oracle(2, rows, [1.0, 1.0]).n_atoms == 2
 
 
 def test_every_coordinate_just_inside_the_tolerance_merges():
-    # moving all entries below the peak at once moves the direction sum by
-    # almost (d - 1) tolerances, the widest gap the merge window must span
     rng = np.random.default_rng(8)
     for base in rng.uniform(0.05, 0.95, size=(50, 5)):
         base[0] = 1.0
-        moved = base + np.r_[0.0, np.full(4, 0.99 * RAY_TOL)]
-        assert ExponentMeasure(5, [base, moved], [1.0, 2.0]).n_atoms == 1
-        assert_matches_oracle(5, [base, moved], [1.0, 2.0])
+        inside, outside = step_below_peak(base, B, range(5)), step_below_peak(base, B + 1, [4])
+        assert assert_matches_oracle(5, [base, inside], [1.0, 2.0]).n_atoms == 1
+        assert assert_matches_oracle(5, [base, outside], [1.0, 2.0]).n_atoms == 2
 
 
 def test_scaled_duplicates_add_masses_in_input_order():
     rng = np.random.default_rng(5)
     base = rng.uniform(0.1, 1.0, size=(40, 4)) * (rng.uniform(size=(40, 4)) < 0.7)
     base[:, 0] += 0.1
-    rows = base[rng.integers(0, 40, size=400)] * rng.uniform(0.5, 2.0, size=(400, 1))
-    assert_matches_oracle(4, rows, rng.uniform(0.1, 5.0, size=400))
+    picks = rng.integers(0, 40, size=400)
+    rows = base[picks] * rng.uniform(0.5, 2.0, size=(400, 1))
+    measure = assert_matches_oracle(4, rows, rng.uniform(0.1, 5.0, size=400))
+    assert measure.n_atoms == len(set(picks.tolist()))
+
+
+@st.composite
+def scaled_clusters(draw):
+    """Atoms c * omega for a few rays omega on a coarse grid, c = e^U(-40, 40)."""
+    d = draw(st.integers(1, 5))
+    grid = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0])
+    rays = [np.array(draw(st.lists(grid, min_size=d, max_size=d))) for _ in range(3)]
+    rays = [ray for ray in rays if ray.max() > 0.0] or [np.ones(d)]
+    n = draw(st.integers(1, 30))
+    rows = [rays[draw(st.integers(0, len(rays) - 1))] * math.exp(draw(st.floats(-40, 40)))
+            for _ in range(n)]
+    masses = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return d, np.array(rows), np.array(masses), draw(st.permutations(range(n)))
+
+
+def normalized(measure):
+    """(face, ray mass, sup-normalized direction) per atom, in a fixed order."""
+    peak = measure.omega_matrix.max(axis=1)
+    unit = measure.omega_matrix / peak[:, None]
+    atoms = zip(measure.face_masks.tolist(), measure.mass_vector * peak, unit)
+    return sorted(atoms, key=lambda atom: (atom[0], np.round(atom[2], 6).tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_clusters())
+def test_permuting_scaled_duplicates_moves_only_roundoff(case):
+    # any two scaled copies of one ray are within B ulps once normalized, so
+    # every order leaves one atom per ray; the kept copy and the order of the
+    # mass sums change, by B ulps per entry and gamma_n of each ray's mass
+    d, rows, masses, order = case
+    first = ExponentMeasure(d, rows, masses)
+    permuted = ExponentMeasure(d, rows[order], masses[order])
+    rays = {tuple(np.round(row / row.max(), 12).tolist()) for row in rows}
+    assert permuted.n_atoms == first.n_atoms == len(rays)
+    n = len(rows) + 4
+    gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+    for (face, mass, unit), (face2, mass2, unit2) in zip(normalized(first), normalized(permuted)):
+        assert face == face2
+        assert all(ulps_apart(p, q) <= B for p, q in zip(unit.tolist(), unit2.tolist()))
+        assert abs(mass - mass2) <= 2 * gamma * mass
 
 
 def test_invalid_atoms_merge_like_the_loop():
@@ -159,31 +291,48 @@ def test_invalid_atoms_merge_like_the_loop():
     assert_same_atoms(ExponentMeasure(3, rows, masses), oracle_merge(rows, masses))
 
 
+def test_same_sum_directions_build_in_linear_time():
+    # [1, a, 0.5 - a] all have one entry sum, the input that made a window
+    # of entry sums compare every pair; rays B + 1 ulps apart in one entry,
+    # the closest two distinct rays can be, each end a cell; all J are kept
+    a = np.linspace(0.01, 0.49, 4000)
+    packed = (np.float64(0.5).view(np.int64) + (B + 1) * np.arange(4000)).view(np.float64)
+    for omega in (np.c_[np.ones_like(a), a, 0.5 - a], np.c_[np.ones_like(a), packed]):
+        start = time.perf_counter()
+        measure = ExponentMeasure(omega.shape[1], omega, np.ones_like(a))
+        assert time.perf_counter() - start < 1.0
+        assert measure.n_atoms == 4000
+
+
 #: SHA-256 of the canonical arrays of each case in `canonical_cases`, as
-#: built from the same atoms before the constructor took arrays
+#: built from the same atoms before the constructor took arrays; under
+#: `RAY_ULPS` the 1e-9 chains and pairs stay apart, and in the seeded lists a
+#: row with a -1e-12 entry no longer merges with a valid row, nor a row
+#: whose 5e-13 entry normalizes about 1e-12 from another's
 PINNED_DIGESTS = {
     "m_ind": "c9af8035ee58bb77a4a41152a7bed6ca0571fc50736ebfdf6b7f657190084280",
     "m_dep": "6d486d767656b32f228728ea10974a69de88386723c22efd01c5f2ddda06ef3d",
     "m_blk": "e42336b49239c5884d25903c2b66aa19bb12a3545eac6eb70de84bb8ce725bdf",
     "empty": "1f1868f06925b61765ed3f845bb2c9d04e2dc1ae4356b7495dcae6bc18ed7150",
-    "chain": "e45521328ee11c97bd42a427f670763ca2783d95b4c7914cb17bdc1e3572c2c1",
-    "chain_middle_first": "df6debf2dfdd370992b50f532309da5ff0901cb687c9a3bdaa8abbf03e03501b",
-    "one_tolerance_apart": "bb3ef6bb92ebf48b33cd2c2fd2848b70f41b9c84a6236d5d493be1d7f968d9f1",
-    "ray_tol_window": "2a0fe13da60c401153da229b35798f60c443923cb2853328870568d54f81edc4",
+    "chain": "c6ba4a8ef5b1e722bd577515201e4cf70b50c38a09208a9694381f467835cae7",
+    "chain_middle_first": "334730149c1a1548793cf016a39e073512fae7416c4dcfb0b571198d42effed2",
+    "one_tolerance_apart": "af288e2db8c2d0987bad0d21536e8a8975fbf07285b120ebc3a3821da74e33f4",
+    "ray_tol_window": "fc6013ce6b94e9416c7e53715de8492da658f8b4748cc5bda6ad0e7a0cbb0602",
     "scaled_duplicates": "1aa34b45493748576aef7f19b8fe6dddca3faf94f96f2141098772757d01c5c2",
     "invalid": "400ce385bf55ee3f4ce98d36ca5caeedcec516767e658bda482bbd27bd3ebc0a",
     "seeded_0": "c25da813b7b5b5671284b039f4d44a5365439db84807f784d3544d7e083eb9fa",
-    "seeded_1": "417cd6912f879154a78cbc2476638f14366f72abb530e490998012c473710b4b",
-    "seeded_2": "caba17ca6eae993fcc23a2a2a2d43d80e00c7d5243b0ad6ba2a3a1289cca7b9d",
-    "seeded_3": "7cb22159855a5ef90d558cacd05186635e0a1076495d65ca6d0958b52fb669fe",
-    "seeded_4": "b8249ddc534d0f35dcbce996ac08d95e1a870a3aa9f9aa58924f42fd7b4bff04",
-    "seeded_5": "4db4914a13d8d465eb8583d53de4b2c702c739fe65ce234b6510594a24d463b0",
+    "seeded_1": "49437eba9c560daafa3e8366b1e37961ef6c925fdc1bb4f7865c09840917aa21",
+    "seeded_2": "601651cc69f3f22aff081d8c0c2c1567208e50be507d1a1a1350b7798a434d6b",
+    "seeded_3": "c55da03a755b8ee03b7b207787e0a395b54ae1484d32ea22ae97a65d89dd74a3",
+    "seeded_4": "67bdac237d12dee08598f00beada868cf98c72034d2c8723d75fcdeec52f3909",
+    "seeded_5": "e399455b86849fde71426a83f6b3874c2ee12b1ab1fc16704f755abe7b2eef0c",
 }
 
 
 def canonical_cases():
     """name -> (d, rows, masses), or a list of them: the conftest measures,
-    no atoms, the chain and `RAY_TOL`-window cases above, and seeded lists
+    no atoms, chains and pairs 1e-9 apart (the fixed window the merge used before
+    `RAY_ULPS`, so these rays now stay apart), and seeded lists
     with scaled duplicates, snapped entries and NaN, inf, negative, zero and
     huge rows."""
     cases = {
@@ -192,17 +341,17 @@ def canonical_cases():
         "m_blk": (3, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], [2.0, 1.0]),
         "empty": (3, np.zeros((0, 3)), []),
     }
-    a, step = np.array([1.0, 0.5, 0.25]), np.array([0.0, 0.9 * RAY_TOL, 0.0])
+    a, step = np.array([1.0, 0.5, 0.25]), np.array([0.0, 0.9e-9, 0.0])
     chain = [a + k * step for k in range(3)]
     cases["chain"] = (3, chain, [1.0, 1.0, 1.0])
     cases["chain_middle_first"] = (3, [chain[1], chain[0], chain[2]], [1.0, 1.0, 1.0])
-    cases["one_tolerance_apart"] = (2, [[1.0, RAY_TOL], [1.0, 2 * RAY_TOL]], [1.0, 1.0])
+    cases["one_tolerance_apart"] = (2, [[1.0, 1e-9], [1.0, 2e-9]], [1.0, 1.0])
     rng = np.random.default_rng(8)
     window = []
     for base in rng.uniform(0.05, 0.95, size=(50, 5)):
         base[0] = 1.0
-        moved = base + np.r_[0.0, np.full(4, 0.99 * RAY_TOL)]
-        window.append((5, [base, moved], [1.0, 2.0]))
+        shifted = base + np.r_[0.0, np.full(4, 0.99e-9)]
+        window.append((5, [base, shifted], [1.0, 2.0]))
     cases["ray_tol_window"] = window
     rng = np.random.default_rng(5)
     base = rng.uniform(0.1, 1.0, size=(40, 4)) * (rng.uniform(size=(40, 4)) < 0.7)

@@ -108,7 +108,7 @@ def standardized(m):
         row = m.omega_matrix[j] / ft.margins(m)
         assert m.omega_matrix[j, i] > 0.0 and row[i] <= ZERO_TOL * row.max()
         return None
-    # atoms that scaling brings within RAY_TOL of each other merge, on one face
+    # atoms that scaling brings within RAY_ULPS of each other merge, on one face
     assert set(std.face_masks.tolist()) == set(m.face_masks.tolist())
     return std
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import facetail as ft
 from facetail import ExponentMeasure
-from facetail.measure import MARGIN_TOL, ZERO_TOL
+from facetail.measure import MARGIN_TOL, RAY_ULPS, ZERO_TOL
 
 
 def random_point(rng, d, lo=0.1, hi=10.0):
@@ -49,10 +49,36 @@ def test_merging_preserves_the_exponent_function():
 
 
 def test_nearly_equal_directions_merge_distinct_ones_do_not():
-    close = ExponentMeasure(2, [[1.0, 0.5], [1.0, 0.5 + 1e-10]], [1.0, 1.0])
+    near = 0.5
+    for _ in range(RAY_ULPS):
+        near = np.nextafter(near, 1.0)
+    close = ExponentMeasure(2, [[1.0, 0.5], [1.0, near]], [1.0, 1.0])
     assert close.n_atoms == 1
-    apart = ExponentMeasure(2, [[1.0, 0.5], [1.0, 0.6]], [1.0, 1.0])
+    apart = ExponentMeasure(2, [[1.0, 0.5], [1.0, 0.5 + 1e-10]], [1.0, 1.0])
     assert apart.n_atoms == 2
+
+
+def test_rays_1e_9_apart_stay_distinct():
+    m = ExponentMeasure(2, [[1.0, 1e-9], [1.0, 2e-9]], [1.0, 1.0])
+    assert m.n_atoms == 2
+    # at (1, 1e-12) the second coordinate dominates: 1e-9/1e-12 + 2e-9/1e-12
+    assert math.isclose(ft.exponent_function(m, [1.0, 1e-12]), 3000.0, rel_tol=8 * 2.0 ** -52)
+
+
+def test_standardize_keeps_rays_it_brings_close():
+    # standardizing brings [1e-5, 1] and [1e-4, 1] to normalized directions
+    # about 1e-9 apart; they are distinct rays and both stay
+    m = ExponentMeasure(2, [[1e-5, 1.0], [1e-4, 1.0], [1.0, 0.0]], [1.0, 0.1, 100007.0])
+    assert ft.standardize(m).n_atoms == 3
+
+
+def test_a_negative_entry_never_merges_into_a_valid_atom():
+    rows = [[0.5, 0.25, 0.0], [0.5, 0.25, -1e-12], [0.0, 0.0, 1.0]]
+    for order, bad in (([0, 1, 2], 1), ([1, 0, 2], 0)):
+        m = ExponentMeasure(3, [rows[i] for i in order], [1.0, 1.0, 1.0])
+        assert m.n_atoms == 3
+        assert ft.validate_measure(m) == [
+            ft.Violation("negative_direction", atom=bad, coordinate=2)]
 
 
 def test_direction_scale_is_immaterial():
