@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .measure import ExponentMeasure, _check_positive_point, _ratio_kernel, margins
-from .partition import Bipartition, check_dimension
+from .partition import Bipartition, _first, _membership, _straddling
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,13 +156,16 @@ def conditional_factorization(measure: ExponentMeasure, part: Bipartition) -> Fa
     when no atom charging k straddles both blocks.  The verdict is checked
     for every coordinate; `holds` is the conjunction.
     """
-    check_dimension(part, measure.d)
-    masks = measure.face_masks
-    straddling = np.flatnonzero(((masks & part.a_mask) != 0) & ((masks & part.c_mask) != 0))
-    charges = measure.omega_matrix[straddling] > 0.0  # (straddling atoms, d)
-    ok = ~charges.any(axis=0)
-    atom = np.full(measure.d, -1)
-    if straddling.size:
-        atom[~ok] = straddling[charges.argmax(axis=0)[~ok]]
+    in_a = _membership([part], measure.d)
+    charges = measure.omega_matrix.T > 0.0
+    atom = _factorization(charges, _straddling(charges, in_a))[0]
+    ok = atom < 0
     ok.flags.writeable = atom.flags.writeable = False
     return FactorizationVerdict(ok=ok, atom=atom)
+
+
+def _factorization(charges: np.ndarray, straddle: np.ndarray) -> np.ndarray:
+    """`conditional_factorization`'s ``atom`` as a (P, d) array, for the (d, J)
+    booleans ``charges`` (``omega.T > 0``) and one row of ``straddle`` (see
+    `_straddling`) per part; ``ok`` is ``atom < 0``."""
+    return _first(straddle[:, None, :] & charges)  # over (P, d, J): straddles, charges k

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .independence import full_report
+from .independence import _reports
 from .measure import ExponentMeasure
 from .partition import all_bipartitions
 
@@ -91,9 +92,9 @@ def certify_partition_bruteforce(measure: ExponentMeasure) -> bool:
         raise ValueError(f"brute force capped at d={CERTIFY_MAX_D} (CERTIFY_MAX_D), "
                          f"got d={measure.d}")
     components = [frozenset(c) for c in build_graph(measure).components]
-    for part in all_bipartitions(measure.d):
+    parts, reported = itertools.tee(all_bipartitions(measure.d))
+    for part, report in zip(parts, _reports(measure, reported)):
         expected = all(c <= part.a or c <= part.c for c in components)
-        report = full_report(measure, part)
         if not report.agree or report.independent != expected:
             return False
     return True

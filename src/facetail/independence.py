@@ -25,14 +25,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .conditional import conditional_factorization
+from .conditional import _factorization
 from .measure import (ExponentMeasure, _check_coordinate_subset, _check_positive_point,
                       _ratio_kernel)
-from .partition import Bipartition, check_dimension
+from .partition import Bipartition, _first, _membership, _straddling, check_dimension
 
 _GRID_AXIS = (0.5, 1.0, 2.0, 5.0)
 _GRID_CAP = 4096
@@ -45,6 +45,10 @@ _U = 2.0 ** -53
 _SPLITTER = 134217729.0
 #: the additivity defect's sign per row of parts: + A, + C, - full exponent
 _SIGNS = np.array([[1.0], [1.0], [-1.0]] * 2)
+
+#: parts x atoms x coordinates in one chunk of `_reports`: each temporary
+#: stays near 64 KB, and a chunk's parts and results stay far below 1 MB
+_CHUNK_CELLS = 1 << 13
 
 #: the five criteria in report order
 _CRITERIA = ("cond_i", "cond_ii", "cond_iii", "df", "new_notion")
@@ -75,6 +79,10 @@ def default_grid(d: int) -> np.ndarray:
 
 
 # ---- the individual criteria ----------------------------------------------
+#
+# Each criterion is one array computation over a batch of P bipartitions of
+# one measure, given as the (P, d) `_membership` booleans; a check_* function
+# is its one-part case, and `_reports` runs all five over many parts at once.
 
 
 def check_support(measure: ExponentMeasure, part: Bipartition) -> tuple[bool, int | None]:
@@ -83,34 +91,61 @@ def check_support(measure: ExponentMeasure, part: Bipartition) -> tuple[bool, in
     Returns ``(ok, witness)`` where the witness is the index of the first
     atom whose face meets both blocks, or None.
     """
-    check_dimension(part, measure.d)
-    masks = measure.face_masks
-    straddling = np.flatnonzero(((masks & part.a_mask) != 0) & ((masks & part.c_mask) != 0))
-    return (False, int(straddling[0])) if straddling.size else (True, None)
+    in_a = _membership([part], measure.d)
+    return _support(_straddling(measure.omega_matrix.T > 0.0, in_a))[0]
 
 
-def _point_terms(measure: ExponentMeasure, part: Bipartition):
-    """The exponents' terms at the point 1 as exact scaled factors
-    ``(mass, block_max, shift, top)``: ``mass_j * max_X omega_j == mass[j] *
-    block_max[X, j] * 2**(shift[j] + top)`` for X = A, C, all (rows 0, 1, 2).
+def _support(straddle: np.ndarray) -> list[tuple[bool, int | None]]:
+    return [(True, None) if atom < 0 else (False, atom) for atom in _first(straddle).tolist()]
+
+
+class _Terms(NamedTuple):
+    """The exponents' terms at the point 1 as exact scaled factors: for a
+    block X of coordinates, ``mass_j * max_X omega_j == mass[j] * max_X
+    scaled[:, j] * 2**(shift[j] + top)``, and ``row_max[j] == max scaled[:, j]``.
 
     Each direction is scaled by the power of two that puts its largest
     entry in [0.5, 1), which is the same measure with the mass scaled back,
     and no entry underflows (the zero-snap keeps entries above 1e-12 of
     their row's largest).  ``mass`` is the mantissa of the mass, ``top``
-    the largest binary exponent of a product, so ``shift <= 0``."""
-    omega = measure.omega_matrix
-    row_max, a = np.frexp(omega.max(axis=1, initial=0.0))
-    scaled = np.ldexp(omega, -a[:, None])
+    the largest binary exponent of a product, so ``shift <= 0``.
+    """
+
+    mass: np.ndarray  # (J,)
+    halves: tuple  # Veltkamp's halves of mass
+    weights: np.ndarray  # (J,) mass * 2**shift
+    scaled: np.ndarray  # (d, J), one contiguous row per coordinate
+    row_max: np.ndarray  # (J,)
+    shift: np.ndarray  # (J,)
+    top: int
+
+
+def _point_terms(measure: ExponentMeasure) -> _Terms:
+    """The measure's `_Terms`, built once per measure; `_block_max` then takes
+    the maxima per part."""
+    omega = measure.omega_matrix.T.copy()  # reduced over contiguous rows of J atoms
+    row_max, a = np.frexp(omega.max(axis=0, initial=0.0))
+    scaled = np.ldexp(omega, -a, out=omega)
     mass, e = np.frexp(measure.mass_vector)
-    if not np.all(np.isfinite(row_max) & np.isfinite(mass)):
+    if not (np.isfinite(row_max) & np.isfinite(mass)).all():
         raise ValueError("the numeric criteria need finite directions and masses")
     e += a
     live = e[(mass != 0.0) & (row_max != 0.0)]
     top = int(live.max()) if live.size else 0
-    block_max = np.stack([scaled[:, list(part.a_sorted)].max(axis=1),
-                          scaled[:, list(part.c_sorted)].max(axis=1), row_max])
-    return mass, block_max, e - top, top
+    shift = e - top
+    return _Terms(mass, _split(mass), np.ldexp(mass, shift), scaled, row_max, shift, top)
+
+
+def _block_max(terms: _Terms, in_a: np.ndarray) -> np.ndarray:
+    """(P, 3, J) maxima of ``terms.scaled`` over block a, block c and all
+    coordinates (rows 0, 1, 2), per part.  Reduced over the coordinate
+    axis, so each step is a contiguous run of J atoms."""
+    out = np.empty((len(in_a), 3, terms.scaled.shape[1]))
+    for x, block in enumerate((in_a, ~in_a)):
+        np.maximum.reduce(np.where(block[:, :, None], terms.scaled, -np.inf), axis=1,
+                          out=out[:, x])
+    out[:, 2] = terms.row_max
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,8 +174,9 @@ def check_additivity(measure: ExponentMeasure, part: Bipartition) -> AdditivityC
     product on Veltkamp halves) scaled by a power of two, and one `math.fsum`
     of the 6J parts rounds the exact sum once (Shewchuk 1997): its sign is exact.
     """
-    check_dimension(part, measure.d)
-    return _additivity(*_point_terms(measure, part)[:3])
+    in_a = _membership([part], measure.d)
+    terms = _point_terms(measure)
+    return _additivity(terms, _block_max(terms, in_a))[0]
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,24 +185,34 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
-def _additivity(a: np.ndarray, b: np.ndarray, shift: np.ndarray) -> AdditivityCheck:
+def _additivity(terms: _Terms, b: np.ndarray) -> list[AdditivityCheck]:
     # Dekker's product: high + low == a * b exactly, for factors in [0.5, 1)
-    # or 0, so nothing underflows before the power-of-two shift
-    high = a * b
-    (a1, a2), (b1, b2) = _split(a), _split(b)
-    # rows: the high parts of the A, C and full exponents, then the low parts
-    unscaled = np.concatenate([high, ((a1 * b1 - high) + a1 * b2 + a2 * b1) + a2 * b2])
+    # or 0, so nothing underflows before the power-of-two shift; a is the
+    # mass and b holds the (P, 3, J) block maxima
+    shift = terms.shift
+    high = terms.mass * b
+    (a1, a2), (b1, b2) = terms.halves, _split(b)
+    # rows per part: the high parts of the A, C and full exponents, then the low parts
+    unscaled = np.concatenate([high, ((a1 * b1 - high) + a1 * b2 + a2 * b1) + a2 * b2], axis=1)
     parts = np.ldexp(unscaled, shift)
     # a shift into the subnormal range may round a part: undoing it shows that
-    exact = np.array_equal(np.ldexp(parts, -shift), unscaled)
+    exact = (np.ldexp(parts, -shift) == unscaled).all(axis=(1, 2))
     parts *= _SIGNS
-    total = math.fsum(memoryview(parts.ravel()))  # floats straight from the buffer
-    if total == 0.0:
-        # rounded parts still cancel atom by atom off the straddling atoms (an
-        # atom inside A has the same max in A as overall, so the same bits):
-        # only a straddling atom that underflowed to 0 can hide
-        return AdditivityCheck(ok=True if exact else None, residual=0.0)
-    return AdditivityCheck(ok=False, residual=total / -math.fsum(memoryview(parts[2::3].ravel())))
+    # an atom with min(max_A, max_C) == 0 adds nothing to the defect: one
+    # block's maximum is 0 and the other's is its overall maximum, so its six
+    # parts cancel exactly even when rounded, and the sum leaves it out
+    kept = np.minimum(b[:, 0], b[:, 1]) != 0.0
+    checks, full = [], None
+    for rows, keep, exact_p in zip(parts, kept, exact.tolist()):
+        total = math.fsum(memoryview(rows[:, keep].ravel()))  # floats straight from the buffer
+        if total == 0.0:
+            # only a straddling atom that underflowed to 0 can hide
+            checks.append(AdditivityCheck(ok=True if exact_p else None, residual=0.0))
+            continue
+        if full is None:  # exponent(1): the same rows in every part
+            full = -math.fsum(memoryview(rows[2::3].ravel()))
+        checks.append(AdditivityCheck(ok=False, residual=total / full))
+    return checks
 
 
 def check_df_factorization(measure: ExponentMeasure,
@@ -181,28 +227,33 @@ def check_df_factorization(measure: ExponentMeasure,
     ``exponent(1)``, so ``exponent(t * 1)`` is in [0.5, 1) and nothing
     underflows.
     """
-    check_dimension(part, measure.d)
-    return _df(*_point_terms(measure, part), measure.d)
+    in_a = _membership([part], measure.d)
+    terms = _point_terms(measure)
+    return _df(terms, _block_max(terms, in_a), measure.d)[0]
 
 
-def _df(mass, block_max, shift, top: int, d: int) -> tuple[bool | None, dict]:
+def _df(terms: _Terms, block_max: np.ndarray, d: int) -> list[tuple[bool | None, dict]]:
     # exponent_A(1), exponent_C(1) and exponent(1) over 2**top: sums of n = J
     # nonnegative products, each within gamma_n (Higham, eq. 3.5); a mass
-    # rounded by its shift adds far less
-    sums = block_max @ np.ldexp(mass, shift)
-    _, sigma = math.frexp(sums[2])
+    # rounded by its shift adds far less.  One matrix-vector product per part.
+    sums = block_max @ terms.weights
+    top, n = terms.top, len(terms.weights)
     # homogeneity: exponent(t * 1) == exponent(1) / t exactly, t = 2**(top + sigma)
-    lam_a, lam_c, lam = np.ldexp(sums, -sigma).tolist()
-    joint, product = math.exp(-lam), math.exp(-lam_a) * math.exp(-lam_c)
-    difference = joint - product
+    sigmas = np.frexp(sums[:, 2])[1]
+    lams = np.ldexp(sums, -sigmas[:, None]).tolist()
     # each exponent within gamma_n, each exp within one ulp (2u), the product
     # and difference rounded once; the factor 2 covers second-order terms
-    gamma = mass.size * _U / (1.0 - mass.size * _U)
-    bound = (joint + product) * (2.0 * gamma * (lam + lam_a + lam_c) + 6.0 * _U) \
-        + _U * abs(difference)
-    t = math.inf if top + sigma > 1023 else math.ldexp(1.0, top + sigma)
-    witness = {"difference": difference, "bound": bound, "point": [t] * d}
-    return (False if abs(difference) > bound else None), witness
+    gamma = n * _U / (1.0 - n * _U)
+    out = []
+    for (lam_a, lam_c, lam), sigma in zip(lams, sigmas.tolist()):
+        joint, product = math.exp(-lam), math.exp(-lam_a) * math.exp(-lam_c)
+        difference = joint - product
+        bound = (joint + product) * (2.0 * gamma * (lam + lam_a + lam_c) + 6.0 * _U) \
+            + _U * abs(difference)
+        t = math.inf if top + sigma > 1023 else math.ldexp(1.0, top + sigma)
+        witness = {"difference": difference, "bound": bound, "point": [t] * d}
+        out.append(((False if abs(difference) > bound else None), witness))
+    return out
 
 
 def check_mixed_margins(
@@ -215,20 +266,31 @@ def check_mixed_margins(
     face contains all of I, because the I-marginal then charges the
     all-positive region of its domain.  Any violating I contains a
     violating pair (one coordinate from each block, both in that face), so
-    only pairs are walked, in lex order.  Returns ``(ok, witness)`` with
+    only pairs are tested, in lex order.  Returns ``(ok, witness)`` with
     the witness the first violating pair, which is also the smallest
     violating subset in (size, lex) order.  The test is on face masks, not
     on interior masses, so a product of tiny masses cannot underflow into
     a false "independent".
     """
-    check_dimension(part, measure.d)
-    masks = set(measure.face_masks.tolist())
-    for i, j in itertools.combinations(range(measure.d), 2):
-        imask = (1 << i) | (1 << j)
-        if imask & part.a_mask and imask & part.c_mask \
-                and any(fmask & imask == imask for fmask in masks):
-            return False, frozenset((i, j))
-    return True, None
+    in_a = _membership([part], measure.d)
+    return _mixed_margins(_pair_cover(measure.omega_matrix.T > 0.0), in_a)[0]
+
+
+def _pair_cover(charges: np.ndarray) -> np.ndarray:
+    """(d, d) booleans: some atom charges both i and j, from the (d, J)
+    booleans ``charges`` (``omega.T > 0``)."""
+    charges = charges.astype(float)
+    return charges @ charges.T > 0.0
+
+
+def _mixed_margins(cover: np.ndarray, in_a: np.ndarray) -> list[tuple[bool, frozenset | None]]:
+    d = in_a.shape[1]
+    # pairs (i, j) across the blocks that a face holds, flat in lex order: the
+    # relation is symmetric, so the first pair found has i < j
+    violating = ((in_a[:, :, None] != in_a[:, None, :]) & cover).reshape(len(in_a), d * d)
+    return [(False, frozenset(divmod(flat, d))) if any_ else (True, None)
+            for any_, flat in zip(violating.any(axis=1).tolist(),
+                                  violating.argmax(axis=1).tolist())]
 
 
 # ---- proof-device region masses -------------------------------------------
@@ -323,47 +385,69 @@ class IndependenceReport:
 def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceReport:
     """Run every independence check and collect the verdicts.
 
+    The one-part case of `_reports`, the one report path: certification
+    and the battery run all bipartitions of a measure through it at once.
     The two numeric criteria read one set of scaled per-atom block maxima
-    at the point 1 (`_point_terms`), and then decide separately: additivity
-    from an exact sum, the df from a floating-point comparison at ``t * 1``.
-    Nothing is kept between calls.  Never raises on disagreement; the
-    ``agree`` flag and the witnesses carry the evidence either way.
+    at the point 1 (`_point_terms`, `_block_max`), and then decide
+    separately: additivity from an exact sum, the df from a floating-point
+    comparison at ``t * 1``.  Nothing is kept between calls.  Never raises
+    on disagreement; the ``agree`` flag and the witnesses carry the
+    evidence either way.
     """
     check_dimension(part, measure.d)
-    witnesses: dict = {}
+    [report] = _reports(measure, [part])
+    return report
 
-    support_ok, support_witness = check_support(measure, part)
-    if not support_ok:
-        witnesses["cond_i"] = {"atom": support_witness}
 
-    terms = _point_terms(measure, part)
-    additivity = _additivity(*terms[:3])
-    if additivity.ok is False:
-        witnesses["cond_ii"] = {"residual": additivity.residual, "point": [1.0] * measure.d}
+def _reports(measure: ExponentMeasure, parts: Iterable[Bipartition]) -> Iterator[IndependenceReport]:
+    """`full_report` for each of ``parts``, in order, computed chunk by chunk.
 
-    mixed_ok, mixed_witness = check_mixed_margins(measure, part)
-    if not mixed_ok:
-        witnesses["cond_iii"] = {"subset": sorted(mixed_witness)}
-
-    df_ok, df_witness = _df(*terms, measure.d)
-    if df_ok is False:
-        witnesses["df"] = df_witness
-
-    factorization = conditional_factorization(measure, part)
-    if not factorization.holds:
-        k = int(np.argmin(factorization.ok))
-        witnesses["new_notion"] = {"k": k, "atom": int(factorization.atom[k])}
-
-    flags = (support_ok, additivity.ok, mixed_ok, df_ok, factorization.holds)
-    return IndependenceReport(
-        cond_i=support_ok,
-        cond_ii=additivity.ok,
-        cond_iii=mixed_ok,
-        df=df_ok,
-        new_notion=factorization.holds,
-        agree=len(set(flags) - {None}) == 1,
-        witnesses=witnesses,
-    )
+    The per-measure terms (scaled directions, distinct faces, the pair
+    cover) are built once; each criterion then runs as its own array
+    computation over a chunk of parts, and the verdicts meet only in the
+    report.  A chunk holds about ``_CHUNK_CELLS`` parts x atoms x coordinates,
+    so temporaries stay bounded however many parts there are.
+    """
+    d = measure.d
+    terms = _point_terms(measure)
+    charges = terms.scaled > 0.0
+    cover = _pair_cover(charges)
+    parts = iter(parts)
+    # parts per chunk: the largest temporaries hold (P, d, J) and (P, 6, J) cells
+    rows = max(1, _CHUNK_CELLS // (max(d, 6) * max(measure.n_atoms, d)))
+    while chunk := list(itertools.islice(parts, rows)):
+        in_a = _membership(chunk, d)
+        straddle = _straddling(charges, in_a)
+        block_max = _block_max(terms, in_a)
+        criteria = zip(_support(straddle), _additivity(terms, block_max),
+                       _mixed_margins(cover, in_a), _df(terms, block_max, d),
+                       _factorization(charges, straddle).tolist())
+        for (support_ok, support_atom), additivity, (mixed_ok, mixed_pair), \
+                (df_ok, df_witness), factor_atoms in criteria:
+            # the law at k factorizes unless an atom charging k straddles
+            holds = max(factor_atoms) < 0
+            witnesses: dict = {}
+            if not support_ok:
+                witnesses["cond_i"] = {"atom": support_atom}
+            if additivity.ok is False:
+                witnesses["cond_ii"] = {"residual": additivity.residual, "point": [1.0] * d}
+            if not mixed_ok:
+                witnesses["cond_iii"] = {"subset": sorted(mixed_pair)}
+            if df_ok is False:
+                witnesses["df"] = df_witness
+            if not holds:
+                k = next(k for k, atom in enumerate(factor_atoms) if atom >= 0)
+                witnesses["new_notion"] = {"k": k, "atom": factor_atoms[k]}
+            flags = (support_ok, additivity.ok, mixed_ok, df_ok, holds)
+            yield IndependenceReport(
+                cond_i=support_ok,
+                cond_ii=additivity.ok,
+                cond_iii=mixed_ok,
+                df=df_ok,
+                new_notion=holds,
+                agree=len(set(flags) - {None}) == 1,
+                witnesses=witnesses,
+            )
 
 
 # ---- randomized agreement battery -----------------------------------------
@@ -451,8 +535,7 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
         if generating is not None and generating not in parts:
             parts.insert(0, generating)
 
-        for part in parts:
-            rep = full_report(measure, part)
+        for part, rep in zip(parts, _reports(measure, parts)):
             instances += 1
             if not rep.agree:
                 disagreements.append((t, part.a, part.c, rep.flags))

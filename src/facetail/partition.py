@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +70,33 @@ def check_dimension(part: Bipartition, d: int) -> Bipartition:
     if part.d != d:
         raise ValueError(f"bipartition covers {part.d} coordinates, measure has {d}")
     return part
+
+
+def _membership(parts: Sequence[Bipartition], d: int) -> np.ndarray:
+    """(P, d) booleans, True on block ``a`` of each part; raises like
+    `check_dimension` for a part that does not partition range(d)."""
+    in_a = np.zeros((len(parts), d), dtype=bool)
+    in_a.ravel()[[p * d + i for p, part in enumerate(parts)
+                  for i in check_dimension(part, d).a]] = True
+    return in_a
+
+
+def _straddling(charges: np.ndarray, in_a: np.ndarray) -> np.ndarray:
+    """(P, J) booleans: the face of atom j meets both blocks of part p, for
+    the (d, J) booleans ``charges`` (``omega.T > 0``) and the `_membership`
+    booleans ``in_a``."""
+    charges = charges.astype(float)
+    # coordinates of each face in block a, as exact small integers
+    inside = in_a.astype(float) @ charges
+    return (inside > 0.0) & (inside < charges.sum(axis=0))
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """The index of the first True along the last axis of ``mask``, or -1
+    where there is none."""
+    if not mask.shape[-1]:
+        return np.full(mask.shape[:-1], -1)
+    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), -1)
 
 
 def all_bipartitions(d: int) -> Iterator[Bipartition]:

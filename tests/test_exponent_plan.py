@@ -1,7 +1,8 @@
 """How reports decide the numeric criteria: at one point, never on a grid.
 
 `full_report`, `check_additivity` and `check_df_factorization` read the
-measure's atoms at the point 1 only.  Additivity is the sign of the exact
+measure's atoms at the point 1 only, through terms built once per measure
+and pass over its parts.  Additivity is the sign of the exact
 defect ``exponent_A(1) + exponent_C(1) - exponent(1)``; the ``oracle_*``
 functions below sum the three exponents in exact rational arithmetic
 (`fractions.Fraction`) and evaluate the df comparison at 60 digits
@@ -166,22 +167,30 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture
 def term_calls(monkeypatch):
-    """Record the atom count of every `_point_terms` call: the one place a
-    report reads the full exponent, ``exponent(1)``, from the atoms."""
-    point_terms = independence._point_terms
+    """Record each build of a measure's per-measure terms, as ``("terms", J)``
+    for `_point_terms` (the scaled atoms at the point 1, the one place a
+    report reads the full exponent ``exponent(1)``) and ``("cover", d)`` for
+    `_pair_cover` (which coordinate pairs some face holds)."""
+    point_terms, pair_cover = independence._point_terms, independence._pair_cover
     calls = []
 
-    def counting(measure, part):
-        calls.append(measure.n_atoms)
-        return point_terms(measure, part)
+    def counting_terms(measure):
+        calls.append(("terms", measure.n_atoms))
+        return point_terms(measure)
 
-    monkeypatch.setattr(independence, "_point_terms", counting)
+    def counting_cover(charges):
+        calls.append(("cover", len(charges)))
+        return pair_cover(charges)
+
+    monkeypatch.setattr(independence, "_point_terms", counting_terms)
+    monkeypatch.setattr(independence, "_pair_cover", counting_cover)
     return calls
 
 
 def test_certification_evaluates_the_full_exponent_once(kernel_calls, term_calls, monkeypatch):
-    # once per report: both numeric criteria of a report share one set of
-    # terms at the point 1, and no report evaluates an exponent on the grid
+    # once per measure: certification runs its 511 bipartitions through the
+    # criteria in chunks, on terms built once, and no report evaluates an
+    # exponent on the grid
     m = ft.random_measure(10, 16, seed=3)
     merges = []
     merge_rays = measure_module._merge_rays
@@ -197,31 +206,36 @@ def test_certification_evaluates_the_full_exponent_once(kernel_calls, term_calls
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert term_calls == [m.n_atoms] * 511
+    assert term_calls == [("terms", m.n_atoms), ("cover", m.d)]
     part = ft.bipartition([0, 1, 2], range(3, 10))
     ft.check_additivity(m, part)
     ft.check_df_factorization(m, part)
-    assert len(term_calls) == 511 + 2
+    assert term_calls[2:] == [("terms", m.n_atoms)] * 2
     # 511 reports at one point each: no kernel call over default_grid's 4160
     # rows, no block exponent kept, no marginal measure built or merged
     assert kernel_calls == [] and merges == []
     assert peak < MB
+    # the battery builds the terms once per random measure, for all its parts
+    del term_calls[:]
+    assert ft.agreement_battery(6, 10, 5, seed=1).instances > 5
+    assert [name for name, _ in term_calls] == ["terms", "cover"] * 5
 
 
 def test_full_exponent_is_computed_once_per_measure(kernel_calls, term_calls):
-    # a report computes exponent(1) once and keeps nothing: each call reads
-    # the measure's own read-only arrays again, and the standalone checks
-    # reach the report's verdicts from the same terms
+    # the terms are built once per pass over a measure's parts and kept
+    # nowhere: each call reads the measure's own read-only arrays again, and
+    # the standalone checks reach the reports' verdicts from the same kernels
     m = ft.random_measure(8, 40, seed=5)
     state = dict(vars(m))
     dependent, other = ft.bipartition([0, 1, 2], [3, 4, 5, 6, 7]), ft.bipartition([0], range(1, 8))
-    reports = [ft.full_report(m, part).to_dict() for part in (dependent, other)]
-    assert term_calls == [m.n_atoms] * 2
+    reports = [report.to_dict() for report in independence._reports(m, [dependent, other])]
+    assert term_calls == [("terms", m.n_atoms), ("cover", m.d)]
+    assert reports == [ft.full_report(m, part).to_dict() for part in (dependent, other)]
+    assert term_calls == [("terms", m.n_atoms), ("cover", m.d)] * 3
     additivity = ft.check_additivity(m, dependent)
     df_ok, _ = ft.check_df_factorization(m, other)
-    assert term_calls == [m.n_atoms] * 4 and kernel_calls == []
+    assert term_calls[6:] == [("terms", m.n_atoms)] * 2 and kernel_calls == []
     assert reports[0]["cond_ii"] == additivity.ok and reports[1]["df"] == df_ok
-    assert reports == [ft.full_report(m, part).to_dict() for part in (dependent, other)]
     assert vars(m).keys() == state.keys()
     assert all(vars(m)[key] is value for key, value in state.items())
     for array in (m.omega_matrix, m.mass_vector, m.face_masks):
