@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .measure import ExponentMeasure, _check_positive_point, _ratio_kernel, margins
+from .measure import ExponentMeasure, _charges, _check_positive_point, _ratio_kernel, margins
 from .partition import Bipartition, _first, _membership, _straddling
 
 
@@ -157,7 +157,7 @@ def conditional_factorization(measure: ExponentMeasure, part: Bipartition) -> Fa
     for every coordinate; `holds` is the conjunction.
     """
     in_a = _membership([part], measure.d)
-    charges = measure.omega_matrix.T > 0.0
+    charges = _charges(measure)
     atom = _factorization(charges, _straddling(charges, in_a))[0]
     ok = atom < 0
     ok.flags.writeable = atom.flags.writeable = False
@@ -166,6 +166,7 @@ def conditional_factorization(measure: ExponentMeasure, part: Bipartition) -> Fa
 
 def _factorization(charges: np.ndarray, straddle: np.ndarray) -> np.ndarray:
     """`conditional_factorization`'s ``atom`` as a (P, d) array, for the (d, J)
-    booleans ``charges`` (``omega.T > 0``) and one row of ``straddle`` (see
-    `_straddling`) per part; ``ok`` is ``atom < 0``."""
-    return _first(straddle[:, None, :] & charges)  # over (P, d, J): straddles, charges k
+    0/1 floats ``charges`` (see `measure._charges`) and one row of
+    ``straddle`` (see `_straddling`) per part; ``ok`` is ``atom < 0``."""
+    # over (P, d, J): atom j straddles and charges k
+    return _first(np.logical_and(straddle[:, None, :], charges))

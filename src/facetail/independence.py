@@ -30,8 +30,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .conditional import _factorization
-from .measure import (ExponentMeasure, _check_coordinate_subset, _check_positive_point,
-                      _ratio_kernel)
+from .measure import (ExponentMeasure, _charges, _check_coordinate_subset,
+                      _check_positive_point, _ratio_kernel)
 from .partition import Bipartition, _first, _membership, _straddling, check_dimension
 
 _GRID_AXIS = (0.5, 1.0, 2.0, 5.0)
@@ -92,7 +92,7 @@ def check_support(measure: ExponentMeasure, part: Bipartition) -> tuple[bool, in
     atom whose face meets both blocks, or None.
     """
     in_a = _membership([part], measure.d)
-    return _support(_straddling(measure.omega_matrix.T > 0.0, in_a))[0]
+    return _support(_straddling(_charges(measure), in_a))[0]
 
 
 def _support(straddle: np.ndarray) -> list[tuple[bool, int | None]]:
@@ -176,7 +176,7 @@ def check_additivity(measure: ExponentMeasure, part: Bipartition) -> AdditivityC
     """
     in_a = _membership([part], measure.d)
     terms = _point_terms(measure)
-    return _additivity(terms, _block_max(terms, in_a))[0]
+    return _additivity(terms, _block_max(terms, in_a))[0][0]
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,10 +185,14 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
-def _additivity(terms: _Terms, b: np.ndarray) -> list[AdditivityCheck]:
+def _additivity(terms: _Terms, b: np.ndarray,
+                full: float | None = None) -> tuple[list[AdditivityCheck], float | None]:
+    """One `AdditivityCheck` per part, for the (P, 3, J) block maxima ``b``,
+    and ``exponent(1)`` over ``2**top`` (exactly summed, rounded once) when a
+    residual needed it; pass that back as ``full`` for the next parts of the
+    same measure."""
     # Dekker's product: high + low == a * b exactly, for factors in [0.5, 1)
-    # or 0, so nothing underflows before the power-of-two shift; a is the
-    # mass and b holds the (P, 3, J) block maxima
+    # or 0, so nothing underflows before the power-of-two shift; a is the mass
     shift = terms.shift
     high = terms.mass * b
     (a1, a2), (b1, b2) = terms.halves, _split(b)
@@ -202,7 +206,7 @@ def _additivity(terms: _Terms, b: np.ndarray) -> list[AdditivityCheck]:
     # block's maximum is 0 and the other's is its overall maximum, so its six
     # parts cancel exactly even when rounded, and the sum leaves it out
     kept = np.minimum(b[:, 0], b[:, 1]) != 0.0
-    checks, full = [], None
+    checks = []
     for rows, keep, exact_p in zip(parts, kept, exact.tolist()):
         total = math.fsum(memoryview(rows[:, keep].ravel()))  # floats straight from the buffer
         if total == 0.0:
@@ -212,7 +216,7 @@ def _additivity(terms: _Terms, b: np.ndarray) -> list[AdditivityCheck]:
         if full is None:  # exponent(1): the same rows in every part
             full = -math.fsum(memoryview(rows[2::3].ravel()))
         checks.append(AdditivityCheck(ok=False, residual=total / full))
-    return checks
+    return checks, full
 
 
 def check_df_factorization(measure: ExponentMeasure,
@@ -273,13 +277,12 @@ def check_mixed_margins(
     a false "independent".
     """
     in_a = _membership([part], measure.d)
-    return _mixed_margins(_pair_cover(measure.omega_matrix.T > 0.0), in_a)[0]
+    return _mixed_margins(_pair_cover(_charges(measure)), in_a)[0]
 
 
 def _pair_cover(charges: np.ndarray) -> np.ndarray:
-    """(d, d) booleans: some atom charges both i and j, from the (d, J)
-    booleans ``charges`` (``omega.T > 0``)."""
-    charges = charges.astype(float)
+    """(d, d) booleans: some atom charges both i and j, from the (d, J) 0/1
+    floats ``charges`` (see `measure._charges`)."""
     return charges @ charges.T > 0.0
 
 
@@ -402,24 +405,25 @@ def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceRepo
 def _reports(measure: ExponentMeasure, parts: Iterable[Bipartition]) -> Iterator[IndependenceReport]:
     """`full_report` for each of ``parts``, in order, computed chunk by chunk.
 
-    The per-measure terms (scaled directions, distinct faces, the pair
-    cover) are built once; each criterion then runs as its own array
+    The per-measure terms (scaled directions, the coordinates each atom
+    charges, the pair cover) are built once; each criterion then runs as its own array
     computation over a chunk of parts, and the verdicts meet only in the
     report.  A chunk holds about ``_CHUNK_CELLS`` parts x atoms x coordinates,
     so temporaries stay bounded however many parts there are.
     """
     d = measure.d
     terms = _point_terms(measure)
-    charges = terms.scaled > 0.0
+    charges = _charges(measure)
     cover = _pair_cover(charges)
-    parts = iter(parts)
+    parts, full = iter(parts), None
     # parts per chunk: the largest temporaries hold (P, d, J) and (P, 6, J) cells
     rows = max(1, _CHUNK_CELLS // (max(d, 6) * max(measure.n_atoms, d)))
     while chunk := list(itertools.islice(parts, rows)):
         in_a = _membership(chunk, d)
         straddle = _straddling(charges, in_a)
         block_max = _block_max(terms, in_a)
-        criteria = zip(_support(straddle), _additivity(terms, block_max),
+        checks, full = _additivity(terms, block_max, full)
+        criteria = zip(_support(straddle), checks,
                        _mixed_margins(cover, in_a), _df(terms, block_max, d),
                        _factorization(charges, straddle).tolist())
         for (support_ok, support_atom), additivity, (mixed_ok, mixed_pair), \

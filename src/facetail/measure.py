@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -137,7 +138,9 @@ def _snap_zeros(omega: np.ndarray) -> None:
 
 def _merge_rays(omega, mass, masks):
     """Indices of the kept atoms; merges the absorbed masses into ``mass``.  A column's
-    cells end at its gaps wider than RAY_ULPS, so atoms within reach share a key."""
+    cells end at its gaps wider than RAY_ULPS, so atoms within reach share a key; a
+    key's kept atoms stay sorted on the column with the most distinct entries, so an
+    atom is compared only with those within RAY_ULPS of it there."""
     with np.errstate(invalid="ignore", divide="ignore"):
         peak = omega.max(axis=1, initial=-np.inf)
         unit = omega / peak[:, None]
@@ -145,16 +148,25 @@ def _merge_rays(omega, mass, masks):
     bits = unit[mergeable].view(np.int64)  # differences count ulps within one sign
     order = np.argsort(bits, axis=0)
     ranked = np.take_along_axis(bits, order, 0)
-    cells = np.cumsum(np.diff(ranked, axis=0, prepend=ranked[:1]) > RAY_ULPS, axis=0)
-    cells = np.take_along_axis(cells, np.argsort(order, axis=0), 0).tolist()
-    target, kept = np.arange(len(mass)), {}  # kept: (face, *cells) -> [(atom, bits)]
-    for a, face, cell, row in zip(mergeable.tolist(), masks[mergeable].tolist(), cells,
+    steps = np.diff(ranked, axis=0, prepend=ranked[:1])
+    col = int(np.argmax(np.count_nonzero(steps, axis=0))) if steps.size else 0
+    cells = np.take_along_axis(np.cumsum(steps > RAY_ULPS, axis=0), np.argsort(order, axis=0), 0)
+    target, kept = np.arange(len(mass)), {}  # (face, *cells) -> (bits at col, [(atom, bits)])
+    for a, face, cell, row in zip(mergeable.tolist(), masks[mergeable].tolist(), cells.tolist(),
                                   bits.tolist()):
-        group = kept.setdefault((face, *cell), [])
-        target[a] = k = next((j for j, other in group
-                              if max(abs(p - q) for p, q in zip(row, other)) <= RAY_ULPS), a)
+        key, at = (face, *cell), row[col]
+        if key not in kept:
+            kept[key] = ([at], [(a, row)])
+            continue
+        sort_bits, group = kept[key]
+        near = group[bisect_left(sort_bits, at - RAY_ULPS):bisect_right(sort_bits, at + RAY_ULPS)]
+        # the first kept atom within reach: kept atoms are in input order
+        target[a] = k = min((j for j, other in near
+                             if max(abs(p - q) for p, q in zip(row, other)) <= RAY_ULPS), default=a)
         if k == a:
-            group.append((a, row))
+            where = bisect_right(sort_bits, at)
+            sort_bits.insert(where, at)
+            group.insert(where, (a, row))
     merged = np.flatnonzero(target != np.arange(len(mass)))
     np.add.at(mass, target[merged], mass[merged] * (peak[merged] / peak[target[merged]]))
     return np.flatnonzero(target == np.arange(len(mass)))
@@ -336,6 +348,12 @@ def _ratio_kernel(omega: np.ndarray, mass: np.ndarray, points: np.ndarray, reduc
             reduce(acc, np.divide(omega[:, i], x[:, i:i + 1], out=ratio), out=acc)
         out[lo:hi] = acc @ mass
     return out
+
+
+def _charges(measure: ExponentMeasure) -> np.ndarray:
+    """(d, J) floats: 1.0 where atom j charges coordinate i (``omega > 0``),
+    else 0.0, so that matrix products count coordinates exactly."""
+    return (measure.omega_matrix.T > 0.0).astype(float, order="C")
 
 
 def _check_positive_point(measure: ExponentMeasure, x) -> np.ndarray:

@@ -83,12 +83,10 @@ def _membership(parts: Sequence[Bipartition], d: int) -> np.ndarray:
 
 def _straddling(charges: np.ndarray, in_a: np.ndarray) -> np.ndarray:
     """(P, J) booleans: the face of atom j meets both blocks of part p, for
-    the (d, J) booleans ``charges`` (``omega.T > 0``) and the `_membership`
-    booleans ``in_a``."""
-    charges = charges.astype(float)
-    # coordinates of each face in block a, as exact small integers
-    inside = in_a.astype(float) @ charges
-    return (inside > 0.0) & (inside < charges.sum(axis=0))
+    the (d, J) 0/1 floats ``charges`` (see `measure._charges`) and the
+    `_membership` booleans ``in_a``."""
+    # the coordinates of each face in either block, counted exactly
+    return (in_a @ charges > 0.0) & (~in_a @ charges > 0.0)
 
 
 def _first(mask: np.ndarray) -> np.ndarray:

@@ -304,6 +304,32 @@ def test_same_sum_directions_build_in_linear_time():
         assert measure.n_atoms == 4000
 
 
+def chained_rays(n):
+    """Rays ``[1, 0.5 + 3k ulps]``: each is within B ulps of the next two, so
+    all n share one cell, and every third atom is kept."""
+    x = (np.float64(0.5).view(np.int64) + 3 * np.arange(n)).view(np.float64)
+    return np.c_[np.ones(n), x], np.random.default_rng(n).uniform(0.5, 2.0, n)
+
+
+def test_chained_rays_build_in_linear_time():
+    # a kept atom is compared only with the kept atoms of its cell within B
+    # ulps in one column, not with the whole cell: J = 4000 once took 2.3 s
+    omega, masses = chained_rays(4000)
+    start = time.perf_counter()
+    measure = ExponentMeasure(2, omega, masses)
+    assert time.perf_counter() - start < 1.0
+    # atom 3m absorbs 3m + 1 and 3m + 2 (3 and 6 ulps on); 3m + 3 is 9 ulps on
+    assert measure.omega_matrix.tobytes() == omega[::3].tobytes()
+    want = masses[::3].copy()
+    np.add.at(want, np.arange(4000)[1::3] // 3, masses[1::3])
+    np.add.at(want, np.arange(4000)[2::3] // 3, masses[2::3])
+    assert measure.mass_vector.tobytes() == want.tobytes()
+    # the pairwise oracle is quadratic here, so it runs on a shorter chain,
+    # forwards and backwards
+    for omega, masses in (chained_rays(300), [a[::-1] for a in chained_rays(299)]):
+        assert_matches_oracle(2, omega, masses)
+
+
 #: SHA-256 of the canonical arrays of each case in `canonical_cases`, as
 #: built from the same atoms before the constructor took arrays; under
 #: `RAY_ULPS` the 1e-9 chains and pairs stay apart, and in the seeded lists a

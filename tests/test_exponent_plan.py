@@ -221,6 +221,31 @@ def test_certification_evaluates_the_full_exponent_once(kernel_calls, term_calls
     assert [name for name, _ in term_calls] == ["terms", "cover"] * 5
 
 
+def test_certification_memory_does_not_grow_with_the_parts():
+    # 2047 bipartitions of a d=12, J=4000 ring (atom faces {i, i + 1 mod 12})
+    # go through the criteria one part per chunk, as J * d is large: the
+    # peak is that of a single report, not of 2047 of them
+    rng = np.random.default_rng(12)
+    d, n_atoms = 12, 4000
+    omega = np.zeros((n_atoms, d))
+    first = rng.integers(0, d, n_atoms)
+    for coords in (first, (first + 1) % d):
+        omega[np.arange(n_atoms), coords] = rng.uniform(0.1, 1.0, n_atoms)
+    m = ft.ExponentMeasure(d, omega, rng.uniform(0.5, 2.0, n_atoms))
+    assert m.n_atoms == n_atoms
+    part = ft.bipartition(range(6), range(6, 12))
+    peaks = []
+    for run in (lambda: ft.full_report(m, part), lambda: ft.certify_partition_bruteforce(m)):
+        tracemalloc.start()
+        try:
+            assert run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one, certify = peaks
+    assert certify < 4 * MB and certify < one + MB // 2
+
+
 def test_full_exponent_is_computed_once_per_measure(kernel_calls, term_calls):
     # the terms are built once per pass over a measure's parts and kept
     # nowhere: each call reads the measure's own read-only arrays again, and

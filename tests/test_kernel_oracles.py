@@ -1,4 +1,4 @@
-"""Tail masses routed through the ratio kernel against the code they replaced.
+"""Kernels against the code they replaced.
 
 Conditional rectangle probabilities, face-interior masses, the extended
 exponent and exact chi each used to compute their own ratios of directions
@@ -6,21 +6,28 @@ to points.  The ``oracle_*`` functions below are those implementations,
 kept verbatim.  The kernel versions must agree with them to a few ulps and
 be exactly 0.0 where the oracle is, over masses from 1e-12 to 1e6 and
 direction entries down to 1e-11.
+
+The reports used to run one bipartition at a time; `oracle_full_report`
+and its helpers are that code, kept verbatim, and the criteria run over a
+batch of bipartitions must reproduce it bit for bit.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facetail as ft
+import facetail.independence as independence
 from facetail.cli import main
 from facetail.measure import ZERO_TOL
 
@@ -204,3 +211,176 @@ def test_a_straddling_atom_never_makes_the_criteria_disagree(m, data):
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = main(["check", path, "--A", blocks[0], "--C", blocks[1]])
     assert code == 3 and json.loads(out.getvalue())["agree"] is True
+
+
+# ---- reports, one bipartition at a time -------------------------------------
+
+_U = 2.0 ** -53
+_SPLITTER = 134217729.0
+_SIGNS = np.array([[1.0], [1.0], [-1.0]] * 2)
+
+
+def oracle_check_support(measure, part):
+    masks = measure.face_masks
+    straddling = np.flatnonzero(((masks & part.a_mask) != 0) & ((masks & part.c_mask) != 0))
+    return (False, int(straddling[0])) if straddling.size else (True, None)
+
+
+def oracle_point_terms(measure, part):
+    omega = measure.omega_matrix
+    row_max, a = np.frexp(omega.max(axis=1, initial=0.0))
+    scaled = np.ldexp(omega, -a[:, None])
+    mass, e = np.frexp(measure.mass_vector)
+    if not np.all(np.isfinite(row_max) & np.isfinite(mass)):
+        raise ValueError("the numeric criteria need finite directions and masses")
+    e += a
+    live = e[(mass != 0.0) & (row_max != 0.0)]
+    top = int(live.max()) if live.size else 0
+    block_max = np.stack([scaled[:, list(part.a_sorted)].max(axis=1),
+                          scaled[:, list(part.c_sorted)].max(axis=1), row_max])
+    return mass, block_max, e - top, top
+
+
+def oracle_split(a):
+    high = _SPLITTER * a - (_SPLITTER * a - a)
+    return high, a - high
+
+
+def oracle_additivity(a, b, shift):
+    high = a * b
+    (a1, a2), (b1, b2) = oracle_split(a), oracle_split(b)
+    unscaled = np.concatenate([high, ((a1 * b1 - high) + a1 * b2 + a2 * b1) + a2 * b2])
+    parts = np.ldexp(unscaled, shift)
+    exact = np.array_equal(np.ldexp(parts, -shift), unscaled)
+    parts *= _SIGNS
+    total = math.fsum(memoryview(parts.ravel()))
+    if total == 0.0:
+        return ft.AdditivityCheck(ok=True if exact else None, residual=0.0)
+    return ft.AdditivityCheck(ok=False,
+                              residual=total / -math.fsum(memoryview(parts[2::3].ravel())))
+
+
+def oracle_df(mass, block_max, shift, top, d):
+    sums = block_max @ np.ldexp(mass, shift)
+    _, sigma = math.frexp(sums[2])
+    lam_a, lam_c, lam = np.ldexp(sums, -sigma).tolist()
+    joint, product = math.exp(-lam), math.exp(-lam_a) * math.exp(-lam_c)
+    difference = joint - product
+    gamma = mass.size * _U / (1.0 - mass.size * _U)
+    bound = (joint + product) * (2.0 * gamma * (lam + lam_a + lam_c) + 6.0 * _U) \
+        + _U * abs(difference)
+    t = math.inf if top + sigma > 1023 else math.ldexp(1.0, top + sigma)
+    witness = {"difference": difference, "bound": bound, "point": [t] * d}
+    return (False if abs(difference) > bound else None), witness
+
+
+def oracle_check_mixed_margins(measure, part):
+    masks = set(measure.face_masks.tolist())
+    for i, j in itertools.combinations(range(measure.d), 2):
+        imask = (1 << i) | (1 << j)
+        if imask & part.a_mask and imask & part.c_mask \
+                and any(fmask & imask == imask for fmask in masks):
+            return False, frozenset((i, j))
+    return True, None
+
+
+def oracle_conditional_factorization(measure, part):
+    masks = measure.face_masks
+    straddling = np.flatnonzero(((masks & part.a_mask) != 0) & ((masks & part.c_mask) != 0))
+    charges = measure.omega_matrix[straddling] > 0.0
+    ok = ~charges.any(axis=0)
+    atom = np.full(measure.d, -1)
+    if straddling.size:
+        atom[~ok] = straddling[charges.argmax(axis=0)[~ok]]
+    return ok, atom
+
+
+def oracle_full_report(measure, part):
+    witnesses = {}
+    support_ok, support_witness = oracle_check_support(measure, part)
+    if not support_ok:
+        witnesses["cond_i"] = {"atom": support_witness}
+    terms = oracle_point_terms(measure, part)
+    additivity = oracle_additivity(*terms[:3])
+    if additivity.ok is False:
+        witnesses["cond_ii"] = {"residual": additivity.residual, "point": [1.0] * measure.d}
+    mixed_ok, mixed_witness = oracle_check_mixed_margins(measure, part)
+    if not mixed_ok:
+        witnesses["cond_iii"] = {"subset": sorted(mixed_witness)}
+    df_ok, df_witness = oracle_df(*terms, measure.d)
+    if df_ok is False:
+        witnesses["df"] = df_witness
+    ok, atom = oracle_conditional_factorization(measure, part)
+    holds = bool(ok.all())
+    if not holds:
+        k = int(np.argmin(ok))
+        witnesses["new_notion"] = {"k": k, "atom": int(atom[k])}
+    flags = (support_ok, additivity.ok, mixed_ok, df_ok, holds)
+    return ft.IndependenceReport(cond_i=support_ok, cond_ii=additivity.ok, cond_iii=mixed_ok,
+                                 df=df_ok, new_notion=holds,
+                                 agree=len(set(flags) - {None}) == 1, witnesses=witnesses)
+
+
+def report_bytes(report):
+    # repr round-trips every float, so equal bytes are equal bits
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+@st.composite
+def part_lists(draw, d):
+    """Bipartitions of range(d) with repeats and both orientations of a split."""
+    masks = draw(st.lists(st.integers(1, 2 ** d - 2), min_size=1, max_size=8))
+    parts = [ft.bipartition([i for i in range(d) if mask >> i & 1],
+                            [i for i in range(d) if not mask >> i & 1]) for mask in masks]
+    extra = draw(st.lists(st.tuples(st.integers(0, len(parts) - 1), st.booleans()), max_size=6))
+    for index, swap in extra:
+        parts.insert(draw(st.integers(0, len(parts))),
+                     parts[index].swapped() if swap else parts[index])
+    return parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(measures(d_min=2), st.data())
+def test_batched_reports_match_the_per_part_code(m, data):
+    # masses brought to at most 1 and scaled by 1e-300 or 1e295, and
+    # directions by 1e20, make products underflow after scaling (undecided
+    # additivity) and the df point t * 1 overflow
+    if data.draw(st.booleans()):
+        scale = st.lists(st.sampled_from([1.0, 1e-300, 1e295]), min_size=m.n_atoms,
+                         max_size=m.n_atoms)
+        rows = st.lists(st.sampled_from([1.0, 1e20]), min_size=m.n_atoms, max_size=m.n_atoms)
+        m = ft.ExponentMeasure(m.d, m.omega_matrix * np.array(data.draw(rows))[:, None],
+                               m.mass_vector / m.mass_vector.max() * np.array(data.draw(scale)))
+    parts = data.draw(part_lists(m.d))
+    want = [report_bytes(oracle_full_report(m, part)) for part in parts]
+    # parts per chunk from 1 to all of them, so chunk edges fall anywhere
+    rows = data.draw(st.integers(1, len(parts)))
+    cells = rows * max(m.d, 6) * max(m.n_atoms, m.d)
+    with mock.patch.object(independence, "_CHUNK_CELLS", cells):
+        assert [report_bytes(r) for r in independence._reports(m, parts)] == want
+    assert [report_bytes(r) for r in independence._reports(m, parts)] == want
+    # each check is the one-part case of the same kernels
+    part = parts[0]
+    assert report_bytes(ft.full_report(m, part)) == want[0]
+    assert ft.check_support(m, part) == oracle_check_support(m, part)
+    assert ft.check_mixed_margins(m, part) == oracle_check_mixed_margins(m, part)
+    terms = oracle_point_terms(m, part)
+    additivity = ft.check_additivity(m, part)
+    assert additivity == oracle_additivity(*terms[:3])
+    assert math.copysign(1.0, additivity.residual) == \
+        math.copysign(1.0, oracle_additivity(*terms[:3]).residual)
+    assert json.dumps(ft.check_df_factorization(m, part)) == json.dumps(oracle_df(*terms, m.d))
+    verdict, (ok, atom) = ft.conditional_factorization(m, part), \
+        oracle_conditional_factorization(m, part)
+    assert verdict.ok.tobytes() == ok.tobytes() and verdict.atom.tobytes() == atom.tobytes()
+    assert verdict.ok.dtype == ok.dtype and verdict.atom.dtype == atom.dtype
+
+
+def test_batched_reports_cross_the_default_chunk_edge():
+    # one chunk holds _CHUNK_CELLS / (6 * 16) = 85 parts of this d = 6, J = 16
+    # measure; 4 passes over its 31 bipartitions, in both orientations, take 248
+    m = ft.random_measure(6, 16, seed=6)
+    assert m.n_atoms == 16
+    parts = [p for part in ft.all_bipartitions(6) for p in (part, part.swapped())] * 4
+    got = [report_bytes(r) for r in independence._reports(m, parts)]
+    assert got == [report_bytes(oracle_full_report(m, part)) for part in parts]
