@@ -83,10 +83,13 @@ def finest_partition(measure: ExponentMeasure) -> tuple[frozenset[int], ...]:
 def certify_partition_bruteforce(measure: ExponentMeasure) -> bool:
     """Verify `finest_partition` against every bipartition, exhaustively.
 
-    For each of the ``2**(d-1) - 1`` bipartitions, runs `full_report` and
-    demands (a) internal agreement and (b) an independent verdict exactly
-    when the bipartition splits no component; agreement counts only the
-    decided criteria.  Exponential in d, hence the cap ``CERTIFY_MAX_D``.
+    For each of the ``2**(d-1) - 1`` bipartitions, takes its `full_report`
+    and demands (a) internal agreement and (b) an independent verdict
+    exactly when the bipartition splits no component; agreement counts only
+    the decided criteria.  The reports come from the one report path, all
+    bipartitions at once in chunks of bounded memory, on terms built once
+    per measure, and it stops at the first failing one.  Exponential in d,
+    hence the cap ``CERTIFY_MAX_D``.
     """
     if measure.d > CERTIFY_MAX_D:
         raise ValueError(f"brute force capped at d={CERTIFY_MAX_D} (CERTIFY_MAX_D), "

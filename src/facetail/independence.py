@@ -172,7 +172,8 @@ def check_additivity(measure: ExponentMeasure, part: Bipartition) -> AdditivityC
     The three exponents are summed separately, never through that minimum:
     each ``mass_j * max omega_j`` is an exact high and low double (Dekker's
     product on Veltkamp halves) scaled by a power of two, and one `math.fsum`
-    of the 6J parts rounds the exact sum once (Shewchuk 1997): its sign is exact.
+    of the six parts of every atom that can add to the defect rounds the
+    exact sum once (Shewchuk 1997): its sign is exact.
     """
     in_a = _membership([part], measure.d)
     terms = _point_terms(measure)
@@ -507,8 +508,9 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
     ``n_atoms`` atoms; every even-numbered trial is block structured along
     a random bipartition.  All bipartitions are tested for d <= 4,
     otherwise 10 random ones (plus, for block trials, the generating
-    split).  A block failure is a generating split that some decided
-    criterion calls dependent.  Deterministic in ``seed``.
+    split), all of a measure's parts at once through the one report path
+    of `full_report`.  A block failure is a generating split that some
+    decided criterion calls dependent.  Deterministic in ``seed``.
     """
     from .measure import random_measure
     from .partition import all_bipartitions, random_bipartition

@@ -73,9 +73,10 @@ class ExponentMeasure:
     ulps of its own (never across a sign, so an atom with a negative entry
     never merges into a valid one), adding its intensity ``mass * omega``
     to that atom's mass; kept atoms keep first-occurrence order.  After sorting
-    each coordinate's entries, each atom makes one dict probe, so the merge
-    does O(J*d) Python work unless many distinct rays are linked, in every
-    entry, by chains of other atoms' entries at most ``RAY_ULPS`` apart.
+    each coordinate's entries, each atom makes one dict probe and a bisection,
+    so the merge does O(J*d) Python work unless many kept atoms of one key
+    lie within ``RAY_ULPS`` of each other in the column with the most
+    distinct entries.
 
     Directions are stored as given (no normalization): every operation in
     this package depends only on the products ``mass * omega`` and the snap
