@@ -43,8 +43,6 @@ _GRID_SEED = 0
 _U = 2.0 ** -53
 #: Veltkamp's splitting constant for binary64, 2**27 + 1
 _SPLITTER = 134217729.0
-#: the additivity defect's sign per row of parts: + A, + C, - full exponent
-_SIGNS = np.array([[1.0], [1.0], [-1.0]] * 2)
 
 #: parts x atoms x coordinates in one chunk of `_reports`: each temporary
 #: stays near 64 KB, and a chunk's parts and results stay far below 1 MB
@@ -108,7 +106,10 @@ class _Terms(NamedTuple):
     entry in [0.5, 1), which is the same measure with the mass scaled back,
     and no entry underflows (the zero-snap keeps entries above 1e-12 of
     their row's largest).  ``mass`` is the mantissa of the mass, ``top``
-    the largest binary exponent of a product, so ``shift <= 0``.
+    the largest binary exponent of a product, so ``shift <= 0``.  ``full``
+    holds the full exponent's terms at 1 as negated `_shifted_products`,
+    the same in every part's additivity defect, and ``full_exact`` whether
+    their shift rounded none of them.
     """
 
     mass: np.ndarray  # (J,)
@@ -118,6 +119,8 @@ class _Terms(NamedTuple):
     row_max: np.ndarray  # (J,)
     shift: np.ndarray  # (J,)
     top: int
+    full: np.ndarray  # (2, J), high then low parts
+    full_exact: bool
 
 
 def _point_terms(measure: ExponentMeasure) -> _Terms:
@@ -133,7 +136,11 @@ def _point_terms(measure: ExponentMeasure) -> _Terms:
     live = e[(mass != 0.0) & (row_max != 0.0)]
     top = int(live.max()) if live.size else 0
     shift = e - top
-    return _Terms(mass, _split(mass), np.ldexp(mass, shift), scaled, row_max, shift, top)
+    halves = _split(mass)
+    full = np.empty((2, len(mass)))
+    full_exact = bool(_shifted_products(mass, halves, shift, row_max[None], full))
+    return _Terms(mass, halves, np.ldexp(mass, shift), scaled, row_max, shift, top,
+                  np.negative(full, out=full), full_exact)
 
 
 def _block_max(terms: _Terms, in_a: np.ndarray) -> np.ndarray:
@@ -186,36 +193,50 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
+def _shifted_products(mass: np.ndarray, halves: tuple, shift: np.ndarray,
+                      b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``mass * b`` exactly into ``out``, as the high rows then the low
+    rows of Dekker's product scaled by ``2**shift``, and return whether that
+    scaling rounded none of them: (..., 2k, J) ``out`` and (...) flags for
+    (..., k, J) factors ``b``."""
+    # Dekker's product: high + low == a * b exactly, for factors in [0.5, 1)
+    # or 0, so nothing underflows before the power-of-two shift; a is the mass
+    high = mass * b
+    (a1, a2), (b1, b2) = halves, _split(b)
+    unscaled = np.concatenate([high, ((a1 * b1 - high) + a1 * b2 + a2 * b1) + a2 * b2],
+                              axis=-2)
+    np.ldexp(unscaled, shift, out=out)
+    # a shift into the subnormal range may round a part: undoing it shows that
+    return (np.ldexp(out, -shift) == unscaled).all(axis=(-2, -1))
+
+
 def _additivity(terms: _Terms, b: np.ndarray,
                 full: float | None = None) -> tuple[list[AdditivityCheck], float | None]:
     """One `AdditivityCheck` per part, for the (P, 3, J) block maxima ``b``,
     and ``exponent(1)`` over ``2**top`` (exactly summed, rounded once) when a
     residual needed it; pass that back as ``full`` for the next parts of the
     same measure."""
-    # Dekker's product: high + low == a * b exactly, for factors in [0.5, 1)
-    # or 0, so nothing underflows before the power-of-two shift; a is the mass
-    shift = terms.shift
-    high = terms.mass * b
-    (a1, a2), (b1, b2) = terms.halves, _split(b)
-    # rows per part: the high parts of the A, C and full exponents, then the low parts
-    unscaled = np.concatenate([high, ((a1 * b1 - high) + a1 * b2 + a2 * b1) + a2 * b2], axis=1)
-    parts = np.ldexp(unscaled, shift)
-    # a shift into the subnormal range may round a part: undoing it shows that
-    exact = (np.ldexp(parts, -shift) == unscaled).all(axis=(1, 2))
-    parts *= _SIGNS
+    # rows per part: the high parts of the A and C exponents, the low parts,
+    # and the full exponent's two rows, built once per measure and copied
+    parts = np.empty((len(b), 6, b.shape[2]))
+    parts[:, 4:] = terms.full
+    exact = _shifted_products(terms.mass, terms.halves, terms.shift, b[:, :2], parts[:, :4])
+    exact &= terms.full_exact
     # an atom with min(max_A, max_C) == 0 adds nothing to the defect: one
     # block's maximum is 0 and the other's is its overall maximum, so its six
     # parts cancel exactly even when rounded, and the sum leaves it out
     kept = np.minimum(b[:, 0], b[:, 1]) != 0.0
     checks = []
     for rows, keep, exact_p in zip(parts, kept, exact.tolist()):
-        total = math.fsum(memoryview(rows[:, keep].ravel()))  # floats straight from the buffer
+        # floats straight from the buffer; fsum's one rounding of the exact
+        # sum does not depend on the order of its terms
+        total = math.fsum(memoryview(rows[:, keep].ravel()))
         if total == 0.0:
             # only a straddling atom that underflowed to 0 can hide
             checks.append(AdditivityCheck(ok=True if exact_p else None, residual=0.0))
             continue
-        if full is None:  # exponent(1): the same rows in every part
-            full = -math.fsum(memoryview(rows[2::3].ravel()))
+        if full is None:  # exponent(1), the same in every part
+            full = -math.fsum(memoryview(terms.full.ravel()))
         checks.append(AdditivityCheck(ok=False, residual=total / full))
     return checks, full
 
