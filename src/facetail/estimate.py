@@ -8,6 +8,7 @@ conditional law.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -29,10 +30,17 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     new = np.empty(x.size, dtype=bool)
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], x.size)
+    del ordered
     ranks = np.empty(x.size)
-    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(new) - 1]
+    if new.all():
+        # no ties: sorted position p has the midrank (p + (p + 1) + 1) / 2
+        ranks[order] = np.arange(1.0, x.size + 1.0)
+        return ranks
+    # the tie group at sorted positions [start, start + size) has the
+    # midrank start + (size + 1) / 2, exact in floating point
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=x.size)
+    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
     return ranks
 
 
@@ -95,6 +103,43 @@ class ChiMatrix:
                    header=header, comments="")
 
 
+def _exceedances(column: np.ndarray, q: float, buf: np.ndarray, out: np.ndarray) -> int:
+    """Write ``midrank / (n + 1) > q`` for each entry of ``column`` into
+    ``out``, with the quotient rounded as a float, and return the count.
+
+    No ranks are computed.  A midrank ``(#{x < v} + #{x <= v} + 1) / 2`` is
+    nondecreasing in v, so the exceedances are ``{x >= v*}`` for one order
+    statistic v*.  The smallest half-integer midrank r* that passes sets the
+    sorted position p = ceil(r*) - 1: every tie group ending at or before p
+    has a midrank of at most p < r*, and the group after p's one of at least
+    p + 2 > r*.  So p's own group decides between ``x >= v`` and ``x > v``
+    for its value v, found by one partition of ``buf``, a copy of the column.
+    """
+    n = column.size
+
+    def passes(k: int) -> bool:  # the midrank k/2, scaled as a rank array is
+        return k / 2.0 / (n + 1.0) > q
+
+    k = min(max(int(2.0 * q * (n + 1.0)), 2), 2 * n)
+    while k > 2 and passes(k - 1):
+        k -= 1
+    while k <= 2 * n and not passes(k):
+        k += 1
+    if k > 2 * n:  # not even the largest midrank, n, passes
+        out[:] = False
+        return 0
+    p = (k + 1) // 2 - 1
+    np.copyto(buf, column)
+    buf.partition(p)
+    v = buf[p]
+    below, through = np.count_nonzero(buf < v), np.count_nonzero(buf <= v)
+    if passes(below + through + 1):
+        np.greater_equal(column, v, out=out)
+        return n - below
+    np.greater(column, v, out=out)
+    return n - through
+
+
 def chi_empirical(batch, q: float = 0.95) -> ChiMatrix:
     """Estimate all pairwise chi coefficients by joint rank exceedances.
 
@@ -112,21 +157,22 @@ def chi_empirical(batch, q: float = 0.95) -> ChiMatrix:
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     _require_finite(data, "sample")
-    # one column of midranks at a time, scaled in place: the (n, d) ranks
-    # and their quotient are never held, only the boolean exceedances
+    # no ranks are held: one reused column buffer for the selection, the
+    # boolean exceedances, and one boolean buffer for the joint counts
     exceed = np.empty((n, d), dtype=bool, order="F")
-    for i, column in enumerate(data.T):
-        ranks = _midranks(column)
-        ranks /= n + 1.0
-        np.greater(ranks, q, out=exceed[:, i])
-    marginal = exceed.sum(axis=0)
+    buf = np.empty(n)
+    marginal = np.array([_exceedances(column, q, buf, exceed[:, i])
+                         for i, column in enumerate(data.T)], dtype=np.int64)
     if np.min(marginal) < 20:
         bad = int(np.argmin(marginal))
         raise ValueError(
             f"column x{bad + 1} has only {int(marginal[bad])} exceedances above q={q}; "
             "need at least 20 per coordinate")
-    hits = exceed.astype(np.int64)
-    counts = hits.T @ hits
+    counts = np.diag(marginal)
+    both = np.empty(n, dtype=bool)
+    for i, j in itertools.combinations(range(d), 2):
+        np.logical_and(exceed[:, i], exceed[:, j], out=both)
+        counts[i, j] = counts[j, i] = np.count_nonzero(both)
     chi = counts / ((1.0 - q) * n)
     np.fill_diagonal(chi, 1.0)
     chi = np.clip(chi, 0.0, 1.0)
@@ -230,6 +276,16 @@ def factorization_test(
         raise ValueError(f"factorization test needs a conditional batch, got {batch.kind!r}")
     if part.d != batch.d:
         raise ValueError(f"bipartition covers {part.d} coordinates, batch has {batch.d}")
-    u = batch.data[:, list(part.a_sorted)].max(axis=1)
-    v = batch.data[:, list(part.c_sorted)].max(axis=1)
+    u = _block_maximum(batch.data, part.a_sorted)
+    v = _block_maximum(batch.data, part.c_sorted)
     return permutation_independence_test(u, v, n_perm=n_perm, alpha=alpha, seed=seed)
+
+
+def _block_maximum(data: np.ndarray, coords) -> np.ndarray:
+    """Row maxima of ``data`` over the columns ``coords``, read as column
+    views into one output column: the (n, |block|) gather is never made."""
+    first, *rest = coords
+    out = data[:, first].copy()
+    for k in rest:
+        np.maximum(out, data[:, k], out=out)
+    return out

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,11 +70,27 @@ def tie_heavy_arrays(draw):
     return x
 
 
+@st.composite
+def plain_columns(draw):
+    # the shapes the rank kernel special-cases or may trip on: no ties at
+    # all, one tie group, two groups, and a single entry
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["distinct", "tied", "two-valued", "single"]))
+    if kind == "distinct":
+        return rng.permutation(n) - n / 3.0
+    if kind == "tied":
+        return np.full(n, draw(st.sampled_from([0.0, -2.0, 7.5])))
+    if kind == "two-valued":
+        return np.where(rng.random(n) < draw(st.floats(0.0, 1.0)), 1.0, -1.0)
+    return np.array([draw(st.floats(-1e6, 1e6))])
+
+
 def test_midranks_equal_scipy_bit_for_bit():
     stats = pytest.importorskip("scipy.stats")
 
-    @settings(max_examples=200, deadline=None)
-    @given(tie_heavy_arrays())
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(tie_heavy_arrays(), plain_columns()))
     def check(x):
         if x.ndim == 1:
             assert np.array_equal(_midranks(x), stats.rankdata(x, method="average"))
@@ -292,6 +309,49 @@ def test_factorization_test_on_split_blocks(m_blk):
     res = factorization_test(batch, bipartition([0, 1], [2]), seed=6)
     # the first block maximum is constant zero: degenerate, no rejection
     assert res.degenerate and not res.reject and res.p_value == 1.0
+
+
+def test_factorization_test_equals_the_gathered_block_maxima():
+    # blocks of two and three coordinates, one of them not contiguous: the
+    # column-view maxima give the result of the (n, |block|) gather's
+    m = ft.ExponentMeasure(5, [[1.0, 0.5, 0.0, 0.2, 0.0], [0.0, 1.0, 1.0, 0.0, 0.3],
+                               [0.4, 0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]],
+                           [1.0, 0.5, 0.8, 0.3])
+    for k, (a, c) in ((1, ([0, 1], [2, 3, 4])), (0, ([0, 2, 4], [1, 3])), (3, ([1, 4], [0, 2, 3]))):
+        batch = ft.sample_conditional(m, k, 3000, seed=107 + k)
+        res = factorization_test(batch, bipartition(a, c), n_perm=199, seed=k)
+        want = permutation_independence_test(batch.data[:, a].max(axis=1),
+                                             batch.data[:, c].max(axis=1), n_perm=199, seed=k)
+        assert res == want and not res.degenerate
+
+
+def test_estimators_peak_memory_in_columns():
+    # tracemalloc peaks at n = 2e5, d = 5, in units of one float column (8n
+    # bytes): chi holds the (n, d) boolean exceedances, one column copy for
+    # the selection and one boolean column; the factorization test holds the
+    # two block maxima, their ranks and the shuffle buffer, plus one ranking,
+    # with ties (k = 3: one block's maximum is 0 in a share of rows) or not
+    n, d = 200_000, 5
+    m = ft.ExponentMeasure(d, [[1.0, 1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 1.0],
+                               [1.0, 0.5, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0, 0.0],
+                               [1.0, 1.0, 1.0, 1.0, 1.0]], [0.5] * 5)
+    sample = ft.sample_max_stable(m, n, seed=109).data
+    part = bipartition([0, 1], [2, 3, 4])
+    runs = [lambda: chi_empirical(sample)]
+    for k in (0, 3):
+        batch = ft.sample_conditional(m, k, n, seed=113 + k)
+        runs.append(lambda batch=batch: factorization_test(batch, part, n_perm=2))
+    peaks = []
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n))
+        finally:
+            tracemalloc.stop()
+    chi_peak, *test_peaks = peaks
+    assert chi_peak < 2 + d / 8, peaks
+    assert max(test_peaks) < 10, peaks
 
 
 def test_factorization_test_input_checks(m_blk, m_ind):

@@ -10,6 +10,10 @@ direction entries down to 1e-11.
 The reports used to run one bipartition at a time; `oracle_full_report`
 and its helpers are that code, kept verbatim, and the criteria run over a
 batch of bipartitions must reproduce it bit for bit.
+
+The empirical chi used to rank every column by sorting;
+`oracle_chi_empirical` and `oracle_midranks` are that code, kept verbatim,
+and the exceedances found by selection must reproduce it bit for bit.
 """
 
 import contextlib
@@ -23,12 +27,14 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facetail as ft
 import facetail.independence as independence
 from facetail.cli import main
+from facetail.estimate import ChiMatrix, _exceedances, _require_finite
 from facetail.measure import ZERO_TOL
 
 EPS = np.finfo(float).eps
@@ -384,3 +390,107 @@ def test_batched_reports_cross_the_default_chunk_edge():
     parts = [p for part in ft.all_bipartitions(6) for p in (part, part.swapped())] * 4
     got = [report_bytes(r) for r in independence._reports(m, parts)]
     assert got == [report_bytes(oracle_full_report(m, part)) for part in parts]
+
+
+# ---- empirical chi, by sorting ----------------------------------------------
+
+
+def oracle_midranks(x):
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    new = np.empty(x.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(new) - 1]
+    return ranks
+
+
+def oracle_chi_empirical(batch, q=0.95):
+    data = batch.data if isinstance(batch, ft.SampleBatch) else np.asarray(batch, dtype=float)
+    if data.ndim != 2:
+        raise ValueError("need an (n, d) sample array")
+    n, d = data.shape
+    if n < 1000:
+        raise ValueError(f"need n >= 1000 rows for stable rank exceedances, got {n}")
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie in (0, 1)")
+    _require_finite(data, "sample")
+    # one column of midranks at a time, scaled in place: the (n, d) ranks
+    # and their quotient are never held, only the boolean exceedances
+    exceed = np.empty((n, d), dtype=bool, order="F")
+    for i, column in enumerate(data.T):
+        ranks = oracle_midranks(column)
+        ranks /= n + 1.0
+        np.greater(ranks, q, out=exceed[:, i])
+    marginal = exceed.sum(axis=0)
+    if np.min(marginal) < 20:
+        bad = int(np.argmin(marginal))
+        raise ValueError(
+            f"column x{bad + 1} has only {int(marginal[bad])} exceedances above q={q}; "
+            "need at least 20 per coordinate")
+    hits = exceed.astype(np.int64)
+    counts = hits.T @ hits
+    chi = counts / ((1.0 - q) * n)
+    np.fill_diagonal(chi, 1.0)
+    chi = np.clip(chi, 0.0, 1.0)
+    chi.flags.writeable = False
+    counts.flags.writeable = False
+    return ChiMatrix(q=float(q), n=n, chi=chi, counts=counts)
+
+
+@st.composite
+def chi_samples(draw, n_min):
+    """(n, d) samples whose columns are tied (few levels), constant,
+    two-valued or all distinct, and a level q: drawn from [0.5, 0.99], or
+    ``r/(n+1)`` rounded for a half-integer midrank r, or a neighbour of it."""
+    n = draw(st.integers(n_min, max(n_min, 2500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["tied", "constant", "two-valued", "distinct"]))
+        if kind == "tied":
+            columns.append(rng.integers(0, draw(st.integers(2, 40)), n).astype(float))
+        elif kind == "constant":
+            columns.append(np.full(n, draw(st.sampled_from([0.0, -1.5, 3.0]))))
+        elif kind == "two-valued":
+            columns.append(np.where(rng.random(n) < draw(st.floats(0.0, 1.0)), 2.0, 0.5))
+        else:
+            columns.append(rng.permutation(n) * 0.25 - rng.random() * n)
+    if draw(st.booleans()):
+        q = draw(st.floats(0.5, 0.99))
+    else:
+        q = draw(st.integers(2, 2 * n)) / 2.0 / (n + 1.0)
+        q = float(np.nextafter(q, draw(st.sampled_from([0.0, q, 1.0]))))
+    return np.column_stack(columns), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(chi_samples(n_min=1), chi_samples(n_min=1000))
+def test_chi_by_selection_matches_the_sorting_code(short, sample):
+    # every column's exceedances from n = 1 up, then the whole estimate,
+    # or the same ValueError text when a column has under 20 exceedances
+    for data, q in (short, sample):
+        n = len(data)
+        for column in data.T:
+            ranks = oracle_midranks(column)
+            ranks /= n + 1.0
+            out = np.empty(n, dtype=bool)
+            count = _exceedances(column, q, np.empty(n), out)
+            assert np.array_equal(out, ranks > q) and count == np.count_nonzero(out)
+    data, q = sample
+    try:
+        want = oracle_chi_empirical(data, q)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ft.chi_empirical(data, q)
+        assert str(got.value) == str(exc)
+        return
+    got = ft.chi_empirical(data, q)
+    assert (got.q, got.n) == (want.q, want.n)
+    assert got.counts.dtype == want.counts.dtype and got.chi.dtype == want.chi.dtype
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert got.chi.tobytes() == want.chi.tobytes()
+    assert not got.chi.flags.writeable and not got.counts.flags.writeable
