@@ -106,10 +106,7 @@ class _Terms(NamedTuple):
     entry in [0.5, 1), which is the same measure with the mass scaled back,
     and no entry underflows (the zero-snap keeps entries above 1e-12 of
     their row's largest).  ``mass`` is the mantissa of the mass, ``top``
-    the largest binary exponent of a product, so ``shift <= 0``.  ``full``
-    holds the full exponent's terms at 1 as negated `_shifted_products`,
-    the same in every part's additivity defect, and ``full_exact`` whether
-    their shift rounded none of them.
+    the largest binary exponent of a product, so ``shift <= 0``.
     """
 
     mass: np.ndarray  # (J,)
@@ -119,8 +116,6 @@ class _Terms(NamedTuple):
     row_max: np.ndarray  # (J,)
     shift: np.ndarray  # (J,)
     top: int
-    full: np.ndarray  # (2, J), high then low parts
-    full_exact: bool
 
 
 def _point_terms(measure: ExponentMeasure) -> _Terms:
@@ -136,11 +131,7 @@ def _point_terms(measure: ExponentMeasure) -> _Terms:
     live = e[(mass != 0.0) & (row_max != 0.0)]
     top = int(live.max()) if live.size else 0
     shift = e - top
-    halves = _split(mass)
-    full = np.empty((2, len(mass)))
-    full_exact = bool(_shifted_products(mass, halves, shift, row_max[None], full))
-    return _Terms(mass, halves, np.ldexp(mass, shift), scaled, row_max, shift, top,
-                  np.negative(full, out=full), full_exact)
+    return _Terms(mass, _split(mass), np.ldexp(mass, shift), scaled, row_max, shift, top)
 
 
 def _block_max(terms: _Terms, in_a: np.ndarray) -> np.ndarray:
@@ -193,35 +184,40 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
-def _shifted_products(mass: np.ndarray, halves: tuple, shift: np.ndarray,
-                      b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``mass * b`` exactly into ``out``, as the high rows then the low
-    rows of Dekker's product scaled by ``2**shift``, and return whether that
-    scaling rounded none of them: (..., 2k, J) ``out`` and (...) flags for
-    (..., k, J) factors ``b``."""
+def _additivity(terms: _Terms, b: np.ndarray,
+                full: tuple | None = None) -> tuple[list[AdditivityCheck], tuple]:
+    """One `AdditivityCheck` per part, for the (P, 3, J) block maxima ``b``.
+
+    ``full`` carries the full exponent's terms between the chunks of one
+    measure, as they are the same in every part: its (2, J) negated parts
+    and ``exponent(1)`` over ``2**top`` (exactly summed, rounded once), or
+    None until a residual needs it.  A measure's first chunk takes None and
+    computes the parts from row 2 of ``b`` with the blocks' rows; pass back
+    what it returns, and the next chunks compute rows 0 and 1 only.  Their
+    shift needs no check of its own there: an atom's maximum over all
+    coordinates is its maximum over A or over C, so its full-exponent parts
+    are its A or its C parts, bit for bit."""
+    b_rows = b if full is None else b[:, :2]
     # Dekker's product: high + low == a * b exactly, for factors in [0.5, 1)
     # or 0, so nothing underflows before the power-of-two shift; a is the mass
-    high = mass * b
-    (a1, a2), (b1, b2) = halves, _split(b)
-    unscaled = np.concatenate([high, ((a1 * b1 - high) + a1 * b2 + a2 * b1) + a2 * b2],
-                              axis=-2)
-    np.ldexp(unscaled, shift, out=out)
+    shift = terms.shift
+    high = terms.mass * b_rows
+    (a1, a2), (b1, b2) = terms.halves, _split(b_rows)
+    unscaled = np.concatenate([high, ((a1 * b1 - high) + a1 * b2 + a2 * b1) + a2 * b2], axis=1)
+    parts = np.ldexp(unscaled, shift)
     # a shift into the subnormal range may round a part: undoing it shows that
-    return (np.ldexp(out, -shift) == unscaled).all(axis=(-2, -1))
-
-
-def _additivity(terms: _Terms, b: np.ndarray,
-                full: float | None = None) -> tuple[list[AdditivityCheck], float | None]:
-    """One `AdditivityCheck` per part, for the (P, 3, J) block maxima ``b``,
-    and ``exponent(1)`` over ``2**top`` (exactly summed, rounded once) when a
-    residual needed it; pass that back as ``full`` for the next parts of the
-    same measure."""
-    # rows per part: the high parts of the A and C exponents, the low parts,
-    # and the full exponent's two rows, built once per measure and copied
-    parts = np.empty((len(b), 6, b.shape[2]))
-    parts[:, 4:] = terms.full
-    exact = _shifted_products(terms.mass, terms.halves, terms.shift, b[:, :2], parts[:, :4])
-    exact &= terms.full_exact
+    exact = (np.ldexp(parts, -shift) == unscaled).all(axis=(1, 2))
+    if full is None:
+        # rows per part: the high parts of the A, C and full exponents, then
+        # the low parts; the defect subtracts the full exponent's
+        parts[:, 2::3] *= -1.0
+        full = (parts[0, 2::3].copy(), None)
+    else:
+        # rows per part: the A and C exponents' high and low parts, then the
+        # full exponent's
+        parts = np.concatenate([parts, np.broadcast_to(full[0], (len(b), *full[0].shape))],
+                               axis=1)
+    full_parts, value = full
     # an atom with min(max_A, max_C) == 0 adds nothing to the defect: one
     # block's maximum is 0 and the other's is its overall maximum, so its six
     # parts cancel exactly even when rounded, and the sum leaves it out
@@ -235,10 +231,10 @@ def _additivity(terms: _Terms, b: np.ndarray,
             # only a straddling atom that underflowed to 0 can hide
             checks.append(AdditivityCheck(ok=True if exact_p else None, residual=0.0))
             continue
-        if full is None:  # exponent(1), the same in every part
-            full = -math.fsum(memoryview(terms.full.ravel()))
-        checks.append(AdditivityCheck(ok=False, residual=total / full))
-    return checks, full
+        if value is None:
+            value = -math.fsum(memoryview(full_parts.ravel()))
+        checks.append(AdditivityCheck(ok=False, residual=total / value))
+    return checks, (full_parts, value)
 
 
 def check_df_factorization(measure: ExponentMeasure,
