@@ -9,7 +9,6 @@ conditional law.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,9 +92,6 @@ class ChiMatrix:
             "chi": [[float(v) for v in row] for row in self.chi],
             "counts": [[int(v) for v in row] for row in self.counts],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_csv(self, path) -> None:
         header = ",".join(f"x{i + 1}" for i in range(self.d))
@@ -219,17 +215,26 @@ def permutation_independence_test(
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
-    if u.shape != v.shape or u.size < 3:
+    if u.shape != v.shape:
+        raise ValueError("need two equal-length samples with at least 3 points")
+    _check_test(u.size, n_perm, alpha)
+    _require_finite(u, "u")
+    _require_finite(v, "v")
+    return _rank_test(_midranks(u), _midranks(v), n_perm, alpha, seed)
+
+
+def _check_test(n: int, n_perm: int, alpha: float) -> None:
+    if n < 3:
         raise ValueError("need two equal-length samples with at least 3 points")
     if n_perm < 1:
         raise ValueError("need n_perm >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
 
-    _require_finite(u, "u")
-    _require_finite(v, "v")
-    ru = _midranks(u)
-    rv = _midranks(v)
+
+def _rank_test(ru: np.ndarray, rv: np.ndarray, n_perm: int, alpha: float,
+               seed: int | None) -> TestResult:
+    """`permutation_independence_test` on the midranks of its samples."""
     ru -= ru.mean()
     rv -= rv.mean()
     norm_u = float(np.linalg.norm(ru))
@@ -276,9 +281,21 @@ def factorization_test(
         raise ValueError(f"factorization test needs a conditional batch, got {batch.kind!r}")
     if part.d != batch.d:
         raise ValueError(f"bipartition covers {part.d} coordinates, batch has {batch.d}")
-    u = _block_maximum(batch.data, part.a_sorted)
-    v = _block_maximum(batch.data, part.c_sorted)
-    return permutation_independence_test(u, v, n_perm=n_perm, alpha=alpha, seed=seed)
+    # the checks of `permutation_independence_test`, in its order; each block
+    # maximum is ranked as soon as it is built, so neither lives through the
+    # shuffle loop
+    _check_test(len(batch.data), n_perm, alpha)
+    ru = _block_ranks(batch.data, part.a_sorted, "u")
+    rv = _block_ranks(batch.data, part.c_sorted, "v")
+    return _rank_test(ru, rv, n_perm, alpha, seed)
+
+
+def _block_ranks(data: np.ndarray, coords, name: str) -> np.ndarray:
+    """Midranks of the row maxima of ``data`` over ``coords``; the maxima are
+    dropped on return."""
+    maximum = _block_maximum(data, coords)
+    _require_finite(maximum, name)
+    return _midranks(maximum)
 
 
 def _block_maximum(data: np.ndarray, coords) -> np.ndarray:

@@ -18,7 +18,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -72,11 +72,12 @@ class ExponentMeasure:
     its face whose sup-normalized entries are each within ``RAY_ULPS``
     ulps of its own (never across a sign, so an atom with a negative entry
     never merges into a valid one), adding its intensity ``mass * omega``
-    to that atom's mass; kept atoms keep first-occurrence order.  After sorting
-    each coordinate's entries, each atom makes one dict probe and a bisection,
-    so the merge does O(J*d) Python work unless many kept atoms of one key
-    lie within ``RAY_ULPS`` of each other in the column with the most
-    distinct entries.
+    to that atom's mass; kept atoms keep first-occurrence order.  Only atoms
+    that share a face are walked, so a measure whose faces are all distinct
+    is kept as given without a walk.  After sorting each coordinate's entries,
+    each walked atom makes one dict probe and a bisection, so the merge does
+    O(J*d) Python work unless many kept atoms of one key lie within
+    ``RAY_ULPS`` of each other in the column with the most distinct entries.
 
     Directions are stored as given (no normalization): every operation in
     this package depends only on the products ``mass * omega`` and the snap
@@ -138,14 +139,25 @@ def _snap_zeros(omega: np.ndarray) -> None:
 
 
 def _merge_rays(omega, mass, masks):
-    """Indices of the kept atoms; merges the absorbed masses into ``mass``.  A column's
-    cells end at its gaps wider than RAY_ULPS, so atoms within reach share a key; a
-    key's kept atoms stay sorted on the column with the most distinct entries, so an
-    atom is compared only with those within RAY_ULPS of it there."""
+    """Indices of the kept atoms; merges the absorbed masses into ``mass``.  Only atoms
+    whose face another mergeable atom shares are walked.  A column's cells end at its
+    gaps wider than RAY_ULPS, so atoms within reach share a key; a key's kept atoms
+    stay sorted on the column with the most distinct entries, so an atom is compared
+    only with those within RAY_ULPS of it there."""
     with np.errstate(invalid="ignore", divide="ignore"):
         peak = omega.max(axis=1, initial=-np.inf)
         unit = omega / peak[:, None]
     mergeable = np.flatnonzero((masks != 0) & np.all(np.isfinite(unit), axis=1))
+    # atoms on different faces never merge, and two atoms within RAY_ULPS share
+    # their cells whatever else is ranked, so an atom alone on its face stays out
+    faces = masks[mergeable]
+    by_face = np.argsort(faces, kind="stable")
+    same = faces[by_face[1:]] == faces[by_face[:-1]]  # sorted neighbours on one face
+    shared = np.zeros(len(faces), dtype=bool)
+    shared[by_face[1:][same]] = shared[by_face[:-1][same]] = True
+    mergeable = mergeable[shared]
+    if not mergeable.size:
+        return np.arange(len(mass))
     bits = unit[mergeable].view(np.int64)  # differences count ulps within one sign
     order = np.argsort(bits, axis=0)
     ranked = np.take_along_axis(bits, order, 0)
@@ -440,7 +452,7 @@ def random_measure(
     d: int,
     n_atoms: int,
     split: "tuple[Iterable[int], Iterable[int]] | None" = None,
-    seed: int | None = None,
+    seed: "int | np.random.Generator | None" = None,
 ) -> ExponentMeasure:
     """Draw a random valid standardized measure with ``n_atoms`` atoms.
 
@@ -451,7 +463,17 @@ def random_measure(
     [0.25, 4], and the result is standardized.  The face multiset is redrawn
     until every coordinate is charged.
 
-    Deterministic for a fixed ``seed``.
+    Deterministic for a fixed ``seed``.  A `Generator` passed as ``seed`` is
+    drawn from in a fixed order of doubles, and no further:
+
+    - face by face, unsplit: ``d`` doubles per attempt, the coordinates whose
+      double is below 0.5 forming the face, until an attempt is nonempty;
+    - face by face, split: one double choosing A or C, weighted by their
+      counts of nonempty subsets and read on ``Generator.choice``'s cdf, then
+      ``|pool|`` doubles per attempt on the chosen pool's sorted coordinates;
+    - all ``n_atoms`` faces again while some coordinate is uncharged;
+    - atom by atom: one double ``u`` per face coordinate in increasing order,
+      the entry ``1 - u``, then one for the mass ``0.25 + 3.75 * u``.
     """
     if d < 2:
         raise ValueError("random_measure needs d >= 2")
@@ -464,33 +486,63 @@ def random_measure(
         if not part_a or not part_c or set(part_a) & set(part_c) \
                 or set(part_a) | set(part_c) != set(range(d)):
             raise ValueError("split must be a bipartition of range(d)")
-        pools = [part_a, part_c]
-    else:
-        pools = [list(range(d))]
 
     for _ in range(_COVERAGE_RETRIES):
-        faces = [_random_face(rng, pools) for _ in range(n_atoms)]
-        if set().union(*faces) == set(range(d)):
+        faces = (_random_faces(rng, d, n_atoms) if split is None
+                 else _random_split_faces(rng, d, n_atoms, [part_a, part_c]))
+        if faces.any(axis=0).all():
             break
     else:
         raise ValueError("could not cover every coordinate; constraints unsatisfiable?")
 
-    omega = np.zeros((n_atoms, d))
-    mass = np.empty(n_atoms)
-    for j, face in enumerate(faces):
-        omega[j, sorted(face)] = 1.0 - rng.uniform(size=len(face))  # (0, 1]
-        mass[j] = rng.uniform(0.25, 4.0)
-    return standardize(ExponentMeasure(d, omega, mass))
+    # each row's slots, in draw order: its face's entries, then its mass
+    slots = np.ones((n_atoms, d + 1), dtype=bool)
+    slots[:, :d] = faces
+    draws = np.zeros(slots.shape)
+    draws[slots] = rng.random(np.count_nonzero(slots))
+    omega = np.where(faces, 1.0 - draws[:, :d], 0.0)  # (0, 1]
+    return standardize(ExponentMeasure(d, omega, 0.25 + 3.75 * draws[:, d]))
 
 
-def _random_face(rng: np.random.Generator, pools: Sequence[Sequence[int]]) -> frozenset[int]:
-    # uniform over nonempty subsets of a pool, pools weighted by subset count
+def _random_faces(rng: np.random.Generator, d: int, n_atoms: int) -> np.ndarray:
+    """(n_atoms, d) face masks, uniform over nonempty subsets of range(d): an
+    empty row is a failed attempt, and each block draws only the rows the faces
+    still missing need at least."""
+    faces = np.empty((0, d), dtype=bool)
+    while len(faces) < n_atoms:
+        rows = rng.random((n_atoms - len(faces), d)) < 0.5
+        faces = np.concatenate([faces, rows[rows.any(axis=1)]])
+    return faces
+
+
+def _random_split_faces(rng: np.random.Generator, d: int, n_atoms: int,
+                        pools: "list[list[int]]") -> np.ndarray:
+    """(n_atoms, d) face masks, each uniform over nonempty subsets of one pool,
+    the pools weighted by subset count: the pre-drawn doubles are read in the
+    order a draw per face takes them, and a refill draws only what the faces
+    still missing need at least (one choice and one attempt on the smaller pool)."""
     counts = np.array([2 ** len(p) - 1 for p in pools], dtype=float)
-    pool = pools[rng.choice(len(pools), p=counts / counts.sum())] if len(pools) > 1 else pools[0]
-    while True:
-        mask = rng.uniform(size=len(pool)) < 0.5
-        if np.any(mask):
-            return frozenset(p for p, keep in zip(pool, mask) if keep)
+    cdf = (counts / counts.sum()).cumsum()
+    cdf /= cdf[-1]
+    edges, least = cdf.tolist(), 1 + min(map(len, pools))
+    u, at, j, pool, rows, cols = [], 0, 0, None, [], []
+    while j < n_atoms:
+        size = 1 if pool is None else len(pool)
+        if at + size > len(u):
+            need = (n_atoms - j) * least + (0 if pool is None else len(pool) - least)
+            u, at = u[at:] + rng.random(need - (len(u) - at)).tolist(), 0
+        if pool is None:
+            pool = pools[bisect_right(edges, u[at])]  # as cdf.searchsorted(u, "right")
+        else:
+            face = [i for i, x in zip(pool, u[at:at + size]) if x < 0.5]
+            if face:
+                rows += [j] * len(face)
+                cols += face
+                j, pool = j + 1, None
+        at += size
+    faces = np.zeros((n_atoms, d), dtype=bool)
+    faces[rows, cols] = True
+    return faces
 
 
 # ---- serialization ---------------------------------------------------------

@@ -7,7 +7,8 @@ intensity to that atom's mass.  The keyed merge of `ExponentMeasure` must
 return the same atoms in the same order with bit-identical directions and
 masses, and a canonical measure must canonicalise to itself.
 `test_canonical_form_is_pinned` pins the digests of the canonical arrays
-on fixed inputs.
+on fixed inputs, and `test_random_measures_are_pinned` those of a few
+`random_measure` draws.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facetail import ExponentMeasure
+from facetail import ExponentMeasure, random_measure
 from facetail.measure import RAY_ULPS, ZERO_TOL
 
 B = RAY_ULPS
@@ -276,6 +277,58 @@ def test_permuting_scaled_duplicates_moves_only_roundoff(case):
         assert abs(mass - mass2) <= 2 * gamma * mass
 
 
+@st.composite
+def loners_and_near_duplicates(draw):
+    """Atoms alone on their face among groups that share one: copies of a
+    base moved 0, B or B + 1 ulps in one entry or in every entry below the
+    peak, scaled by a power of two, some with a NaN entry (never mergeable),
+    in a shuffled order.  With ``alone`` every face is distinct; at d = 64
+    the face masks are Python ints."""
+    d = draw(st.sampled_from([2, 3, 4, 5, 6, 64]))
+    faces = draw(st.lists(st.integers(1, 2 ** d - 1), min_size=1, max_size=10, unique=True))
+    alone = draw(st.booleans())
+    rows = []
+    for mask in faces:
+        coords = [i for i in range(d) if mask >> i & 1]
+        base = np.zeros(d)
+        base[coords] = draw(st.lists(st.floats(0.05, 1.0), min_size=len(coords),
+                                     max_size=len(coords)))
+        base /= base.max()
+        rows.append(base)
+        for _ in range(0 if alone else draw(st.integers(0, 3))):
+            steps = draw(st.sampled_from([0, B, -B, B + 1, -B - 1]))
+            moved_at = [draw(st.sampled_from(coords))] if draw(st.booleans()) else coords
+            om = step_below_peak(base, steps, moved_at) * draw(st.sampled_from([1.0, 0.5, 4.0]))
+            if draw(st.integers(0, 9)) == 0:
+                om[draw(st.sampled_from(coords))] = np.nan
+            rows.append(om)
+    order = draw(st.permutations(range(len(rows))))
+    masses = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(rows), max_size=len(rows)))
+    return d, np.array(rows)[order], np.array(masses)[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(loners_and_near_duplicates())
+def test_atoms_alone_on_their_face_stay_out_of_the_walk(case):
+    # leaving them out changes the cells of the others, never whom they merge with
+    assert_matches_oracle(*case)
+
+
+def test_all_distinct_faces_are_kept_as_given():
+    # every nonempty face of d = 5 once, and 40 faces of d = 64 holding
+    # coordinate 63, so their masks are Python ints past 2**63
+    rng = np.random.default_rng(9)
+    for d, masks in ((5, rng.permutation(31) + 1),
+                     (64, [1 << 63 | int(m) for m in rng.choice(2 ** 62, 40, replace=False)])):
+        rows = np.array([[rng.uniform(0.1, 1.0) if int(m) >> i & 1 else 0.0 for i in range(d)]
+                         for m in masks])
+        masses = rng.uniform(0.5, 2.0, len(rows))
+        measure = assert_matches_oracle(d, rows, masses)
+        assert measure.omega_matrix.tobytes() == rows.tobytes()
+        assert measure.mass_vector.tobytes() == masses.tobytes()
+        assert measure.face_masks.tolist() == [int(m) for m in masks]
+
+
 def test_invalid_atoms_merge_like_the_loop():
     # negative and non-finite directions never break the merge
     rows = [
@@ -422,3 +475,28 @@ def test_canonical_form_is_pinned():
         cases = case if isinstance(case, list) else [case]
         got[name] = digest([ExponentMeasure(d, rows, masses) for d, rows, masses in cases])
     assert got == PINNED_DIGESTS
+
+
+#: SHA-256 over the shape, the directions and the masses (little-endian
+#: float64) of `random_measure(d, n_atoms, split, seed)`, as drawn one face,
+#: entry and mass at a time; the faces follow from the directions
+PINNED_RANDOM_MEASURES = {
+    (4, 7, None, 11): "354cd93798df449673f594ba931cf7bf51bd0c0c5c8670a2fdd2bd6c963b83fd",
+    (6, 10, ((0, 2, 4), (1, 3, 5)), 12):
+        "758a9c7d659592104a5a27517cc850b66e7f4dea9ee68f58b2dbe61a9da1d39e",
+    (10, 16, None, 13): "a56b97116cca4a8f75a054b4a9470561066398a59d30d3dae37145302c0deb72",
+    (64, 80, (tuple(range(32)), tuple(range(32, 64))), 14):
+        "d9a6511f5baba009d6804f78132d1d07904127faf8527ab9594150a06bc6c0f3",
+}
+
+
+def test_random_measures_are_pinned():
+    got = {}
+    for d, n_atoms, split, seed in PINNED_RANDOM_MEASURES:
+        m = random_measure(d, n_atoms, split=split, seed=seed)
+        h = hashlib.sha256()
+        h.update(repr(m.omega_matrix.shape).encode())
+        h.update(m.omega_matrix.astype("<f8").tobytes())
+        h.update(m.mass_vector.astype("<f8").tobytes())
+        got[d, n_atoms, split, seed] = h.hexdigest()
+    assert got == PINNED_RANDOM_MEASURES

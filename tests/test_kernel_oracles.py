@@ -14,6 +14,11 @@ batch of bipartitions must reproduce it bit for bit.
 The empirical chi used to rank every column by sorting;
 `oracle_chi_empirical` and `oracle_midranks` are that code, kept verbatim,
 and the exceedances found by selection must reproduce it bit for bit.
+
+`random_measure` used to draw each face, entry and mass with its own
+generator call; `oracle_random_measure` is that loop, kept verbatim, and the
+bulk draws must give the same bytes and leave a passed `Generator` in the
+same state.
 """
 
 import contextlib
@@ -494,3 +499,88 @@ def test_chi_by_selection_matches_the_sorting_code(short, sample):
     assert got.counts.tobytes() == want.counts.tobytes()
     assert got.chi.tobytes() == want.chi.tobytes()
     assert not got.chi.flags.writeable and not got.counts.flags.writeable
+
+
+# ---- random measures, one face at a time ------------------------------------
+
+
+def oracle_random_face(rng, pools):
+    # uniform over nonempty subsets of a pool, pools weighted by subset count
+    counts = np.array([2 ** len(p) - 1 for p in pools], dtype=float)
+    pool = pools[rng.choice(len(pools), p=counts / counts.sum())] if len(pools) > 1 else pools[0]
+    while True:
+        mask = rng.uniform(size=len(pool)) < 0.5
+        if np.any(mask):
+            return frozenset(p for p, keep in zip(pool, mask) if keep)
+
+
+def oracle_random_measure(d, n_atoms, split=None, seed=None):
+    if d < 2:
+        raise ValueError("random_measure needs d >= 2")
+    if n_atoms < d:
+        raise ValueError("need n_atoms >= d so every coordinate can be charged")
+    rng = np.random.default_rng(seed)
+    if split is not None:
+        part_a = sorted(set(int(i) for i in split[0]))
+        part_c = sorted(set(int(i) for i in split[1]))
+        if not part_a or not part_c or set(part_a) & set(part_c) \
+                or set(part_a) | set(part_c) != set(range(d)):
+            raise ValueError("split must be a bipartition of range(d)")
+        pools = [part_a, part_c]
+    else:
+        pools = [list(range(d))]
+
+    for _ in range(10_000):
+        faces = [oracle_random_face(rng, pools) for _ in range(n_atoms)]
+        if set().union(*faces) == set(range(d)):
+            break
+    else:
+        raise ValueError("could not cover every coordinate; constraints unsatisfiable?")
+
+    omega = np.zeros((n_atoms, d))
+    mass = np.empty(n_atoms)
+    for j, face in enumerate(faces):
+        omega[j, sorted(face)] = 1.0 - rng.uniform(size=len(face))  # (0, 1]
+        mass[j] = rng.uniform(0.25, 4.0)
+    return ft.standardize(ft.ExponentMeasure(d, omega, mass))
+
+
+def assert_draws_like_the_loop(d, n_atoms, split, seed, as_generator):
+    """The same measure bytes, and a passed `Generator` left where the loop
+    leaves it: its state and its next draws agree."""
+    if as_generator:
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ft.random_measure(d, n_atoms, split=split, seed=got_rng)
+        want = oracle_random_measure(d, n_atoms, split=split, seed=want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random(3).tobytes() == want_rng.random(3).tobytes()
+    else:
+        got = ft.random_measure(d, n_atoms, split=split, seed=seed)
+        want = oracle_random_measure(d, n_atoms, split=split, seed=seed)
+    assert got.omega_matrix.tobytes() == want.omega_matrix.tobytes()
+    assert got.mass_vector.tobytes() == want.mass_vector.tobytes()
+    assert got.face_masks.tolist() == want.face_masks.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bulk_draws_match_the_per_face_loop(data):
+    # n_atoms = d often needs the coverage redraw, and a split with a
+    # one-coordinate block makes the pools' sizes and weights far apart
+    d = data.draw(st.integers(2, 12))
+    n_atoms = data.draw(st.integers(d, 3 * d + 1))
+    split = None
+    if data.draw(st.booleans()):
+        a_mask = data.draw(st.integers(1, 2 ** d - 2))
+        split = ([i for i in range(d) if a_mask >> i & 1],
+                 [i for i in range(d) if not a_mask >> i & 1])
+    assert_draws_like_the_loop(d, n_atoms, split, data.draw(st.integers(0, 2 ** 32 - 1)),
+                               data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("as_generator", [False, True])
+@pytest.mark.parametrize("seed", [0, 64])
+def test_bulk_draws_match_the_per_face_loop_past_62_coordinates(seed, as_generator):
+    # interleaved blocks of 64 coordinates; the faces' masks are Python ints
+    split = (list(range(0, 64, 2)), list(range(1, 64, 2)))
+    assert_draws_like_the_loop(64, 80, split, seed, as_generator)
