@@ -151,7 +151,7 @@ def _merge_rays(omega, mass, masks):
     # atoms on different faces never merge, and two atoms within RAY_ULPS share
     # their cells whatever else is ranked, so an atom alone on its face stays out
     faces = masks[mergeable]
-    by_face = np.argsort(faces, kind="stable")
+    by_face = np.argsort(faces)
     same = faces[by_face[1:]] == faces[by_face[:-1]]  # sorted neighbours on one face
     shared = np.zeros(len(faces), dtype=bool)
     shared[by_face[1:][same]] = shared[by_face[:-1][same]] = True
@@ -159,11 +159,13 @@ def _merge_rays(omega, mass, masks):
     if not mergeable.size:
         return np.arange(len(mass))
     bits = unit[mergeable].view(np.int64)  # differences count ulps within one sign
-    order = np.argsort(bits, axis=0)
-    ranked = np.take_along_axis(bits, order, 0)
-    steps = np.diff(ranked, axis=0, prepend=ranked[:1])
-    col = int(np.argmax(np.count_nonzero(steps, axis=0))) if steps.size else 0
-    cells = np.take_along_axis(np.cumsum(steps > RAY_ULPS, axis=0), np.argsort(order, axis=0), 0)
+    order, columns = np.argsort(bits, axis=0), np.arange(bits.shape[1])
+    ranked = bits[order, columns]
+    steps = np.zeros_like(ranked)
+    np.subtract(ranked[1:], ranked[:-1], out=steps[1:])
+    col = int(np.argmax((steps != 0).sum(axis=0)))
+    cells = np.empty_like(order)
+    cells[order, columns] = np.cumsum(steps > RAY_ULPS, axis=0)
     target, kept = np.arange(len(mass)), {}  # (face, *cells) -> (bits at col, [(atom, bits)])
     for a, face, cell, row in zip(mergeable.tolist(), masks[mergeable].tolist(), cells.tolist(),
                                   bits.tolist()):
