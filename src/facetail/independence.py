@@ -538,6 +538,7 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
         raise ValueError("battery needs at least one trial")
     n_atoms = max(n_atoms, d)
     children = np.random.SeedSequence(seed).spawn(trials)
+    every = list(all_bipartitions(d)) if d <= 4 else None  # built once, not per trial
 
     disagreements = []
     block_failures = []
@@ -551,8 +552,8 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
         measure = random_measure(d, atoms_t, split=None if generating is None
                                  else (generating.a_sorted, generating.c_sorted), seed=rng)
 
-        if d <= 4:
-            parts = list(all_bipartitions(d))
+        if every is not None:
+            parts = list(every)
         else:
             parts = [random_bipartition(d, rng) for _ in range(10)]
         if generating is not None and generating not in parts:

@@ -182,9 +182,11 @@ def _merge_rays(omega, mass, masks):
             where = bisect_right(sort_bits, at)
             sort_bits.insert(where, at)
             group.insert(where, (a, row))
-    merged = np.flatnonzero(target != np.arange(len(mass)))
-    np.add.at(mass, target[merged], mass[merged] * (peak[merged] / peak[target[merged]]))
-    return np.flatnonzero(target == np.arange(len(mass)))
+    stays = target == np.arange(len(mass))
+    if not stays.all():
+        merged = np.flatnonzero(~stays)
+        np.add.at(mass, target[merged], mass[merged] * (peak[merged] / peak[target[merged]]))
+    return np.flatnonzero(stays)
 
 
 # ---- validation ------------------------------------------------------------
