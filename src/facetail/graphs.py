@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .independence import _reports
-from .measure import ExponentMeasure
+from .independence import _pair_cover, _reports
+from .measure import ExponentMeasure, _charges
 from .partition import all_bipartitions
 
 #: the largest d that `certify_partition_bruteforce` takes: 2**(d-1) - 1
@@ -70,8 +70,7 @@ def build_graph(measure: ExponentMeasure) -> ExtremalGraph:
     which for a standardized measure is the same as a positive pairwise
     tail dependence coefficient.
     """
-    support = (measure.omega_matrix > 0.0).astype(np.int64)
-    i, j = np.nonzero(np.triu(support.T @ support, k=1))  # an atom charges both i < j
+    i, j = np.nonzero(np.triu(_pair_cover(_charges(measure)), k=1))  # an atom charges both i < j
     return _assemble(measure.d, set(zip(i.tolist(), j.tolist())))
 
 

@@ -31,8 +31,9 @@ import numpy as np
 
 from .conditional import _factorization
 from .measure import (ExponentMeasure, _charges, _check_coordinate_subset,
-                      _check_positive_point, _ratio_kernel)
-from .partition import Bipartition, _first, _membership, _straddling, check_dimension
+                      _check_positive_point, _ratio_kernel, random_measure)
+from .partition import (Bipartition, _first, _membership, _straddling, all_bipartitions,
+                        check_dimension, random_bipartition)
 
 _GRID_AXIS = (0.5, 1.0, 2.0, 5.0)
 _GRID_CAP = 4096
@@ -415,7 +416,6 @@ def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceRepo
     on disagreement; the ``agree`` flag and the witnesses carry the
     evidence either way.
     """
-    check_dimension(part, measure.d)
     [report] = _reports(measure, [part])
     return report
 
@@ -529,9 +529,6 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
     of `full_report`.  A block failure is a generating split that some
     decided criterion calls dependent.  Deterministic in ``seed``.
     """
-    from .measure import random_measure
-    from .partition import all_bipartitions, random_bipartition
-
     if d < 2:
         raise ValueError("battery needs d >= 2")
     if trials < 1:

@@ -72,12 +72,15 @@ class ExponentMeasure:
     its face whose sup-normalized entries are each within ``RAY_ULPS``
     ulps of its own (never across a sign, so an atom with a negative entry
     never merges into a valid one), adding its intensity ``mass * omega``
-    to that atom's mass; kept atoms keep first-occurrence order.  Only atoms
-    that share a face are walked, so a measure whose faces are all distinct
-    is kept as given without a walk.  After sorting each coordinate's entries,
-    each walked atom makes one dict probe and a bisection, so the merge does
-    O(J*d) Python work unless many kept atoms of one key lie within
-    ``RAY_ULPS`` of each other in the column with the most distinct entries.
+    to that atom's mass; kept atoms keep first-occurrence order.  Each
+    coordinate's entries are cut into cells at the gaps wider than
+    ``RAY_ULPS``, and one stable sort puts the atoms that share every cell
+    in runs; only runs of two or more are walked, so a measure whose faces
+    are all distinct is kept as given without a walk.  Each walked atom
+    makes one bisection among the kept atoms of its run, so the merge does
+    O(J*d) Python work on the walked atoms unless many kept atoms of one run
+    lie within ``RAY_ULPS`` of each other in the column with the most
+    distinct entries.
 
     Directions are stored as given (no normalization): every operation in
     this package depends only on the products ``mass * omega`` and the snap
@@ -139,41 +142,41 @@ def _snap_zeros(omega: np.ndarray) -> None:
 
 
 def _merge_rays(omega, mass, masks):
-    """Indices of the kept atoms; merges the absorbed masses into ``mass``.  Only atoms
-    whose face another mergeable atom shares are walked.  A column's cells end at its
-    gaps wider than RAY_ULPS, so atoms within reach share a key; a key's kept atoms
-    stay sorted on the column with the most distinct entries, so an atom is compared
-    only with those within RAY_ULPS of it there."""
+    """Indices of the kept atoms; merges the absorbed masses into ``mass``.  A column's
+    cells end at its gaps wider than RAY_ULPS, so atoms within reach share every cell,
+    and a cell holds one sign (a zero entry is billions of ulps from any other).  One
+    stable sort of the atoms' cell rows puts those that share every cell in runs, in
+    input order, and only runs of two or more are walked.  A run's kept atoms stay
+    sorted on the column with the most distinct entries, so an atom is compared only
+    with those within RAY_ULPS of it there."""
     with np.errstate(invalid="ignore", divide="ignore"):
         peak = omega.max(axis=1, initial=-np.inf)
         unit = omega / peak[:, None]
     mergeable = np.flatnonzero((masks != 0) & np.all(np.isfinite(unit), axis=1))
-    # atoms on different faces never merge, and two atoms within RAY_ULPS share
-    # their cells whatever else is ranked, so an atom alone on its face stays out
-    faces = masks[mergeable]
-    by_face = np.argsort(faces)
-    same = faces[by_face[1:]] == faces[by_face[:-1]]  # sorted neighbours on one face
-    shared = np.zeros(len(faces), dtype=bool)
-    shared[by_face[1:][same]] = shared[by_face[:-1][same]] = True
-    mergeable = mergeable[shared]
-    if not mergeable.size:
+    # atoms within reach share a face, so when no two share one nothing merges
+    if len(set(masks[mergeable].tolist())) == len(mergeable):
         return np.arange(len(mass))
     bits = unit[mergeable].view(np.int64)  # differences count ulps within one sign
     order, columns = np.argsort(bits, axis=0), np.arange(bits.shape[1])
     ranked = bits[order, columns]
-    steps = np.zeros_like(ranked)
-    np.subtract(ranked[1:], ranked[:-1], out=steps[1:])
-    col = int(np.argmax((steps != 0).sum(axis=0)))
+    gaps = np.zeros(ranked.shape, dtype=bool)
+    np.greater(ranked[1:], ranked[:-1] + RAY_ULPS, out=gaps[1:])  # finite bits: no overflow
     cells = np.empty_like(order)
-    cells[order, columns] = np.cumsum(steps > RAY_ULPS, axis=0)
-    target, kept = np.arange(len(mass)), {}  # (face, *cells) -> (bits at col, [(atom, bits)])
-    for a, face, cell, row in zip(mergeable.tolist(), masks[mergeable].tolist(), cells.tolist(),
-                                  bits.tolist()):
-        key, at = (face, *cell), row[col]
-        if key not in kept:
-            kept[key] = ([at], [(a, row)])
-            continue
-        sort_bits, group = kept[key]
+    cells[order, columns] = np.cumsum(gaps, axis=0)
+    rows = cells.view(np.dtype((np.void, cells.itemsize * cells.shape[1]))).ravel()
+    runs = np.argsort(rows, kind="stable")
+    key, same = rows[runs], np.zeros(len(runs) + 1, dtype=bool)
+    same[1:-1] = key[1:] == key[:-1]  # same[i]: runs[i - 1] and runs[i] share every cell
+    joins, walked = same[:-1], same[:-1] | same[1:]
+    if not walked.any():  # every atom alone in its cells
+        return np.arange(len(mass))
+    col = int(np.argmax((ranked[1:] != ranked[:-1]).sum(axis=0)))
+    target = np.arange(len(mass))
+    for a, joined, row in zip(mergeable[runs[walked]].tolist(), joins[walked].tolist(),
+                              bits[runs[walked]].tolist()):
+        if not joined:  # a run's first atom
+            sort_bits, group = [], []  # its kept atoms' bits at col, and (atom, bits)
+        at = row[col]
         near = group[bisect_left(sort_bits, at - RAY_ULPS):bisect_right(sort_bits, at + RAY_ULPS)]
         # the first kept atom within reach: kept atoms are in input order
         target[a] = k = min((j for j, other in near
@@ -183,9 +186,8 @@ def _merge_rays(omega, mass, masks):
             sort_bits.insert(where, at)
             group.insert(where, (a, row))
     stays = target == np.arange(len(mass))
-    if not stays.all():
-        merged = np.flatnonzero(~stays)
-        np.add.at(mass, target[merged], mass[merged] * (peak[merged] / peak[target[merged]]))
+    merged = np.flatnonzero(~stays)
+    np.add.at(mass, target[merged], mass[merged] * (peak[merged] / peak[target[merged]]))
     return np.flatnonzero(stays)
 
 

@@ -53,9 +53,6 @@ class Bipartition:
     def c_mask(self) -> int:
         return sum(1 << i for i in self.c)
 
-    def swapped(self) -> "Bipartition":
-        return Bipartition(self.c, self.a)
-
     def __repr__(self) -> str:
         return f"Bipartition({sorted(self.a)}, {sorted(self.c)})"
 

@@ -14,6 +14,7 @@ on fixed inputs, and `test_random_measures_are_pinned` those of a few
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -329,6 +330,29 @@ def test_all_distinct_faces_are_kept_as_given():
         assert measure.face_masks.tolist() == [int(m) for m in masks]
 
 
+def test_merges_past_62_coordinates_match_the_loop():
+    # faces holding coordinate 63 have Python-int masks: on each shared face a
+    # base, its scaled copies and copies moved B ulps (every entry below the
+    # peak, or one) join the base, a copy moved B + 1 ulps stays; plus one
+    # atom alone on its face, the faces interleaved
+    rng = np.random.default_rng(64)
+    shared, alone = [[63, 0, 5], [63, 1, 2, 40], [0, 63]], [63, 7]
+    groups = []
+    for coords in shared:
+        base = np.zeros(64)
+        base[coords] = rng.uniform(0.1, 1.0, len(coords))
+        base /= base.max()
+        groups.append([base, 4.0 * base, 3.0 * base, step_below_peak(base, B, coords),
+                       step_below_peak(base, B + 1, coords), step_below_peak(base, -B, coords[1:2])])
+    loner = np.zeros(64)
+    loner[alone] = [0.5, 1.0]
+    rows = np.array([row for step in zip(*groups) for row in step] + [loner])
+    measure = assert_matches_oracle(64, rows, rng.uniform(0.5, 2.0, len(rows)))
+    assert measure.face_masks.dtype == object
+    assert measure.face_masks.tolist() == [sum(1 << i for i in c) for c in shared] * 2 \
+        + [1 << 63 | 1 << 7]
+
+
 def test_invalid_atoms_merge_like_the_loop():
     # negative and non-finite directions never break the merge
     rows = [
@@ -381,6 +405,30 @@ def test_chained_rays_build_in_linear_time():
     # forwards and backwards
     for omega, masses in (chained_rays(300), [a[::-1] for a in chained_rays(299)]):
         assert_matches_oracle(2, omega, masses)
+
+
+def test_canonicalisation_memory_is_proportional_to_its_input():
+    # J = 2e5 random d = 8 directions, about 40% of entries nonzero, and 10%
+    # scaled copies, peak in units of the directions' J * d * 8 bytes under
+    # tracemalloc: walking only atoms that share every cell takes about 9,
+    # Python lists of every face-sharing atom's cells and bits about 22
+    rng = np.random.default_rng(2)
+    J, d = 200_000, 8
+    base = np.where(rng.random((J, d)) < 1 / 3, rng.uniform(0.05, 1.0, (J, d)), 0.0)
+    base[np.arange(J), rng.integers(0, d, J)] = rng.uniform(0.05, 1.0, J)  # no empty row
+    copies = rng.choice(J, J // 10, replace=False)
+    omega = np.vstack([base, base[copies] * rng.choice([0.5, 2.0, 3.0], (len(copies), 1))])
+    tracemalloc.start()
+    try:
+        measure = ExponentMeasure(d, omega, rng.uniform(0.5, 2.0, len(omega)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * omega.nbytes
+    # the copies merge, and so do the rows whose one positive entry is in one
+    # coordinate; no other two rows are one ray
+    single = (base > 0.0).sum(axis=1) == 1
+    assert measure.n_atoms == J - single.sum() + len(np.unique(base[single].argmax(axis=1)))
 
 
 #: SHA-256 of the canonical arrays of each case in `canonical_cases`, as

@@ -179,7 +179,7 @@ def test_joint_exceedance_is_the_additivity_defect():
 def test_joint_exceedance_symmetric_in_blocks(m_blk):
     x = [0.7, 1.3, 2.1]
     assert ft.joint_exceedance_mass(m_blk, SPLIT_02_1, x) == \
-        ft.joint_exceedance_mass(m_blk, SPLIT_02_1.swapped(), x)
+        ft.joint_exceedance_mass(m_blk, ft.bipartition(SPLIT_02_1.c, SPLIT_02_1.a), x)
 
 
 def test_joint_exceedance_input_checks(m_ind):
@@ -277,7 +277,7 @@ def test_report_on_block_measure_both_splits(m_blk):
 def test_report_symmetric_under_block_swap(m_blk):
     for part in (SPLIT_01_2, SPLIT_02_1):
         a = ft.full_report(m_blk, part)
-        b = ft.full_report(m_blk, part.swapped())
+        b = ft.full_report(m_blk, ft.bipartition(part.c, part.a))
         assert (a.cond_i, a.cond_ii, a.cond_iii, a.df, a.new_notion) == \
             (b.cond_i, b.cond_ii, b.cond_iii, b.df, b.new_notion)
 
@@ -360,6 +360,16 @@ def test_numeric_criteria_refuse_nonfinite_measures():
             for check in (ft.full_report, ft.check_additivity, ft.check_df_factorization):
                 with pytest.raises(ValueError, match="finite directions and masses"):
                     check(m, part)
+
+
+def test_a_bipartition_of_the_wrong_dimension_is_refused():
+    # the report path and every one-part entry point refuse it with one message
+    m = ft.ExponentMeasure(4, np.eye(4), np.ones(4))
+    for check in (ft.full_report, ft.check_support, ft.check_additivity,
+                  ft.check_df_factorization, ft.check_mixed_margins,
+                  ft.conditional_factorization):
+        with pytest.raises(ValueError, match=r"^bipartition covers 3 coordinates, measure has 4$"):
+            check(m, SPLIT_02_1)
 
 
 # ---- randomized battery ----------------------------------------------------

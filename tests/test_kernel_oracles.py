@@ -346,7 +346,7 @@ def part_lists(draw, d):
     extra = draw(st.lists(st.tuples(st.integers(0, len(parts) - 1), st.booleans()), max_size=6))
     for index, swap in extra:
         parts.insert(draw(st.integers(0, len(parts))),
-                     parts[index].swapped() if swap else parts[index])
+                     ft.bipartition(parts[index].c, parts[index].a) if swap else parts[index])
     return parts
 
 
@@ -392,7 +392,8 @@ def test_batched_reports_cross_the_default_chunk_edge():
     # measure; 4 passes over its 31 bipartitions, in both orientations, take 248
     m = ft.random_measure(6, 16, seed=6)
     assert m.n_atoms == 16
-    parts = [p for part in ft.all_bipartitions(6) for p in (part, part.swapped())] * 4
+    parts = [p for part in ft.all_bipartitions(6)
+             for p in (part, ft.bipartition(part.c, part.a))] * 4
     got = [report_bytes(r) for r in independence._reports(m, parts)]
     assert got == [report_bytes(oracle_full_report(m, part)) for part in parts]
 

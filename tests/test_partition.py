@@ -26,12 +26,6 @@ def test_blocks_must_cover_without_overlap():
         bipartition([0, -1], [1])
 
 
-def test_swap_exchanges_blocks():
-    part = bipartition([0, 2], [1])
-    assert part.swapped() == bipartition([1], [0, 2])
-    assert part.swapped().swapped() == part
-
-
 def test_equality_and_hashing():
     assert bipartition([0, 2], [1]) == bipartition((2, 0), (1,))
     assert bipartition([0], [1]) != bipartition([1], [0])
