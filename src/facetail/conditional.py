@@ -90,7 +90,9 @@ def rectangle_probability(law: ConditionalLaw, x) -> float:
     x_i) / m_k``.  An atom without a full face, which includes every atom
     not charging k, contributes exactly 0.
     """
-    return _upper_rectangle(law, np.arange(law.d), _check_positive_point(law.measure, x))
+    x = _check_positive_point(law.measure, x).copy()
+    x[law.k] = max(x[law.k], 1.0)
+    return _law_mass(law, law.measure.omega_matrix, x)
 
 
 def marginal_rectangle_probability(law: ConditionalLaw, coords: Iterable[int], x) -> float:
@@ -116,15 +118,16 @@ def marginal_rectangle_probability(law: ConditionalLaw, coords: Iterable[int], x
         raise ValueError(f"expected {idx.size} thresholds, got {x.shape[0]}")
     if not np.all(x > 0.0):
         raise ValueError("thresholds must be strictly positive")
-    return _upper_rectangle(law, idx, x)
-
-
-def _upper_rectangle(law: ConditionalLaw, coords: np.ndarray, x: np.ndarray) -> float:
-    # the measure's rectangle over coords and k, with x_k at least 1
-    point = dict(zip(coords.tolist(), x.tolist()))
+    # the rectangle over coords and k, with x_k at least 1
+    point = dict(zip(idx.tolist(), x.tolist()))
     point[law.k] = max(point.get(law.k, 1.0), 1.0)
-    mass = _ratio_kernel(law.measure.omega_matrix[:, list(point)], law.measure.mass_vector,
-                         np.array([list(point.values())]), np.minimum)[0]
+    return _law_mass(law, law.measure.omega_matrix[:, list(point)], np.array(list(point.values())))
+
+
+def _law_mass(law: ConditionalLaw, omega: np.ndarray, x: np.ndarray) -> float:
+    """The measure's upper-rectangle mass at x over the columns of ``omega``,
+    over ``m_k``."""
+    mass = _ratio_kernel(omega, law.measure.mass_vector, x[None, :], np.minimum)[0]
     return float(mass / law.norming_mass)
 
 

@@ -9,6 +9,16 @@ recorded in batch metadata as ``"philox4x64"``.
 All uniforms are taken in the open interval (0, 1) and transformed by
 inversion, so radii and exponentials are finite and positive by
 construction.
+
+Each sampler computes only what its draw uses, with the bits of the plain
+loops, so streams and CSV bytes do not depend on it.  A max-stable
+coordinate charged by at most half of the atoms (`_GATHER_SHARE`, the
+measured crossover) divides only those atoms' exponentials: the others'
+ratios are +0.0, which never win a max.  A conditional draw starts its
+search for the first cumulative weight at or above its uniform from a
+table of `_CELLS_PER_ATOM` cells per atom and steps once; only a row whose
+cell holds two cumulative weights below it reaches `np.searchsorted`, at
+most 1/(2 * _CELLS_PER_ATOM) of the rows whatever the weights.
 """
 
 from __future__ import annotations
@@ -37,6 +47,24 @@ _KIND_CODES = {_KIND_MAX_STABLE: 1, _KIND_CONDITIONAL: 2}
 
 #: one Philox counter tick yields this many 64-bit words
 _WORDS_PER_TICK = 4
+
+#: the largest share of the atoms whose exponentials a coordinate gathers
+#: (``np.take``) and divides alone; a coordinate charged by more divides
+#: the whole row.  Per 64K-cell block at J = 500 and 2000, gathering and
+#: dividing half the atoms took 0.91-0.95x the whole row's time, and 60%
+#: took 1.07-1.08x.
+_GATHER_SHARE = 0.5
+
+#: cells per atom in the conditional sampler's cell table.  A row is left
+#: for `np.searchsorted` only when its cell holds two cumulative weights
+#: below it; at most J/2 of the c*J cells hold two, so at most 1/(2c) of the
+#: rows are, whatever the weights.  On a law that meets the bound (each
+#: large weight ending on a cell edge, a tiny one just above it), c = 1, 2,
+#: 4 and 8 sent 50%, 25%, 12.5% and 6.3% of the rows and took 0.71, 0.51,
+#: 0.44 and 0.40x the time of a search on every row; c = 4 also took
+#: 0.92-0.99x c = 2's time on the many-atoms and dense laws, with a table
+#: (4J+1 indices) that stays in cache.
+_CELLS_PER_ATOM = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +154,8 @@ def sample_max_stable(measure: ExponentMeasure, n: int, seed: int) -> SampleBatc
     and contributes the point ``mass_j * omega_j / E_j``; the sample is
     the coordinatewise maximum.  The resulting distribution function is
     exactly ``exp(-exponent_function(x))``, no approximation involved.
+    A coordinate charged by at most half of the atoms takes its maximum
+    over those atoms only, which gives the same bits.
     """
     return _sample(measure, None, n, seed)
 
@@ -135,7 +165,10 @@ def sample_conditional(measure: ExponentMeasure, k: int, n: int, seed: int) -> S
 
     Per sample: pick an atom by its selection weight, then a radius from
     the Pareto(1) tail above that atom's ``r_min``.  Coordinates off the
-    chosen atom's face are exact zeros.
+    chosen atom's face are exact zeros.  The atom is the first whose
+    cumulative weight reaches the sample's uniform, found through a cell
+    table and, for at most 1/(2 * _CELLS_PER_ATOM) of the samples, a
+    binary search.
     """
     return _sample(measure, k, n, seed)
 
@@ -172,24 +205,34 @@ def _max_stable_rows(measure: ExponentMeasure, seed: int, start: int, stop: int,
     key = _batch_key(seed, _KIND_MAX_STABLE, None)
     ticks = max(1, math.ceil(n_atoms / _WORDS_PER_TICK))
     width = _WORDS_PER_TICK * ticks
-    # rays coordinate-major, so each coordinate's row is contiguous, and
-    # padded with zero rays to all of a sample's words: every array below is
-    # contiguous, and a zero ratio never wins the max over nonnegative ones
+    # rays coordinate-major, so each coordinate's row is contiguous, negated,
+    # so that they divide log u rather than -log u (``fl(-r / log u)`` is
+    # ``fl(r / -log u)``), and padded with -0.0 to all of a sample's words: a
+    # padding ratio is +0.0, which never wins the max over nonnegative ones
     rays = np.zeros((measure.d, width))
     rays[:, :n_atoms] = (measure.omega_matrix * measure.mass_vector[:, None]).T
+    np.negative(rays, out=rays)
+    # coordinate i divides only the logs of the atoms that charge it: the
+    # others' ratios are +0.0 and a max is exact in any order, so the bits
+    # hold; a valid measure charges every coordinate, so no set is empty
+    plans = [(rays[i], None) if cols.size > _GATHER_SHARE * n_atoms else (rays[i, cols], cols)
+             for i, cols in enumerate(map(np.flatnonzero, measure.omega_matrix.T > 0.0))]
     out = np.empty((stop - start, measure.d)) if out is None else out
     blocks = _row_blocks(stop - start, n_atoms)
     # one buffer of uniforms and one division buffer, shared by every block
     size = _largest(blocks) * width
     work = np.empty(2 * size)
     for lo, hi in blocks:
-        exponentials = work[:(hi - lo) * width].reshape(-1, width)
-        _uniforms(key, ticks, start + lo, exponentials)
-        np.log(exponentials, out=exponentials)
-        np.negative(exponentials, out=exponentials)  # (rows, width), finite positive
-        ratio = work[size:size + exponentials.size].reshape(exponentials.shape)
-        for i in range(measure.d):
-            np.max(np.divide(rays[i], exponentials, out=ratio), axis=1, out=out[lo:hi, i])
+        logs = work[:(hi - lo) * width].reshape(-1, width)
+        _uniforms(key, ticks, start + lo, logs)
+        np.log(logs, out=logs)  # (rows, width), finite negative
+        for i, (ray, cols) in enumerate(plans):
+            ratio = work[size:size + (hi - lo) * ray.size].reshape(-1, ray.size)
+            if cols is None:
+                np.divide(ray, logs, out=ratio)
+            else:  # mode "clip" writes ``out`` directly, "raise" through a buffer
+                np.divide(ray, np.take(logs, cols, axis=1, out=ratio, mode="clip"), out=ratio)
+            np.max(ratio, axis=1, out=out[lo:hi, i])
     return out
 
 
@@ -200,6 +243,14 @@ def _conditional_rows(law: ConditionalLaw, seed: int, start: int, stop: int,
     key = _batch_key(seed, _KIND_CONDITIONAL, law.k)
     cum = np.cumsum(law.weights)
     cum[-1] = 1.0  # guard the last bin against accumulated roundoff
+    # the atom of uniform u is the first with cum >= u; the cell map
+    # ``(v * cells).astype(intp)`` is monotone, so no atom in a cell before
+    # u's reaches u, and u's search starts at first[cell of u], the first
+    # atom in its cell or later.  cum is clipped to 1.0, which bounds u, so
+    # that no cell passes `cells` where roundoff lifts an entry above 1.0.
+    cells = _CELLS_PER_ATOM * cum.size
+    counts = np.bincount((np.minimum(cum, 1.0) * cells).astype(np.intp), minlength=cells + 1)
+    first = np.cumsum(counts) - counts  # the number of atoms in the cells before
     atoms = np.array(law.atom_indices, dtype=int)
     omega = law.measure.omega_matrix
     out = np.empty((stop - start, law.measure.d)) if out is None else out
@@ -208,7 +259,12 @@ def _conditional_rows(law: ConditionalLaw, seed: int, start: int, stop: int,
     u = np.empty((_largest(blocks), _WORDS_PER_TICK))
     for lo, hi in blocks:
         uniforms = _uniforms(key, 1, start + lo, u[:hi - lo])
-        choice = np.searchsorted(cum, uniforms[:, 0], side="left")
+        pick = uniforms[:, 0]
+        choice = first[(pick * cells).astype(np.intp)]
+        choice += cum[choice] < pick  # one step, past an atom of u's cell below u
+        # a row still behind has two cumulative weights below it in its cell
+        behind = np.flatnonzero(cum[choice] < pick)
+        choice[behind] = np.searchsorted(cum, pick[behind], side="left")
         radius = law.r_min[choice] / uniforms[:, 1]
         np.take(omega, atoms[choice], axis=0, out=out[lo:hi])
         out[lo:hi] *= radius[:, None]

@@ -310,6 +310,51 @@ def oracle_max_stable_rows(measure, seed, n):
                     axis=1)
 
 
+def mixed_support_measure(kind):
+    """Measures whose coordinates take both of the sampler's paths: each
+    coordinate divides the logs of only the atoms charging it when they are
+    at most half the atoms, and the whole row otherwise."""
+    rng = np.random.default_rng(24)
+    if kind == "d64":  # faces of two or three coordinates, Python-int masks
+        d, n_atoms = 64, 200
+        omega = np.zeros((n_atoms, d))
+        for j, row in enumerate(omega):
+            row[[j % d, *rng.choice(d, size=int(rng.integers(1, 3)), replace=False)]] = 1.0
+        omega *= 1.0 - rng.uniform(size=omega.shape)
+        return ft.ExponentMeasure(d, omega, rng.uniform(0.5, 2.0, size=n_atoms))
+    if kind == "underflow":
+        # every mass * omega on coordinates 2 (two of three atoms: whole
+        # rows) and 3 (one atom) is 1e-340, below the smallest subnormal: 0.0
+        return ft.ExponentMeasure(4, [[1.0, 0.5, 0.0, 0.0], [0.0, 1e-170, 1e-170, 1e-170],
+                                      [0.0, 0.0, 1e-170, 0.0]], [1.0, 1e-170, 1e-170])
+    d, n_atoms = 8, 40
+    omega = np.zeros((n_atoms, d))
+    for j, row in enumerate(omega):  # atom j on {j, j + 3} mod d: a quarter each
+        row[[j % d, (j + 3) % d]] = 1.0 - rng.uniform(size=2)
+    if kind == "half":
+        # charge coordinate 1 by exactly half of the atoms, and 2 by one more
+        for i, extra in [(1, 10), (2, 11)]:
+            omega[np.flatnonzero(omega[:, i] == 0.0)[:extra], i] = rng.uniform(0.1, 1.0, extra)
+    elif kind == "full":
+        omega[:, 0] = rng.uniform(0.1, 1.0, size=n_atoms)
+    return ft.ExponentMeasure(d, omega, rng.uniform(0.5, 2.0, size=n_atoms))
+
+
+@pytest.mark.parametrize("kind", ["sparse", "half", "full", "d64", "underflow"])
+def test_face_restricted_draws_match_the_oracle(kind):
+    from facetail.simulate import _max_stable_rows
+    m = mixed_support_measure(kind)
+    shares = (m.omega_matrix > 0.0).sum(axis=0) / m.n_atoms
+    assert {"sparse": shares.max() <= 0.5,
+            "half": shares[1] == 0.5 and shares[2] > 0.5,
+            "full": shares[0] == 1.0 and shares[1:].max() <= 0.5,
+            "d64": m.face_masks.dtype == object and shares.max() <= 0.5,
+            "underflow": shares[2] > 0.5 >= shares[3] and not ft.margins(m)[2:].any()}[kind]
+    want = oracle_max_stable_rows(m, 12, 1200)
+    assert _max_stable_rows(m, 12, 0, 1200).tobytes() == want.tobytes()
+    assert _max_stable_rows(m, 12, 333, 1100).tobytes() == want[333:1100].tobytes()
+
+
 def blas_digests():
     import hashlib
     import json

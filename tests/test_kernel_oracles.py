@@ -19,9 +19,14 @@ and the exceedances found by selection must reproduce it bit for bit.
 generator call; `oracle_random_measure` is that loop, kept verbatim, and the
 bulk draws must give the same bytes and leave a passed `Generator` in the
 same state.
+
+The conditional sampler used to binary-search every row's uniform;
+`oracle_conditional_rows` is that code, kept verbatim, and the search
+started from the cell table must draw the same bytes.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -40,7 +45,9 @@ import facetail as ft
 import facetail.independence as independence
 from facetail.cli import main
 from facetail.estimate import ChiMatrix, _exceedances, _require_finite
-from facetail.measure import ZERO_TOL
+from facetail.measure import ZERO_TOL, _row_blocks
+from facetail.simulate import (_CELLS_PER_ATOM, _KIND_CONDITIONAL, _WORDS_PER_TICK, _batch_key,
+                               _conditional_rows, _largest, _uniforms)
 
 EPS = np.finfo(float).eps
 
@@ -143,6 +150,19 @@ def test_conditional_rectangles_match_the_pareto_tail_code(m, data):
     full = np.array([data.draw(thresholds) for _ in range(m.d)])
     assert_close(ft.rectangle_probability(law, full),
                  oracle_upper_rectangle(law, np.arange(m.d), full), m.n_atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(measures(), st.data())
+def test_full_rectangles_are_the_marginal_ones_over_every_coordinate(m, data):
+    # the full rectangle divides the measure's own columns, the marginal one
+    # a gathered copy of them: the same numbers in the same order
+    charged = np.flatnonzero(ft.margins(m) > 0.0).tolist()
+    law = ft.conditional_law(m, data.draw(st.sampled_from(charged)))
+    x = np.array([data.draw(thresholds) for _ in range(m.d)])
+    got = ft.rectangle_probability(law, x)
+    assert got == ft.marginal_rectangle_probability(law, range(m.d), x)
+    assert math.copysign(1.0, got) == 1.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -585,3 +605,117 @@ def test_bulk_draws_match_the_per_face_loop_past_62_coordinates(seed, as_generat
     # interleaved blocks of 64 coordinates; the faces' masks are Python ints
     split = (list(range(0, 64, 2)), list(range(1, 64, 2)))
     assert_draws_like_the_loop(64, 80, split, seed, as_generator)
+
+
+# ---- conditional draws through the cell table --------------------------------
+
+
+def oracle_conditional_rows(law, seed, start, stop, out=None):
+    """Samples ``[start, stop)``, into ``out`` when given."""
+    # row blocks bound every temporary, as in `_max_stable_rows`
+    key = _batch_key(seed, _KIND_CONDITIONAL, law.k)
+    cum = np.cumsum(law.weights)
+    cum[-1] = 1.0  # guard the last bin against accumulated roundoff
+    atoms = np.array(law.atom_indices, dtype=int)
+    omega = law.measure.omega_matrix
+    out = np.empty((stop - start, law.measure.d)) if out is None else out
+    blocks = _row_blocks(stop - start, law.measure.d)
+    # one buffer of uniforms for every block: one tick per sample, two words used
+    u = np.empty((_largest(blocks), _WORDS_PER_TICK))
+    for lo, hi in blocks:
+        uniforms = _uniforms(key, 1, start + lo, u[:hi - lo])
+        choice = np.searchsorted(cum, uniforms[:, 0], side="left")
+        radius = law.r_min[choice] / uniforms[:, 1]
+        np.take(omega, atoms[choice], axis=0, out=out[lo:hi])
+        out[lo:hi] *= radius[:, None]
+    return out
+
+
+def law_with_weights(weights):
+    """A conditional law at coordinate 0 of J = len(weights) distinct rays,
+    with its selection weights replaced by ``weights``: the samplers read
+    the weights as given, so any positive weights can be tested."""
+    n_atoms = len(weights)
+    omega = np.stack([np.ones(n_atoms), 1.0 + np.arange(n_atoms) * 2.0 ** -20], axis=1)
+    law = ft.conditional_law(ft.ExponentMeasure(2, omega, np.ones(n_atoms)), 0)
+    assert len(law.weights) == n_atoms
+    return dataclasses.replace(law, weights=np.array(weights, dtype=float))
+
+
+#: sixths that a cumsum takes past 1.0 (to 1.0000000000000002) before the last
+ROUNDED_UP = [0.24684028505801844, 0.14098409184371033, 0.051279018274417214,
+              0.25851762562124936, 0.18920127732422473, 0.11317770187838004]
+
+
+@st.composite
+def cell_weights(draw):
+    """Selection weights that stress the cell table: exact dyadic weights with
+    cumulative weights on cell edges i / (c J) and several in one cell (J a
+    power of two from 1), or normalized weights and a last one below the
+    cumsum's roundoff, so that an entry before the last may exceed 1.0."""
+    if draw(st.booleans()):
+        n_atoms = 2 ** draw(st.integers(0, 6))
+        fine = 2 ** 10  # units per cell: the total, c J cells, is a power of two
+        units = [draw(st.one_of(st.integers(1, 3), st.integers(1, _CELLS_PER_ATOM).map(
+            lambda cells: cells * fine))) for _ in range(n_atoms - 1)]
+        total = _CELLS_PER_ATOM * n_atoms * fine
+        return [u / total for u in units + [total - sum(units)]]
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=30)))
+    return (raw / raw.sum()).tolist() + [10.0 ** draw(st.floats(-300.0, -17.0))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_weights(), st.integers(0, 50_000), st.sampled_from([1, 2, 9, 500, 33_000]),
+       st.integers(0, 2 ** 32 - 1))
+def test_cell_table_draws_match_the_search_code(weights, start, rows, seed):
+    # 33,000 rows cross the 32,768-row block of d = 2, and every start but 0
+    # lies within a block of the stream
+    law = law_with_weights(weights)
+    assert (_conditional_rows(law, seed, start, start + rows).tobytes()
+            == oracle_conditional_rows(law, seed, start, start + rows).tobytes())
+
+
+def test_cell_table_draws_match_where_the_cumsum_passes_one():
+    law = law_with_weights(ROUNDED_UP + [1e-20])
+    assert np.cumsum(law.weights)[-2] > 1.0
+    for start, stop in [(0, 40_000), (777, 1500)]:
+        assert (_conditional_rows(law, 3, start, stop).tobytes()
+                == oracle_conditional_rows(law, 3, start, stop).tobytes())
+
+
+def searched_keys(law, n, monkeypatch):
+    """How many uniforms of an n-row conditional draw reach `np.searchsorted`;
+    the draw must match the search code's."""
+    keys = []
+    search = np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        keys.append(np.size(v))
+        return search(a, v, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "searchsorted", counting)
+        got = _conditional_rows(law, 5, 0, n)
+    assert got.tobytes() == oracle_conditional_rows(law, 5, 0, n).tobytes()
+    return sum(keys)
+
+
+def test_only_rows_in_crowded_cells_are_searched(monkeypatch):
+    n, pairs = 20_000, 256
+    # equal weights: one cumulative weight per cell, so no row is searched
+    law = law_with_weights(np.full(2 * pairs, 1.0 / (2 * pairs)))
+    cum = np.cumsum(law.weights)
+    cells = (np.minimum(cum, 1.0) * _CELLS_PER_ATOM * cum.size).astype(int)
+    assert np.unique(cells).size == cum.size
+    assert searched_keys(law, n, monkeypatch) == 0
+    # half a cell, then a tiny weight after each large one, so that each
+    # cell holding two cumulative weights holds both at its middle, and the
+    # uniforms of its upper half are searched: about n / (4c) rows, against
+    # the bound of n / (2c).  Dyadic weights make every sum exact.
+    cell = 1.0 / (_CELLS_PER_ATOM * 2 * pairs)
+    tiny = 2.0 ** -40
+    weights = [cell / 2] + [tiny, 1.0 / pairs - tiny] * (pairs - 1) + [tiny]
+    weights[-1] = 1.0 - sum(weights[:-1])
+    law = law_with_weights(weights)
+    searched = searched_keys(law, n, monkeypatch)
+    assert 0 < searched <= 0.75 * n / (2 * _CELLS_PER_ATOM)

@@ -126,9 +126,19 @@ def test_simulate_memory_does_not_grow_with_n(tmp_path, conditional):
     assert abs(peak(200_000) - peak(20_000)) <= MB
 
 
-@pytest.mark.parametrize("n_atoms", [5, 300])
+def sparse_faces(d, n_atoms):
+    """Atom j on face {j, j + 1} mod d, so each coordinate is charged by
+    about 2/d of the atoms and divides only their exponentials."""
+    rng = np.random.default_rng(n_atoms)
+    omega = np.zeros((n_atoms, d))
+    for j, row in enumerate(omega):
+        row[[j % d, (j + 1) % d]] = 1.0 - rng.uniform(size=2)
+    return ft.ExponentMeasure(d, omega, rng.uniform(0.5, 2.0, size=n_atoms))
+
+
+@pytest.mark.parametrize("n_atoms", [5, 300, "sparse"])
 def test_samplers_are_chunk_invariant(n_atoms):
-    m = ft.random_measure(5, n_atoms, seed=n_atoms)
+    m = sparse_faces(5, 300) if n_atoms == "sparse" else ft.random_measure(5, n_atoms, seed=n_atoms)
     law = ft.conditional_law(m, 2)
     # 3001 rows lie inside one conditional row block; 30001 span three, and
     # the cuts fall on both sides of the first two boundaries
