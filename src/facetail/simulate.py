@@ -17,8 +17,9 @@ measured crossover) divides only those atoms' exponentials: the others'
 ratios are +0.0, which never win a max.  A conditional draw starts its
 search for the first cumulative weight at or above its uniform from a
 table of `_CELLS_PER_ATOM` cells per atom and steps once; only a row whose
-cell holds two cumulative weights below it reaches `np.searchsorted`, at
-most 1/(2 * _CELLS_PER_ATOM) of the rows whatever the weights.
+cell holds two cumulative weights below its uniform reaches
+`np.searchsorted`, with chance at most 1/(2 * _CELLS_PER_ATOM) per row,
+whatever the weights.
 """
 
 from __future__ import annotations
@@ -57,13 +58,13 @@ _GATHER_SHARE = 0.5
 
 #: cells per atom in the conditional sampler's cell table.  A row is left
 #: for `np.searchsorted` only when its cell holds two cumulative weights
-#: below it; at most J/2 of the c*J cells hold two, so at most 1/(2c) of the
-#: rows are, whatever the weights.  On a law that meets the bound (each
-#: large weight ending on a cell edge, a tiny one just above it), c = 1, 2,
-#: 4 and 8 sent 50%, 25%, 12.5% and 6.3% of the rows and took 0.71, 0.51,
-#: 0.44 and 0.40x the time of a search on every row; c = 4 also took
-#: 0.92-0.99x c = 2's time on the many-atoms and dense laws, with a table
-#: (4J+1 indices) that stays in cache.
+#: below it; at most J/2 of the c*J cells hold two, so a row's chance of
+#: that is at most 1/(2c), whatever the weights.  On a law that meets the
+#: bound (each large weight ending on a cell edge, a tiny one just above
+#: it), c = 1, 2, 4 and 8 sent 50%, 25%, 12.5% and 6.3% of the rows and
+#: took 0.71, 0.51, 0.44 and 0.40x the time of a search on every row; c = 4
+#: also took 0.92-0.99x c = 2's time on the many-atoms and dense laws, with
+#: a table (4J+1 indices) that stays in cache.
 _CELLS_PER_ATOM = 4
 
 
@@ -167,7 +168,7 @@ def sample_conditional(measure: ExponentMeasure, k: int, n: int, seed: int) -> S
     the Pareto(1) tail above that atom's ``r_min``.  Coordinates off the
     chosen atom's face are exact zeros.  The atom is the first whose
     cumulative weight reaches the sample's uniform, found through a cell
-    table and, for at most 1/(2 * _CELLS_PER_ATOM) of the samples, a
+    table and, with chance at most 1/(2 * _CELLS_PER_ATOM) per sample, a
     binary search.
     """
     return _sample(measure, k, n, seed)
