@@ -111,7 +111,7 @@ def marginal_rectangle_probability(law: ConditionalLaw, coords: Iterable[int], x
         return 1.0
     if idx.min() < 0 or idx.max() >= law.d:
         raise ValueError(f"coordinates out of range for d={law.d}")
-    if np.unique(idx).size != idx.size:
+    if len(set(idx.tolist())) != idx.size:  # np.unique would import numpy.ma
         raise ValueError("coordinates must be distinct")
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (idx.size,):

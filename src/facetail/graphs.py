@@ -16,22 +16,6 @@ from .partition import all_bipartitions
 CERTIFY_MAX_D = 12
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 @dataclass(frozen=True, eq=False)
 class ExtremalGraph:
     """Undirected dependence graph on coordinates 0..d-1.
@@ -52,15 +36,27 @@ class ExtremalGraph:
         }
 
 
-def _assemble(d: int, edges: set[tuple[int, int]]) -> ExtremalGraph:
-    uf = _UnionFind(d)
-    for i, j in edges:
-        uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(d):
-        groups.setdefault(uf.find(i), []).append(i)
-    components = tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
-    return ExtremalGraph(d=d, edges=tuple(sorted(edges)), components=components)
+def _assemble(adjacent: np.ndarray) -> ExtremalGraph:
+    """The graph of the (d, d) booleans ``adjacent``, read above the diagonal.
+
+    Edges come in lex order from `np.nonzero`.  Components are the rows of
+    the reflexive transitive closure, squared as 0/1 floats until it stops
+    growing: at most ceil(log2 d) + 1 products, each exact, since an entry
+    counts at most d coordinates.  A component's root is the coordinate
+    that reaches no smaller one, and its closure row lists it.
+    """
+    d = len(adjacent)
+    idx = np.arange(d)
+    below = idx[:, None] > idx
+    upper = adjacent & below.T
+    i, j = np.nonzero(upper)
+    reach = (upper | upper.T) + np.eye(d)
+    known = 0
+    while (found := np.count_nonzero(reach)) > known:
+        known, reach = found, np.minimum(reach @ reach, 1.0)
+    roots = np.flatnonzero(~(reach * below).any(axis=1))
+    return ExtremalGraph(d=d, edges=tuple(zip(i.tolist(), j.tolist())),
+                         components=tuple(tuple(np.flatnonzero(reach[r]).tolist()) for r in roots))
 
 
 def build_graph(measure: ExponentMeasure) -> ExtremalGraph:
@@ -68,10 +64,10 @@ def build_graph(measure: ExponentMeasure) -> ExtremalGraph:
 
     Two coordinates share an edge exactly when some atom charges both,
     which for a standardized measure is the same as a positive pairwise
-    tail dependence coefficient.
+    tail dependence coefficient.  The components are read off the
+    transitive closure of that pair cover, by repeated squaring.
     """
-    i, j = np.nonzero(np.triu(_pair_cover(_charges(measure)), k=1))  # an atom charges both i < j
-    return _assemble(measure.d, set(zip(i.tolist(), j.tolist())))
+    return _assemble(_pair_cover(_charges(measure)))
 
 
 def finest_partition(measure: ExponentMeasure) -> tuple[frozenset[int], ...]:
@@ -106,15 +102,15 @@ def empirical_graph(chi_matrix, threshold: float = 0.1) -> ExtremalGraph:
     """Threshold an estimated chi matrix into a dependence graph.
 
     Accepts a `ChiMatrix` or a plain symmetric array; an edge is drawn
-    where the off-diagonal estimate exceeds the threshold strictly.
+    where the estimate above the diagonal exceeds the threshold strictly
+    (never at NaN), and components come from the same closure as in
+    `build_graph`.
     """
     chi = getattr(chi_matrix, "chi", chi_matrix)
     chi = np.asarray(chi, dtype=float)
     if chi.ndim != 2 or chi.shape[0] != chi.shape[1]:
         raise ValueError("need a square chi matrix")
-    d = chi.shape[0]
-    edges = {(i, j) for i in range(d) for j in range(i + 1, d) if chi[i, j] > threshold}
-    return _assemble(d, edges)
+    return _assemble(chi > threshold)
 
 
 def to_dot(graph: ExtremalGraph) -> str:

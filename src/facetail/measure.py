@@ -467,7 +467,13 @@ def random_measure(
     subsets of A or of C, so the result is block structured by construction.
     Positive direction entries are uniform on (0, 1], masses uniform on
     [0.25, 4], and the result is standardized.  The face multiset is redrawn
-    until every coordinate is charged.
+    until every coordinate is charged, at most ``_COVERAGE_RETRIES`` times.
+
+    A split face falls in A or C with weights ``2**|A| - 1`` and ``2**|C| - 1``,
+    their counts of nonempty subsets, so a block much smaller than the other
+    is rarely charged: with blocks of 22 and 42 coordinates a face lands in
+    the smaller one with chance about 2**-20, and the call spends its redraws
+    and raises, though a covering draw exists.
 
     Deterministic for a fixed ``seed``.  A `Generator` passed as ``seed`` is
     drawn from in a fixed order of doubles, and no further:
@@ -499,7 +505,12 @@ def random_measure(
         if faces.any(axis=0).all():
             break
     else:
-        raise ValueError("could not cover every coordinate; constraints unsatisfiable?")
+        weights = "" if split is None else (
+            f"; the split's blocks of {len(part_a)} and {len(part_c)} coordinates are drawn "
+            f"with weights {2 ** len(part_a) - 1} and {2 ** len(part_c) - 1}, "
+            f"their counts of nonempty subsets")
+        raise ValueError(f"could not cover every coordinate in {_COVERAGE_RETRIES} draws "
+                         f"of {n_atoms} faces{weights}")
 
     # each row's slots, in draw order: its face's entries, then its mass
     slots = np.ones((n_atoms, d + 1), dtype=bool)

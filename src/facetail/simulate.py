@@ -6,9 +6,9 @@ of a batch owns a fixed, disjoint block of counter positions derived from
 boundaries, and safe to assemble in any order.  The generator name is
 recorded in batch metadata as ``"philox4x64"``.
 
-All uniforms are taken in the open interval (0, 1) and transformed by
-inversion, so radii and exponentials are finite and positive by
-construction.
+All uniforms are taken in the open interval (0, 1), from 2**-54 to
+1 - 2**-53, and transformed by inversion, so radii and exponentials are
+finite and positive by construction.
 
 Each sampler computes only what its draw uses, with the bits of the plain
 loops, so streams and CSV bytes do not depend on it.  A max-stable
@@ -134,10 +134,13 @@ def _uniforms(key: np.ndarray, ticks: int, start: int, out: np.ndarray) -> np.nd
     """Open uniforms of samples ``start, start + 1, ...`` into the rows of
     ``out``, C-ordered (rows, 4 * t): sample i owns ticks ``[i * t, (i + 1)
     * t)``, and each 64-bit word w gives ``((w >> 11) + 1/2) * 2**-53``, which
-    is Philox's double ``(w >> 11) * 2**-53`` plus 2**-54, rounded alike."""
+    is Philox's double ``(w >> 11) * 2**-53`` plus 2**-54, rounded alike.  The
+    top word's sum is a tie that rounds to 1.0, so it is clamped to the
+    largest double below 1, ``1 - 2**-53``; no other word moves."""
     bits = np.random.Philox(key=key, counter=start * ticks)
     np.random.Generator(bits).random(out=out)
     out += 2.0 ** -54
+    np.minimum(out, 1.0 - 2.0 ** -53, out=out)
     return out
 
 

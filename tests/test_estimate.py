@@ -115,6 +115,39 @@ def test_import_does_not_load_scipy(child_env):
     assert proc.stdout.strip() == "[]"
 
 
+#: every public path a session takes, on a small measure; numpy imports
+#: `numpy.ma` lazily (`np.unique` does), which costs about 9 ms and 1 MB of
+#: resident memory in a fresh process
+PUBLIC_PATHS = """
+import os, sys, tempfile
+import facetail as ft
+m = ft.ExponentMeasure(3, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], [2.0, 1.0])
+part = ft.bipartition([0, 1], [2])
+ft.build_graph(m)
+ft.certify_partition_bruteforce(m)
+ft.full_report(m, part)
+law = ft.conditional_law(m, 0)
+ft.rectangle_probability(law, [1.5, 1.0, 2.0])
+ft.marginal_rectangle_probability(law, [2, 0], [1.0, 1.5])
+cond = ft.sample_conditional(m, 0, 500, seed=1)
+batch = ft.sample_max_stable(m, 2000, seed=1)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "samples.csv")
+    ft.save_batch(batch, path)
+    batch = ft.load_batch(path)
+ft.empirical_graph(ft.chi_empirical(batch))
+ft.factorization_test(cond, part, n_perm=19, seed=1)
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_no_public_path_loads_numpy_ma(child_env):
+    proc = subprocess.run([sys.executable, "-c", PUBLIC_PATHS], capture_output=True, text=True,
+                          env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---- empirical chi ---------------------------------------------------------
 
 

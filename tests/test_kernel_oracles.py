@@ -23,8 +23,13 @@ same state.
 The conditional sampler used to binary-search every row's uniform;
 `oracle_conditional_rows` is that code, kept verbatim, and the search
 started from the cell table must draw the same bytes.
+
+Dependence graphs read their components off a transitive closure built by
+squaring; `oracle_graph` is a plain breadth-first search over the same
+edges, and both must give the same edges and components.
 """
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -719,3 +724,92 @@ def test_only_rows_in_crowded_cells_are_searched(monkeypatch):
     law = law_with_weights(weights)
     searched = searched_keys(law, n, monkeypatch)
     assert 0 < searched <= 0.75 * n / (2 * _CELLS_PER_ATOM)
+
+
+# ---- dependence graphs against a breadth-first search ------------------------
+
+
+def oracle_graph(d, adjacent):
+    """Edges ``(i, j)`` with ``i < j`` and ``adjacent(i, j)``, in lex order, and
+    components by breadth-first search from each unvisited coordinate in
+    increasing order, each sorted."""
+    edges = [(i, j) for i in range(d) for j in range(i + 1, d) if adjacent(i, j)]
+    neighbours = [[] for _ in range(d)]
+    for i, j in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    seen, components = [False] * d, []
+    for root in range(d):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue, component = collections.deque([root]), []
+        while queue:
+            i = queue.popleft()
+            component.append(i)
+            for j in neighbours[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
+        components.append(tuple(sorted(component)))
+    return tuple(edges), tuple(components)
+
+
+def assert_graph_like_the_search(m):
+    faces = [set(np.flatnonzero(row > 0.0).tolist()) for row in m.omega_matrix]
+    edges, components = oracle_graph(m.d, lambda i, j: any(i in f and j in f for f in faces))
+    graph = ft.build_graph(m)
+    assert (graph.d, graph.edges, graph.components) == (m.d, edges, components)
+    assert ft.finest_partition(m) == tuple(frozenset(c) for c in components)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_graphs_match_the_search(data):
+    d = data.draw(st.integers(2, 12))
+    n_atoms = data.draw(st.integers(d, 3 * d + 1))
+    split = None
+    if data.draw(st.booleans()):
+        a_mask = data.draw(st.integers(1, 2 ** d - 2))
+        split = ([i for i in range(d) if a_mask >> i & 1],
+                 [i for i in range(d) if not a_mask >> i & 1])
+    assert_graph_like_the_search(
+        ft.random_measure(d, n_atoms, split=split, seed=data.draw(st.integers(0, 2 ** 32 - 1))))
+
+
+@pytest.mark.parametrize("d, n_atoms", [(64, 80), (256, 512)])
+def test_graphs_of_interleaved_splits_match_the_search(d, n_atoms):
+    # past 62 coordinates the face masks are Python ints
+    split = (list(range(0, d, 2)), list(range(1, d, 2)))
+    m = ft.random_measure(d, n_atoms, split=split, seed=d)
+    assert len(ft.build_graph(m).components) == 2
+    assert_graph_like_the_search(m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 17, 33, 130])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_graphs_of_paths_match_the_search(d, shuffled):
+    # faces {p_i, p_(i+1)} along a path: the closure needs ceil(log2(d - 1))
+    # squarings, the most for d coordinates; a shuffled path's components
+    # are rooted away from its ends
+    order = np.random.default_rng(d).permutation(d) if shuffled else np.arange(d)
+    omega = np.zeros((d - 1, d))
+    omega[np.arange(d - 1)[:, None], np.stack([order[:-1], order[1:]], axis=1)] = 0.5
+    path = ft.ExponentMeasure(d, omega, np.ones(d - 1))
+    assert_graph_like_the_search(path)
+    # a path missing one link: two components
+    assert_graph_like_the_search(ft.ExponentMeasure(d, np.delete(omega, d // 2 - 1, axis=0),
+                                                    np.ones(d - 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda d: st.lists(
+    st.sampled_from([0.0, 0.05, 0.1, 0.1, 0.5, 1.0, math.nan, -math.inf]),
+    min_size=d * d, max_size=d * d).map(lambda v: np.array(v).reshape(d, d))))
+def test_empirical_graphs_match_the_search(chi):
+    # asymmetric: only the entries above the diagonal count; NaN and an
+    # entry equal to the threshold draw no edge
+    d = len(chi)
+    graph = ft.empirical_graph(chi, threshold=0.1)
+    edges, components = oracle_graph(d, lambda i, j: chi[i, j] > 0.1)
+    assert (graph.d, graph.edges, graph.components) == (d, edges, components)

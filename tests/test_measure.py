@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facetail as ft
+import facetail.measure as measure_module
 from facetail import ExponentMeasure
 from facetail.measure import MARGIN_TOL, RAY_ULPS, ZERO_TOL
 
@@ -431,6 +432,23 @@ def test_random_measure_argument_checks():
         ft.random_measure(3, 2)
     with pytest.raises(ValueError):
         ft.random_measure(4, 6, split=((0, 1), (1, 2, 3)))
+
+
+def test_random_measure_coverage_error_names_the_block_weights(monkeypatch):
+    # blocks of 22 and 42 coordinates: a face lands in the smaller one with
+    # chance about 2**-20, so a satisfiable split exhausts its redraws
+    monkeypatch.setattr(measure_module, "_COVERAGE_RETRIES", 3)
+    small = list(range(0, 64, 3))
+    split = (small, [i for i in range(64) if i % 3])
+    with pytest.raises(ValueError, match=(
+            r"^could not cover every coordinate in 3 draws of 80 faces; the split's blocks "
+            r"of 22 and 42 coordinates are drawn with weights 4194303 and 4398046511103, "
+            r"their counts of nonempty subsets$")):
+        ft.random_measure(64, 80, split=split, seed=0)
+    # unsplit, the message names no blocks
+    monkeypatch.setattr(measure_module, "_COVERAGE_RETRIES", 0)
+    with pytest.raises(ValueError, match=r"^could not cover every coordinate in 0 draws of 5 faces$"):
+        ft.random_measure(4, 5, seed=0)
 
 
 # ---- serialization ---------------------------------------------------------

@@ -141,6 +141,34 @@ def test_streams_differ_by_seed_kind_and_coordinate(m_blk):
     assert not np.array_equal(cond0[:, 0], cond2[:, 2])
 
 
+class FixedDoubles:
+    """Stands in for `np.random.Generator`: every double it draws is ``value``."""
+
+    value = 0.0
+
+    def __init__(self, bits):
+        pass
+
+    def random(self, out):
+        out.fill(self.value)
+        return out
+
+
+@pytest.mark.parametrize("word, uniform", [(0, 2.0 ** -54), (2 ** 53 - 1, 1.0 - 2.0 ** -53)])
+def test_the_extreme_words_give_open_uniforms(monkeypatch, m_blk, word, uniform):
+    # a word w gives Philox's double (w >> 11) * 2**-53; for the top one,
+    # adding 2**-54 is a tie that rounds to 1.0, whose log is 0
+    monkeypatch.setattr(FixedDoubles, "value", word * 2.0 ** -53)
+    monkeypatch.setattr(np.random, "Generator", FixedDoubles)
+    assert np.all(simulate._uniforms(np.zeros(2, np.uint64), 2, 0, np.empty((3, 8))) == uniform)
+    assert np.all(-np.log(uniform) > 0.0)
+    # every exponential is then positive: each coordinate's max is finite
+    data = sample_max_stable(m_blk, 5, seed=1).data
+    assert np.all(np.isfinite(data)) and np.all(data > 0.0)
+    data = sample_conditional(m_blk, 0, 5, seed=1).data
+    assert np.all(np.isfinite(data)) and np.all(data[:, 0] >= 1.0)
+
+
 def test_chunked_assembly_is_bit_identical(m_blk):
     full = _max_stable_rows(m_blk, 17, 0, 300)
     pieces = np.vstack([
