@@ -171,5 +171,10 @@ def _factorization(charges: np.ndarray, straddle: np.ndarray) -> np.ndarray:
     """`conditional_factorization`'s ``atom`` as a (P, d) array, for the (d, J)
     0/1 floats ``charges`` (see `measure._charges`) and one row of
     ``straddle`` (see `_straddling`) per part; ``ok`` is ``atom < 0``."""
-    # over (P, d, J): atom j straddles and charges k
-    return _first(np.logical_and(straddle[:, None, :], charges))
+    return _first(_factor_hits(charges, straddle))
+
+
+def _factor_hits(charges: np.ndarray, straddle: np.ndarray) -> np.ndarray:
+    """(P, d, J) booleans: atom j straddles part p and charges coordinate k, so
+    the law at k does not factorize."""
+    return np.logical_and(straddle[:, None, :], charges)

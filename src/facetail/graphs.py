@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .independence import _pair_cover, _reports
 from .measure import ExponentMeasure, _charges
-from .partition import all_bipartitions
+from .partition import _code_membership
 
 #: the largest d that `certify_partition_bruteforce` takes: 2**(d-1) - 1
 #: reports, 2047 at d=12
@@ -85,15 +84,23 @@ def certify_partition_bruteforce(measure: ExponentMeasure) -> bool:
     bipartitions at once in chunks of bounded memory, on terms built once
     per measure, and it stops at the first failing one.  Exponential in d,
     hence the cap ``CERTIFY_MAX_D``.
+
+    The bipartitions are built as one membership array from their
+    `all_bipartitions` codes, and the expected verdicts as one array: a
+    bipartition splits no component when each component lies wholly in
+    block ``a`` or wholly outside it.
     """
-    if measure.d > CERTIFY_MAX_D:
+    d = measure.d
+    if d > CERTIFY_MAX_D:
         raise ValueError(f"brute force capped at d={CERTIFY_MAX_D} (CERTIFY_MAX_D), "
-                         f"got d={measure.d}")
-    components = [frozenset(c) for c in build_graph(measure).components]
-    parts, reported = itertools.tee(all_bipartitions(measure.d))
-    for part, report in zip(parts, _reports(measure, reported)):
-        expected = all(c <= part.a or c <= part.c for c in components)
-        if not report.agree or report.independent != expected:
+                         f"got d={d}")
+    in_a = _code_membership(d, np.arange(max(2 ** (d - 1) - 1, 0)))
+    expected = np.ones(len(in_a), dtype=bool)
+    for component in build_graph(measure).components:
+        within = in_a[:, list(component)]
+        expected &= within.all(axis=1) | ~within.any(axis=1)
+    for want, report in zip(expected.tolist(), _reports(measure, in_a)):
+        if not report.agree or report.independent != want:
             return False
     return True
 

@@ -21,7 +21,6 @@ decide is None ("below resolution"), never "independent".
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,11 +28,11 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .conditional import _factorization
+from .conditional import _factor_hits
 from .measure import (ExponentMeasure, _charges, _check_coordinate_subset,
                       _check_positive_point, _ratio_kernel, random_measure)
-from .partition import (Bipartition, _first, _membership, _straddling, all_bipartitions,
-                        check_dimension, random_bipartition)
+from .partition import (Bipartition, _code_membership, _decode, _first, _membership,
+                        _random_code, _straddling, check_dimension)
 
 _GRID_AXIS = (0.5, 1.0, 2.0, 5.0)
 _GRID_CAP = 4096
@@ -181,13 +180,21 @@ def check_additivity(measure: ExponentMeasure, part: Bipartition) -> AdditivityC
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Veltkamp: a == high + low, each with at most 26 significant bits
-    high = _SPLITTER * a - (_SPLITTER * a - a)
+    scaled = _SPLITTER * a
+    high = scaled - (scaled - a)
     return high, a - high
 
 
 def _additivity(terms: _Terms, b: np.ndarray,
                 full: tuple | None = None) -> tuple[list[AdditivityCheck], tuple]:
-    """One `AdditivityCheck` per part, for the (P, 3, J) block maxima ``b``.
+    """One `AdditivityCheck` per part, for the (P, 3, J) block maxima ``b``
+    that `_block_max` takes from the parts' (P, d) membership rows.
+
+    The high and low terms of the atoms that can add to a defect are
+    gathered once for all P parts, into one contiguous run of floats per
+    part, and each run is summed by one `math.fsum`.  The exactness of the
+    power-of-two shifts is checked only once some sum is 0, where it
+    decides the verdict.
 
     ``full`` carries the full exponent's terms between the chunks of one
     measure, as they are the same in every part: its (2, J) negated parts
@@ -205,13 +212,12 @@ def _additivity(terms: _Terms, b: np.ndarray,
     high = terms.mass * b_rows
     (a1, a2), (b1, b2) = terms.halves, _split(b_rows)
     unscaled = np.concatenate([high, ((a1 * b1 - high) + a1 * b2 + a2 * b1) + a2 * b2], axis=1)
-    parts = np.ldexp(unscaled, shift)
-    # a shift into the subnormal range may round a part: undoing it shows that
-    exact = (np.ldexp(parts, -shift) == unscaled).all(axis=(1, 2))
     if full is None:
         # rows per part: the high parts of the A, C and full exponents, then
         # the low parts; the defect subtracts the full exponent's
-        parts[:, 2::3] *= -1.0
+        unscaled[:, 2::3] *= -1.0
+    parts = scaled = np.ldexp(unscaled, shift)
+    if full is None:
         full = (parts[0, 2::3].copy(), None)
     else:
         # rows per part: the A and C exponents' high and low parts, then the
@@ -223,14 +229,20 @@ def _additivity(terms: _Terms, b: np.ndarray,
     # block's maximum is 0 and the other's is its overall maximum, so its six
     # parts cancel exactly even when rounded, and the sum leaves it out
     kept = np.minimum(b[:, 0], b[:, 1]) != 0.0
-    checks = []
-    for rows, keep, exact_p in zip(parts, kept, exact.tolist()):
+    # the kept atoms' six parts, gathered once: one contiguous run per part
+    gathered = parts.transpose(0, 2, 1)[kept]
+    ends = kept.sum(axis=1).cumsum().tolist()
+    checks, exact = [], None
+    for p, (start, end) in enumerate(zip([0] + ends, ends)):
         # floats straight from the buffer; fsum's one rounding of the exact
         # sum does not depend on the order of its terms
-        total = math.fsum(memoryview(rows[:, keep].ravel()))
+        total = math.fsum(memoryview(gathered[start:end].ravel()))
         if total == 0.0:
-            # only a straddling atom that underflowed to 0 can hide
-            checks.append(AdditivityCheck(ok=True if exact_p else None, residual=0.0))
+            # only a straddling atom that underflowed to 0 can hide; a shift
+            # into the subnormal range may round a part, and undoing it shows that
+            if exact is None:
+                exact = (np.ldexp(scaled, -shift) == unscaled).all(axis=(1, 2)).tolist()
+            checks.append(AdditivityCheck(ok=True if exact[p] else None, residual=0.0))
             continue
         if value is None:
             value = -math.fsum(memoryview(full_parts.ravel()))
@@ -416,13 +428,15 @@ def full_report(measure: ExponentMeasure, part: Bipartition) -> IndependenceRepo
     on disagreement; the ``agree`` flag and the witnesses carry the
     evidence either way.
     """
-    [report] = _reports(measure, [part])
+    [report] = _reports(measure, _membership([part], measure.d))
     return report
 
 
-def _reports(measure: ExponentMeasure, parts: Iterable[Bipartition]) -> Iterator[IndependenceReport]:
-    """`full_report` for each of ``parts``, in order, computed chunk by chunk.
+def _reports(measure: ExponentMeasure, in_a: np.ndarray) -> Iterator[IndependenceReport]:
+    """`full_report` for each part, in order, computed chunk by chunk.
 
+    The parts are one (P, d) membership array, True on block ``a`` of each
+    (see `partition._membership`), already checked against ``measure.d``.
     The per-measure terms (scaled directions, the coordinates each atom
     charges, the pair cover) are built once; each criterion then runs as its own array
     computation over a chunk of parts, and the verdicts meet only in the
@@ -433,21 +447,24 @@ def _reports(measure: ExponentMeasure, parts: Iterable[Bipartition]) -> Iterator
     terms = _point_terms(measure)
     charges = _charges(measure)
     cover = _pair_cover(charges)
-    parts, full = iter(parts), None
+    full = None
     # parts per chunk: the largest temporaries hold (P, d, J) and (P, 6, J) cells
     rows = max(1, _CHUNK_CELLS // (max(d, 6) * max(measure.n_atoms, d)))
-    while chunk := list(itertools.islice(parts, rows)):
-        in_a = _membership(chunk, d)
-        straddle = _straddling(charges, in_a)
-        block_max = _block_max(terms, in_a)
+    for lo in range(0, len(in_a), rows):
+        chunk = in_a[lo:lo + rows]
+        straddle = _straddling(charges, chunk)
+        block_max = _block_max(terms, chunk)
         checks, full = _additivity(terms, block_max, full)
+        # the law at k factorizes unless an atom charging k straddles; the
+        # first such (k, atom) in row-major order is `_factorization`'s first
+        # failing k and its atom there, or -1 where the part holds
+        factor_first = _first(_factor_hits(charges, straddle).reshape(len(chunk), -1))
         criteria = zip(_support(straddle), checks,
-                       _mixed_margins(cover, in_a), _df(terms, block_max, d),
-                       _factorization(charges, straddle).tolist())
+                       _mixed_margins(cover, chunk), _df(terms, block_max, d),
+                       factor_first.tolist())
         for (support_ok, support_atom), additivity, (mixed_ok, mixed_pair), \
-                (df_ok, df_witness), factor_atoms in criteria:
-            # the law at k factorizes unless an atom charging k straddles
-            holds = max(factor_atoms) < 0
+                (df_ok, df_witness), first in criteria:
+            holds = first < 0
             witnesses: dict = {}
             if not support_ok:
                 witnesses["cond_i"] = {"atom": support_atom}
@@ -458,8 +475,8 @@ def _reports(measure: ExponentMeasure, parts: Iterable[Bipartition]) -> Iterator
             if df_ok is False:
                 witnesses["df"] = df_witness
             if not holds:
-                k = next(k for k, atom in enumerate(factor_atoms) if atom >= 0)
-                witnesses["new_notion"] = {"k": k, "atom": factor_atoms[k]}
+                k, atom = divmod(first, measure.n_atoms)
+                witnesses["new_notion"] = {"k": k, "atom": atom}
             flags = (support_ok, additivity.ok, mixed_ok, df_ok, holds)
             yield IndependenceReport(
                 cond_i=support_ok,
@@ -535,7 +552,9 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
         raise ValueError("battery needs at least one trial")
     n_atoms = max(n_atoms, d)
     children = np.random.SeedSequence(seed).spawn(trials)
-    every = list(all_bipartitions(d)) if d <= 4 else None  # built once, not per trial
+    # parts are `_decode` codes, drawn as `random_bipartition` draws them; a
+    # `Bipartition` is built only for a record
+    every = list(range(2 ** (d - 1) - 1)) if d <= 4 else None
 
     disagreements = []
     block_failures = []
@@ -545,26 +564,30 @@ def agreement_battery(d: int, n_atoms: int, trials: int, seed: int) -> BatteryRe
         rng = np.random.default_rng(children[t])
         block = t % 2 == 0
         atoms_t = int(rng.integers(d, n_atoms + 1))
-        generating = random_bipartition(d, rng) if block else None
-        measure = random_measure(d, atoms_t, split=None if generating is None
-                                 else (generating.a_sorted, generating.c_sorted), seed=rng)
+        generating = _random_code(d, rng) if block else None
+        split = None
+        if block:
+            [in_generating] = _code_membership(d, [generating])
+            split = (np.flatnonzero(in_generating), np.flatnonzero(~in_generating))
+        measure = random_measure(d, atoms_t, split=split, seed=rng)
 
         if every is not None:
-            parts = list(every)
+            codes = list(every)
         else:
-            parts = [random_bipartition(d, rng) for _ in range(10)]
-        if generating is not None and generating not in parts:
-            parts.insert(0, generating)
+            codes = [_random_code(d, rng) for _ in range(10)]
+        if generating is not None and generating not in codes:
+            codes.insert(0, generating)
 
-        for part, rep in zip(parts, _reports(measure, parts)):
+        for code, rep in zip(codes, _reports(measure, _code_membership(d, codes))):
             instances += 1
             if not rep.agree:
+                part = _decode(d, code)
                 disagreements.append((t, part.a, part.c, rep.flags))
             if rep.cond_i != rep.new_notion:
                 notion_mismatches += 1
             # only a decided criterion can fail to certify the generating split
-            if generating is not None and part == generating \
-                    and False in rep.flags.values():
+            if code == generating and False in rep.flags.values():
+                part = _decode(d, code)
                 block_failures.append((t, part.a, part.c))
 
     return BatteryResult(

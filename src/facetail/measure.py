@@ -72,11 +72,13 @@ class ExponentMeasure:
     its face whose sup-normalized entries are each within ``RAY_ULPS``
     ulps of its own (never across a sign, so an atom with a negative entry
     never merges into a valid one), adding its intensity ``mass * omega``
-    to that atom's mass; kept atoms keep first-occurrence order.  Each
-    coordinate's entries are cut into cells at the gaps wider than
-    ``RAY_ULPS``, and one stable sort puts the atoms that share every cell
-    in runs; only runs of two or more are walked, so a measure whose faces
-    are all distinct is kept as given without a walk.  Each walked atom
+    to that atom's mass; kept atoms keep first-occurrence order.  When no
+    two atoms of one face have sums of sup-normalized entries within the
+    rounding slack of ``RAY_ULPS``, nothing can merge and the measure is
+    kept as given without a walk, as when its faces are all distinct.
+    Otherwise each coordinate's entries are cut into cells at the gaps wider
+    than ``RAY_ULPS``, and one stable sort puts the atoms that share every
+    cell in runs; only runs of two or more are walked.  Each walked atom
     makes one bisection among the kept atoms of its run, so the merge does
     O(J*d) Python work on the walked atoms unless many kept atoms of one run
     lie within ``RAY_ULPS`` of each other in the column with the most
@@ -142,21 +144,36 @@ def _snap_zeros(omega: np.ndarray) -> None:
 
 
 def _merge_rays(omega, mass, masks):
-    """Indices of the kept atoms; merges the absorbed masses into ``mass``.  A column's
-    cells end at its gaps wider than RAY_ULPS, so atoms within reach share every cell,
-    and a cell holds one sign (a zero entry is billions of ulps from any other).  One
-    stable sort of the atoms' cell rows puts those that share every cell in runs, in
-    input order, and only runs of two or more are walked.  A run's kept atoms stay
-    sorted on the column with the most distinct entries, so an atom is compared only
-    with those within RAY_ULPS of it there."""
-    with np.errstate(invalid="ignore", divide="ignore"):
+    """Indices of the kept atoms; merges the absorbed masses into ``mass``.  The atoms
+    are the rows of ``omega`` and ``mass``, with their face ``masks``.  First a proof
+    that nothing merges: atoms within reach share a face and sums of unit entries
+    within a slack, so when no two atoms of a face, sorted by that sum, lie within it,
+    every atom is kept.  Otherwise a column's cells end at its gaps wider than
+    RAY_ULPS, so atoms within reach share every cell, and a cell holds one sign (a
+    zero entry is billions of ulps from any other).  One stable sort of the atoms'
+    cell rows puts those that share every cell in runs, in input order, and only runs
+    of two or more are walked.  A run's kept atoms stay sorted on the column with the
+    most distinct entries, so an atom is compared only with those within RAY_ULPS of
+    it there."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         peak = omega.max(axis=1, initial=-np.inf)
         unit = omega / peak[:, None]
-    mergeable = np.flatnonzero((masks != 0) & np.all(np.isfinite(unit), axis=1))
-    # atoms within reach share a face, so when no two share one nothing merges
-    if len(set(masks[mergeable].tolist())) == len(mergeable):
+        mergeable = np.flatnonzero((masks != 0) & np.all(np.isfinite(unit), axis=1))
+        rows, faces, n = unit[mergeable], masks[mergeable], omega.shape[1]
+        # within reach, the exact sums of n entries of size at most `big` differ by
+        # RAY_ULPS ulps of each, an ulp at most 2u * big with u = 2**-53, and a computed
+        # sum errs by at most gamma_n * n * big, gamma_n = n * u / (1 - n * u) (Higham
+        # 2002, eq. 3.5): by n * big * 2u * (RAY_ULPS + n / (1 - n * u)) in all.  The
+        # slack doubles that for its own roundings.  A sum overflows only when 2 * n * big
+        # does, and then the slack is inf and every shared face is walked
+        sums, big = rows.sum(axis=1), max(rows.max(initial=0.0), -rows.min(initial=0.0))
+        slack = 2.0 * n * big * 2.0 ** -52 * (RAY_ULPS + n / (1.0 - n * 2.0 ** -53))
+        by_sum = np.lexsort((sums, faces))
+        sums, faces = sums[by_sum], faces[by_sum]
+        close = (faces[1:] == faces[:-1]) & ~(sums[1:] - sums[:-1] > slack)
+    if not close.any():
         return np.arange(len(mass))
-    bits = unit[mergeable].view(np.int64)  # differences count ulps within one sign
+    bits = rows.view(np.int64)  # differences count ulps within one sign
     order, columns = np.argsort(bits, axis=0), np.arange(bits.shape[1])
     ranked = bits[order, columns]
     gaps = np.zeros(ranked.shape, dtype=bool)
@@ -435,9 +452,9 @@ def standardize(measure: ExponentMeasure) -> ExponentMeasure:
         raise ValueError("standardize needs strictly positive marginal masses")
     snapped = measure.omega_matrix / m
     _snap_zeros(snapped)
-    lost = np.argwhere((measure.omega_matrix > 0.0) & (snapped == 0.0))
-    if lost.size:
-        j, i = lost[0].tolist()
+    lost = (measure.omega_matrix > 0.0) & (snapped == 0.0)
+    if lost.any():  # rare: locate the first lost entry only then
+        j, i = np.argwhere(lost)[0].tolist()
         raise ValueError(f"standardize would snap atom {j}'s entry at coordinate {i} to 0, "
                          f"removing coordinate {i} from its face")
     return ExponentMeasure(measure.d, snapped, measure.mass_vector)

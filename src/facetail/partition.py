@@ -108,11 +108,17 @@ def all_bipartitions(d: int) -> Iterator[Bipartition]:
 
 def random_bipartition(d: int, rng: np.random.Generator) -> Bipartition:
     """One uniform draw from `all_bipartitions`, for ``2 <= d <= 64``."""
+    return _decode(d, _random_code(d, rng))
+
+
+def _random_code(d: int, rng: np.random.Generator) -> int:
+    """The `_decode` code of `random_bipartition`'s draw, from one scalar
+    ``rng.integers`` call."""
     if d < 2:
         raise ValueError("bipartitions need d >= 2")
     if d > 64:  # the draw's bound 2**(d-1) - 1 must fit numpy's int64
         raise ValueError(f"random bipartitions need d <= 64, got d={d}")
-    return _decode(d, int(rng.integers(0, 2 ** (d - 1) - 1)))
+    return int(rng.integers(0, 2 ** (d - 1) - 1))
 
 
 def _decode(d: int, rest: int) -> Bipartition:
@@ -120,3 +126,11 @@ def _decode(d: int, rest: int) -> Bipartition:
     bit i set in ``rest``."""
     a = {0} | {i + 1 for i in range(d - 1) if rest >> i & 1}
     return Bipartition(frozenset(a), frozenset(set(range(d)) - a))
+
+
+def _code_membership(d: int, codes) -> np.ndarray:
+    """`_membership` of the `_decode`d ``codes``, by the same bit rule, with no
+    `Bipartition` built: (P, d) booleans for P codes below ``2**(d-1)``."""
+    in_a = np.ones((len(codes), d), dtype=bool)
+    in_a[:, 1:] = np.asarray(codes, dtype=np.int64)[:, None] >> np.arange(d - 1) & 1
+    return in_a

@@ -136,11 +136,14 @@ def _uniforms(key: np.ndarray, ticks: int, start: int, out: np.ndarray) -> np.nd
     * t)``, and each 64-bit word w gives ``((w >> 11) + 1/2) * 2**-53``, which
     is Philox's double ``(w >> 11) * 2**-53`` plus 2**-54, rounded alike.  The
     top word's sum is a tie that rounds to 1.0, so it is clamped to the
-    largest double below 1, ``1 - 2**-53``; no other word moves."""
+    largest double below 1, ``1 - 2**-53``; no other word moves.  Reading a
+    block's maximum costs about half of the clamp's write pass, so a block
+    is clamped only when it holds 1.0."""
     bits = np.random.Philox(key=key, counter=start * ticks)
     np.random.Generator(bits).random(out=out)
     out += 2.0 ** -54
-    np.minimum(out, 1.0 - 2.0 ** -53, out=out)
+    if out.max(initial=0.0) == 1.0:
+        np.minimum(out, 1.0 - 2.0 ** -53, out=out)
     return out
 
 

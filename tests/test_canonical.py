@@ -12,6 +12,7 @@ on fixed inputs, and `test_random_measures_are_pinned` those of a few
 """
 
 import hashlib
+import itertools
 import math
 import time
 import tracemalloc
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facetail import ExponentMeasure, random_measure
-from facetail.measure import RAY_ULPS, ZERO_TOL
+from facetail.measure import RAY_ULPS, ZERO_TOL, _merge_rays
 
 B = RAY_ULPS
 
@@ -48,12 +49,12 @@ def ulps_apart(x, y):
     return steps
 
 
-def oracle_merge(rows, masses):
+def oracle_merge(rows, masses, snap=snapped):
     # first-occurrence order; the kept atom absorbs the other's intensity
     # contribution mass * omega, so its mass grows by the direction ratio
     kept: list[tuple[np.ndarray, float]] = []
     for row, mass in zip(rows, masses):
-        omega, mass = snapped(row), float(mass)
+        omega, mass = snap(row), float(mass)
         face = frozenset(np.flatnonzero(omega > 0.0).tolist())
         peak = float(np.max(omega))
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -429,6 +430,99 @@ def test_canonicalisation_memory_is_proportional_to_its_input():
     # coordinate; no other two rows are one ray
     single = (base > 0.0).sum(axis=1) == 1
     assert measure.n_atoms == J - single.sum() + len(np.unique(base[single].argmax(axis=1)))
+
+
+# ---- the proof that nothing merges ------------------------------------------
+
+
+def proof_slack(n, big):
+    """The slack of `_merge_rays`'s proof for sums of n unit entries at most
+    ``big`` in size: twice B ulps of each and gamma_n of each sum."""
+    gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+    return 2.0 * n * big * (B * 2.0 ** -52 + 2.0 * gamma)
+
+
+@st.composite
+def slack_edges(draw):
+    """Atoms sharing a face around the edges of the no-merge proof.  Bases
+    have a peak of 1 and entries in (0, 1) or negative and up to 1e6 times
+    larger than the peak, some of them negative powers of two, whose ulp is
+    largest for their size.  Copies are moved by B or B + 1 ulps in one entry
+    or in every entry below the peak (the widest gap between the sums of two
+    atoms within reach), or in one entry by a factor just below or above 1
+    of the slack, so their sums of unit entries lie just inside or just
+    outside it.  The rows are scaled by 1, 1e300 or 1e-300, and the order is
+    shuffled."""
+    d = draw(st.integers(2, 5))
+    powers = st.integers(0, 20).map(lambda k: -2.0 ** k)
+    entry = st.one_of(st.floats(0.05, 0.9), st.floats(-1e6, -1.0), powers)
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = np.array([1.0] + draw(st.lists(entry, min_size=d - 1, max_size=d - 1)))
+        bases.append(base[draw(st.permutations(range(d)))])
+    slack = proof_slack(d, max(np.abs(base).max() for base in bases))
+    rows = list(bases)
+    for base in bases:
+        for _ in range(draw(st.integers(0, 2))):
+            om = base.copy()
+            below = np.flatnonzero(base != 1.0).tolist()
+            kind = draw(st.sampled_from(["one", "every", "slack"]))
+            steps = draw(st.sampled_from([B, -B, B + 1, -B - 1]))
+            if kind == "slack":
+                om[draw(st.sampled_from(below))] += \
+                    draw(st.sampled_from([0.5, 0.99, 1.01, 2.0, -0.99, -1.01])) * slack
+            else:
+                for i in below if kind == "every" else [draw(st.sampled_from(below))]:
+                    om[i] = moved(om[i], steps)
+            rows.append(om)
+    # one scale for all: a merge across 1e300 and 1e-300 overflows the mass
+    scale = draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    rows = [row * scale for row in rows]
+    order = draw(st.permutations(range(len(rows))))
+    masses = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(rows), max_size=len(rows)))
+    return d, np.array(rows)[order], np.array(masses)[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(slack_edges())
+def test_pairs_at_the_proof_slack_merge_like_the_loop(case):
+    assert_matches_oracle(*case)
+
+
+def unsnapped(row):
+    return np.array(row, dtype=float)
+
+
+def assert_rays_merge_like_the_loop(rows, masses):
+    """`_merge_rays` itself against the oracle, on rows the constructor's
+    zero-snap would change."""
+    omega, mass = np.array(rows, dtype=float), np.array(masses, dtype=float)
+    masks = (omega > 0.0).astype(np.int64) @ (1 << np.arange(omega.shape[1]))
+    keep = _merge_rays(omega, mass, masks)
+    want = oracle_merge(rows, masses, snap=unsnapped)
+    assert [(o.tobytes(), m.tobytes()) for o, m in zip(omega[keep], mass[keep])] == \
+        [(o.tobytes(), np.float64(m).tobytes()) for o, m in want]
+
+
+def test_overflowing_sums_merge_like_the_loop():
+    # unit entries of -x, half the largest double: [1, -x, -x] sums to a
+    # finite value, while a copy 1 ulp larger in one entry, within reach,
+    # overflows to -inf; a copy B + 1 ulps away stays
+    x = np.finfo(float).max / 2
+    rows = [[1.0, -x, -x], [1.0, moved(-x, -1), -x], [1.0, -x, moved(-x, -B - 1)],
+            [1.0, moved(-x, -B), moved(-x, -B)]]
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.sum(rows[0])) and np.sum(rows[1]) == -np.inf
+    # each pair on its own too, so that one infinite sum meets a finite one
+    for pair in itertools.permutations(rows, 2):
+        assert_rays_merge_like_the_loop(pair, [1.0, 2.0])
+    assert_rays_merge_like_the_loop(rows, [1.0, 2.0, 3.0, 4.0])
+    assert_rays_merge_like_the_loop(rows[::-1], [1.0, 2.0, 3.0, 4.0])
+
+
+def test_chained_rays_merge_like_the_loop_without_the_constructor():
+    for omega, masses in (chained_rays(60), [a[::-1] for a in chained_rays(59)]):
+        assert_rays_merge_like_the_loop(omega, masses)
 
 
 #: SHA-256 of the canonical arrays of each case in `canonical_cases`, as

@@ -29,6 +29,7 @@ import facetail as ft
 import facetail.independence as independence
 import facetail.measure as measure_module
 from facetail.measure import marginalize
+from facetail.partition import _membership
 
 MB = 2**20
 EPS = np.finfo(float).eps
@@ -253,7 +254,8 @@ def test_full_exponent_is_computed_once_per_measure(kernel_calls, term_calls):
     m = ft.random_measure(8, 40, seed=5)
     state = dict(vars(m))
     dependent, other = ft.bipartition([0, 1, 2], [3, 4, 5, 6, 7]), ft.bipartition([0], range(1, 8))
-    reports = [report.to_dict() for report in independence._reports(m, [dependent, other])]
+    in_a = _membership([dependent, other], m.d)
+    reports = [report.to_dict() for report in independence._reports(m, in_a)]
     assert term_calls == [("terms", m.n_atoms), ("cover", m.d)]
     assert reports == [ft.full_report(m, part).to_dict() for part in (dependent, other)]
     assert term_calls == [("terms", m.n_atoms), ("cover", m.d)] * 3

@@ -24,6 +24,11 @@ The conditional sampler used to binary-search every row's uniform;
 `oracle_conditional_rows` is that code, kept verbatim, and the search
 started from the cell table must draw the same bytes.
 
+Certification and the battery used to build one `Bipartition` per part;
+they now build membership rows from the parts' integer codes.  The rows,
+certification's expected verdicts and `oracle_battery`, that loop kept
+verbatim, must agree with the per-part code.
+
 Dependence graphs read their components off a transitive closure built by
 squaring; `oracle_graph` is a plain breadth-first search over the same
 edges, and both must give the same edges and components.
@@ -51,6 +56,7 @@ import facetail.independence as independence
 from facetail.cli import main
 from facetail.estimate import ChiMatrix, _exceedances, _require_finite
 from facetail.measure import ZERO_TOL, _row_blocks
+from facetail.partition import _code_membership, _decode, _membership
 from facetail.simulate import (_CELLS_PER_ATOM, _KIND_CONDITIONAL, _WORDS_PER_TICK, _batch_key,
                                _conditional_rows, _largest, _uniforms)
 
@@ -393,8 +399,8 @@ def test_batched_reports_match_the_per_part_code(m, data):
     rows = data.draw(st.integers(1, len(parts)))
     cells = rows * max(m.d, 6) * max(m.n_atoms, m.d)
     with mock.patch.object(independence, "_CHUNK_CELLS", cells):
-        assert [report_bytes(r) for r in independence._reports(m, parts)] == want
-    assert [report_bytes(r) for r in independence._reports(m, parts)] == want
+        assert [report_bytes(r) for r in independence._reports(m, _membership(parts, m.d))] == want
+    assert [report_bytes(r) for r in independence._reports(m, _membership(parts, m.d))] == want
     # each check is the one-part case of the same kernels
     part = parts[0]
     assert report_bytes(ft.full_report(m, part)) == want[0]
@@ -419,8 +425,136 @@ def test_batched_reports_cross_the_default_chunk_edge():
     assert m.n_atoms == 16
     parts = [p for part in ft.all_bipartitions(6)
              for p in (part, ft.bipartition(part.c, part.a))] * 4
-    got = [report_bytes(r) for r in independence._reports(m, parts)]
+    got = [report_bytes(r) for r in independence._reports(m, _membership(parts, m.d))]
     assert got == [report_bytes(oracle_full_report(m, part)) for part in parts]
+
+
+# ---- parts as codes -----------------------------------------------------------
+
+
+def test_code_membership_is_the_decoded_parts_membership():
+    for d in range(2, 13):
+        codes = np.arange(2 ** (d - 1) - 1)
+        parts = list(ft.all_bipartitions(d))
+        assert parts == [_decode(d, code) for code in codes.tolist()]
+        got = _code_membership(d, codes)
+        assert got.dtype == bool and got.shape == (len(parts), d)
+        assert got.tobytes() == _membership(parts, d).tobytes()
+
+
+def acceptance_measures():
+    """The 200 measures that the acceptance gate certifies, drawn alike."""
+    rng = np.random.default_rng(347)
+    for i in range(200):
+        d = 2 + i % 5
+        split = None
+        if i % 2:
+            part = ft.random_bipartition(d, rng)
+            split = (part.a_sorted, part.c_sorted)
+        yield ft.random_measure(d, 8, split=split, seed=int(rng.integers(2 ** 31)))
+
+
+def test_certification_expects_what_the_per_part_rule_expects(monkeypatch):
+    # reports that agree and say independent exactly when no component is
+    # split, by the per-part rule: certification passes on every measure, and
+    # fails once a single report says otherwise
+    from facetail import graphs
+
+    class Report:
+        agree = True
+
+        def __init__(self, independent):
+            self.independent = independent
+
+    for m in acceptance_measures():
+        parts = list(ft.all_bipartitions(m.d))
+        components = [frozenset(c) for c in ft.build_graph(m).components]
+        rule = [all(c <= part.a or c <= part.c for c in components) for part in parts]
+        seen = []
+
+        def reports(measure, in_a, flip=None):
+            seen.append(in_a.tobytes())
+            return (Report(want != (p == flip)) for p, want in enumerate(rule))
+
+        monkeypatch.setattr(graphs, "_reports", reports)
+        assert ft.certify_partition_bruteforce(m)
+        assert seen == [_membership(parts, m.d).tobytes()]
+        flip = len(parts) // 2
+        monkeypatch.setattr(graphs, "_reports", lambda measure, in_a: reports(measure, in_a, flip))
+        assert not ft.certify_partition_bruteforce(m)
+
+
+def oracle_battery(d, n_atoms, trials, seed):
+    n_atoms = max(n_atoms, d)
+    children = np.random.SeedSequence(seed).spawn(trials)
+    every = list(ft.all_bipartitions(d)) if d <= 4 else None
+
+    disagreements = []
+    block_failures = []
+    notion_mismatches = 0
+    instances = 0
+    for t in range(trials):
+        rng = np.random.default_rng(children[t])
+        block = t % 2 == 0
+        atoms_t = int(rng.integers(d, n_atoms + 1))
+        generating = ft.random_bipartition(d, rng) if block else None
+        measure = ft.random_measure(d, atoms_t, split=None if generating is None
+                                    else (generating.a_sorted, generating.c_sorted), seed=rng)
+
+        if every is not None:
+            parts = list(every)
+        else:
+            parts = [ft.random_bipartition(d, rng) for _ in range(10)]
+        if generating is not None and generating not in parts:
+            parts.insert(0, generating)
+
+        for part in parts:
+            rep = ft.full_report(measure, part)
+            instances += 1
+            if not rep.agree:
+                disagreements.append((t, part.a, part.c, rep.flags))
+            if rep.cond_i != rep.new_notion:
+                notion_mismatches += 1
+            if generating is not None and part == generating \
+                    and False in rep.flags.values():
+                block_failures.append((t, part.a, part.c))
+
+    return ft.BatteryResult(d=d, trials=trials, instances=instances,
+                            disagreements=tuple(disagreements),
+                            block_failures=tuple(block_failures),
+                            notion_mismatches=notion_mismatches)
+
+
+def count_part_objects(monkeypatch):
+    """A list that grows by one on each `Bipartition` built."""
+    built = []
+    post_init = ft.Bipartition.__post_init__
+    monkeypatch.setattr(ft.Bipartition, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    return built
+
+
+@pytest.mark.parametrize("d, n_atoms, trials", [(4, 8, 12), (6, 10, 10)])
+def test_battery_records_match_the_per_part_loop(monkeypatch, d, n_atoms, trials):
+    # mixed margins made to call every split dependent: each independent
+    # part is then a disagreement and each generating split a block failure
+    monkeypatch.setattr(independence, "_mixed_margins",
+                        lambda cover, in_a: [(False, frozenset({0, 1}))] * len(in_a))
+    want = oracle_battery(d, n_atoms, trials, seed=5)
+    assert want.disagreements and want.block_failures
+    built = count_part_objects(monkeypatch)
+    got = ft.agreement_battery(d, n_atoms, trials, seed=5)
+    assert got.to_dict() == want.to_dict()
+    assert (got.disagreements, got.block_failures) == (want.disagreements, want.block_failures)
+    # one part object per record, none per part
+    assert len(built) == len(got.disagreements) + len(got.block_failures)
+
+
+def test_certification_builds_no_part_objects(monkeypatch):
+    built = count_part_objects(monkeypatch)
+    for split in (None, (range(4), range(4, 8))):
+        assert ft.certify_partition_bruteforce(ft.random_measure(8, 12, split=split, seed=1))
+    assert built == []
 
 
 # ---- empirical chi, by sorting ----------------------------------------------
