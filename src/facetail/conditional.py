@@ -127,8 +127,7 @@ def marginal_rectangle_probability(law: ConditionalLaw, coords: Iterable[int], x
 def _law_mass(law: ConditionalLaw, omega: np.ndarray, x: np.ndarray) -> float:
     """The measure's upper-rectangle mass at x over the columns of ``omega``,
     over ``m_k``."""
-    mass = _ratio_kernel(omega, law.measure.mass_vector, x[None, :], np.minimum)[0]
-    return float(mass / law.norming_mass)
+    return _ratio_kernel(omega, law.measure.mass_vector, x, np.minimum) / law.norming_mass
 
 
 # ---- structural factorization check ---------------------------------------

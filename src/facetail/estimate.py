@@ -61,9 +61,9 @@ def chi_exact(measure: ExponentMeasure, i: int, j: int) -> float:
         raise ValueError(f"need two distinct coordinates in range(d={measure.d})")
     if not is_standardized(measure):
         raise ValueError("chi_exact needs a standardized measure (unit margins)")
-    value = _ratio_kernel(measure.omega_matrix[:, [i, j]], measure.mass_vector,
-                          np.ones((1, 2)), np.minimum)[0]
-    return float(min(1.0, max(0.0, value)))
+    value = _ratio_kernel(measure.omega_matrix[:, [i, j]], measure.mass_vector, np.ones(2),
+                          np.minimum)
+    return min(1.0, max(0.0, value))
 
 
 @dataclass(frozen=True, eq=False)

@@ -340,7 +340,8 @@ def joint_exceedance_mass(measure: ExponentMeasure, part: Bipartition, x) -> flo
     exponent``, whose sign at x = 1 `check_additivity` sums exactly.
     """
     check_dimension(part, measure.d)
-    ratios = measure.omega_matrix / _check_positive_point(measure, x)
+    with np.errstate(over="ignore"):  # a ratio past the largest float is +inf
+        ratios = measure.omega_matrix / _check_positive_point(measure, x)
     max_a = ratios[:, list(part.a_sorted)].max(axis=1)
     max_c = ratios[:, list(part.c_sorted)].max(axis=1)
     return float(np.minimum(max_a, max_c) @ measure.mass_vector)
@@ -361,9 +362,8 @@ def face_interior_mass(measure: ExponentMeasure, coords: Iterable[int],
     idx = _check_coordinate_subset(measure, coords)
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
-    point = np.full((1, len(idx)), float(threshold))
-    return float(_ratio_kernel(measure.omega_matrix[:, idx], measure.mass_vector, point,
-                               np.minimum)[0])
+    return _ratio_kernel(measure.omega_matrix[:, idx], measure.mass_vector,
+                         np.full(len(idx), float(threshold)), np.minimum)
 
 
 # ---- combined report -------------------------------------------------------

@@ -291,18 +291,20 @@ def exponent_function(measure: ExponentMeasure, x) -> float:
     the exponent of the induced max-stable distribution at x.  Homogeneous
     of order -1: scaling x by t divides the value by t.
     """
-    x = _check_positive_point(measure, x)
-    return float(_ratio_kernel(measure.omega_matrix, measure.mass_vector, x[None, :], np.maximum)[0])
+    return exponent_function_extended(measure, _check_positive_point(measure, x))
 
 
 def exponent_function_grid(measure: ExponentMeasure, points: np.ndarray) -> np.ndarray:
-    """Vectorized `exponent_function` over rows of a strictly positive (N, d) array."""
+    """`exponent_function` at each row of a strictly positive (N, d) array,
+    one point at a time, so row i is ``exponent_function(measure, points[i])``
+    bit for bit."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != measure.d:
         raise ValueError(f"expected (N, {measure.d}) grid, got shape {pts.shape}")
     if not np.all(pts > 0.0):
         raise ValueError("grid points must be strictly positive")
-    return _ratio_kernel(measure.omega_matrix, measure.mass_vector, pts, np.maximum)
+    return np.array([_ratio_kernel(measure.omega_matrix, measure.mass_vector, x, np.maximum)
+                     for x in pts], dtype=float)
 
 
 def exponent_function_extended(measure: ExponentMeasure, x) -> float:
@@ -315,15 +317,17 @@ def exponent_function_extended(measure: ExponentMeasure, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (measure.d,):
         raise ValueError(f"expected point of length {measure.d}, got {x.shape[0]}")
-    if np.any(x < 0.0) or np.any(np.isnan(x)):
+    if not np.all(x >= 0.0):  # NaN fails too
         raise ValueError("point must be componentwise >= 0")
     zero = x == 0.0
+    if not zero.any():
+        return _ratio_kernel(measure.omega_matrix, measure.mass_vector, x, np.maximum)
     if np.any(measure.omega_matrix[:, zero] > 0.0):
         return math.inf
     if np.all(zero):
         return 0.0
-    return float(_ratio_kernel(measure.omega_matrix[:, ~zero], measure.mass_vector,
-                               x[None, ~zero], np.maximum)[0])
+    return _ratio_kernel(measure.omega_matrix[:, ~zero], measure.mass_vector, x[~zero],
+                         np.maximum)
 
 
 def distribution_function(measure: ExponentMeasure, x) -> float:
@@ -338,52 +342,24 @@ def rectangle_mass(measure: ExponentMeasure, x) -> float:
     coordinate, which needs the full face and gives radial mass
     ``min_i(omega_ji / x_i)``.
     """
-    x = _check_positive_point(measure, x)
-    return float(_ratio_kernel(measure.omega_matrix, measure.mass_vector, x[None, :], np.minimum)[0])
+    return _ratio_kernel(measure.omega_matrix, measure.mass_vector,
+                         _check_positive_point(measure, x), np.minimum)
 
 
-#: cells (rows x atoms) per row block of the chunked kernels, so each of
-#: their temporaries stays near 512 KB, which keeps it in cache
-CHUNK_CELLS = 1 << 16
-
-
-def _row_blocks(n_rows: int, n_atoms: int) -> list[tuple[int, int]]:
-    """Row blocks of about CHUNK_CELLS cells, a multiple of 8 rows each, and
-    a lone last row joins the block before it (a one-row product goes through
-    dot, not gemv), so BLAS reduces each row as in one unchunked product."""
-    rows = max(8, CHUNK_CELLS // max(n_atoms, 1) // 8 * 8)
-    bounds = list(range(0, n_rows, rows)) + [n_rows]
-    if n_rows % rows == 1 and n_rows > rows:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _ratio_kernel(omega: np.ndarray, mass: np.ndarray, points: np.ndarray, reduce) -> np.ndarray:
-    """``sum_j mass_j * reduce_i(omega_ji / x_i)`` per row x of ``points``, with
-    ``reduce`` np.maximum (exponent) or np.minimum (rectangle mass), taking
-    one coordinate at a time into a (rows, J) accumulator per row block.
+def _ratio_kernel(omega: np.ndarray, mass: np.ndarray, x: np.ndarray, reduce) -> float:
+    """``sum_j mass_j * reduce_i(omega_ji / x_i)`` at one point x of shape (d,),
+    with ``reduce`` np.maximum (exponent) or np.minimum (rectangle mass),
+    taking one coordinate at a time into a (J,) accumulator.
 
     The one place a mass-weighted min or max of ``omega / x`` is computed.
-    Over a coordinate subset, pass ``omega[:, cols]`` with the matching point
-    columns; ``omega`` needs at least one column."""
-    # the accumulator follows the memory order of the points, which fixes how
-    # BLAS sums each row: C- and F-ordered rows are summed in different orders
-    order = "F" if points.flags.f_contiguous and not points.flags.c_contiguous else "C"
-    blocks = _row_blocks(len(points), len(mass))
-    # one work space per call, sized for its largest row block, holds the
-    # accumulator and one ratio buffer of every block: fresh temporaries per
-    # block, their allocations and page faults, dominated small-J calls
-    work = np.empty(2 * len(mass) * max((hi - lo for lo, hi in blocks), default=0))
-    out = np.empty(len(points))
-    for lo, hi in blocks:
-        x, shape = points[lo:hi], (hi - lo, len(mass))
-        acc = work[:shape[0] * shape[1]].reshape(shape, order=order)
-        ratio = work[acc.size:2 * acc.size].reshape(shape, order=order)
-        np.divide(omega[:, 0], x[:, :1], out=acc)
+    Over a coordinate subset, pass ``omega[:, cols]`` with ``x[cols]``;
+    ``omega`` needs at least one column.  A ratio past the largest float (a
+    tiny x_i) is +inf, without a warning: a min may still drop it."""
+    with np.errstate(over="ignore"):
+        acc = omega[:, 0] / x[0]
         for i in range(1, omega.shape[1]):
-            reduce(acc, np.divide(omega[:, i], x[:, i:i + 1], out=ratio), out=acc)
-        out[lo:hi] = acc @ mass
-    return out
+            reduce(acc, omega[:, i] / x[i], out=acc)
+    return float(acc @ mass)
 
 
 def _charges(measure: ExponentMeasure) -> np.ndarray:

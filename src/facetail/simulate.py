@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .conditional import ConditionalLaw, conditional_law
-from .measure import ExponentMeasure, _row_blocks, require_valid
+from .measure import ExponentMeasure, require_valid
 
 RNG_ID = "philox4x64"
 
@@ -147,8 +147,16 @@ def _uniforms(key: np.ndarray, ticks: int, start: int, out: np.ndarray) -> np.nd
     return out
 
 
-def _largest(blocks) -> int:
-    return max((hi - lo for lo, hi in blocks), default=0)
+#: cells (rows x atoms, or x coordinates) per row block of the samplers, so
+#: each of their temporaries stays near 512 KB, which keeps it in cache
+CHUNK_CELLS = 1 << 16
+
+
+def _row_blocks(n_rows: int, n_atoms: int) -> list[tuple[int, int]]:
+    """Row blocks of about CHUNK_CELLS cells; all but the last are full, so
+    the first is the largest."""
+    rows = max(1, CHUNK_CELLS // max(n_atoms, 1))
+    return [(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
 
 
 # ---- samplers --------------------------------------------------------------
@@ -206,7 +214,7 @@ def _row_function(measure: ExponentMeasure, k: int | None, n: int, seed: int):
 
 def _max_stable_rows(measure: ExponentMeasure, seed: int, start: int, stop: int,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """Samples ``[start, stop)``, into ``out`` when given."""
+    """Samples ``[start, stop)``, start < stop, into ``out`` when given."""
     # row blocks bound every temporary; Philox makes them chunk-invariant
     n_atoms = measure.n_atoms
     key = _batch_key(seed, _KIND_MAX_STABLE, None)
@@ -227,7 +235,7 @@ def _max_stable_rows(measure: ExponentMeasure, seed: int, start: int, stop: int,
     out = np.empty((stop - start, measure.d)) if out is None else out
     blocks = _row_blocks(stop - start, n_atoms)
     # one buffer of uniforms and one division buffer, shared by every block
-    size = _largest(blocks) * width
+    size = blocks[0][1] * width
     work = np.empty(2 * size)
     for lo, hi in blocks:
         logs = work[:(hi - lo) * width].reshape(-1, width)
@@ -245,7 +253,7 @@ def _max_stable_rows(measure: ExponentMeasure, seed: int, start: int, stop: int,
 
 def _conditional_rows(law: ConditionalLaw, seed: int, start: int, stop: int,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """Samples ``[start, stop)``, into ``out`` when given."""
+    """Samples ``[start, stop)``, start < stop, into ``out`` when given."""
     # row blocks bound every temporary, as in `_max_stable_rows`
     key = _batch_key(seed, _KIND_CONDITIONAL, law.k)
     cum = np.cumsum(law.weights)
@@ -263,7 +271,7 @@ def _conditional_rows(law: ConditionalLaw, seed: int, start: int, stop: int,
     out = np.empty((stop - start, law.measure.d)) if out is None else out
     blocks = _row_blocks(stop - start, law.measure.d)
     # one buffer of uniforms for every block: one tick per sample, two words used
-    u = np.empty((_largest(blocks), _WORDS_PER_TICK))
+    u = np.empty((blocks[0][1], _WORDS_PER_TICK))
     for lo, hi in blocks:
         uniforms = _uniforms(key, 1, start + lo, u[:hi - lo])
         pick = uniforms[:, 0]

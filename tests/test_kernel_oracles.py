@@ -55,10 +55,10 @@ import facetail as ft
 import facetail.independence as independence
 from facetail.cli import main
 from facetail.estimate import ChiMatrix, _exceedances, _require_finite
-from facetail.measure import ZERO_TOL, _row_blocks
+from facetail.measure import ZERO_TOL
 from facetail.partition import _code_membership, _decode, _membership
 from facetail.simulate import (_CELLS_PER_ATOM, _KIND_CONDITIONAL, _WORDS_PER_TICK, _batch_key,
-                               _conditional_rows, _largest, _uniforms)
+                               _conditional_rows, _row_blocks, _uniforms)
 
 EPS = np.finfo(float).eps
 
@@ -760,7 +760,7 @@ def oracle_conditional_rows(law, seed, start, stop, out=None):
     out = np.empty((stop - start, law.measure.d)) if out is None else out
     blocks = _row_blocks(stop - start, law.measure.d)
     # one buffer of uniforms for every block: one tick per sample, two words used
-    u = np.empty((_largest(blocks), _WORDS_PER_TICK))
+    u = np.empty((blocks[0][1], _WORDS_PER_TICK))
     for lo, hi in blocks:
         uniforms = _uniforms(key, 1, start + lo, u[:hi - lo])
         choice = np.searchsorted(cum, uniforms[:, 0], side="left")

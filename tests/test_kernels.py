@@ -1,59 +1,44 @@
-"""The chunked ratio kernel and the bounded-memory samplers.
+"""The one-point ratio kernel and the bounded-memory samplers.
 
-The kernels reduce one coordinate at a time over row blocks instead of
-broadcasting an (N, J, d) array.  Their values must equal the broadcast
-expressions bit for bit, their memory must not grow with the number of
-rows, and sampling must not depend on where a batch is cut.
+The kernel reduces one coordinate at a time at a single point instead of
+broadcasting a (J, d) array of ratios, and `exponent_function_grid` calls
+it once per row.  Its values must equal the broadcast expressions bit for
+bit, the grid must equal `exponent_function` row by row, memory must not
+grow with the number of rows, and sampling must not depend on where a
+batch is cut.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import facetail as ft
 from facetail import cli
-from facetail.measure import _ratio_kernel, _row_blocks
-from facetail.simulate import _conditional_rows, _max_stable_rows
+from facetail.measure import _ratio_kernel
+from facetail.simulate import _conditional_rows, _max_stable_rows, _row_blocks
 
 MB = 2**20
 
 
-def old_exponent_grid(measure, points, fold=np.max):
-    return fold(measure.omega_matrix[None, :, :] / points[:, None, :], axis=2) @ measure.mass_vector
-
-
 def grids(d):
-    # row counts are multiples of 8: a multithreaded BLAS splits an odd
-    # count at a point that depends on the thread count, so the broadcast
-    # itself is only reproducible for such grids; the column slice is
-    # F-ordered, like the block grids of the additivity and df checks
+    # the fixed grid, a random one and its F-ordered column slice, like the
+    # block grids of the additivity and df checks
     rng = np.random.default_rng(d)
     wide = rng.uniform(0.1, 10.0, size=(8 * 131, d + 2))
     return ft.default_grid(d), wide[:, :d].copy(), wide[:, list(range(d))]
 
 
-@pytest.mark.parametrize("d,n_atoms", [(1, 2), (2, 3), (3, 40), (5, 16), (6, 100)])
+@pytest.mark.parametrize("d,n_atoms", [(1, 2), (2, 3), (3, 40), (5, 16), (6, 100), (8, 2000)])
 def test_grid_exponent_equals_the_broadcast_bit_for_bit(d, n_atoms):
     m = ft.random_measure(max(d, 2), n_atoms, seed=d * n_atoms)
     m = ft.marginalize(m, range(d))
     for grid in grids(d):
-        assert ft.exponent_function_grid(m, grid).tobytes() == old_exponent_grid(m, grid).tobytes()
-        # the directions' memory order must not change a bit, for either
-        # reduction: the exponent plan passes them column-major
-        for omega in (m.omega_matrix, np.asfortranarray(m.omega_matrix)):
-            for reduce, fold in ((np.maximum, np.max), (np.minimum, np.min)):
-                assert _ratio_kernel(omega, m.mass_vector, grid, reduce).tobytes() == \
-                    old_exponent_grid(m, grid, fold).tobytes()
-
-
-def test_grid_exponent_equals_the_broadcast_at_many_atoms():
-    m = ft.random_measure(8, 2000, seed=1)
-    grid = ft.default_grid(8)
-    # the broadcast's (N, J) maxima one point at a time, to stay small (a
-    # max is exact), then the same single matrix product
-    maxima = np.stack([np.max(m.omega_matrix / x, axis=1) for x in grid])
-    assert ft.exponent_function_grid(m, grid).tobytes() == (maxima @ m.mass_vector).tobytes()
+        # row i is `exponent_function` at that row, and the broadcast at it
+        want = np.array([ft.exponent_function(m, x) for x in grid])
+        broadcast = np.array([np.max(m.omega_matrix / x, axis=1) @ m.mass_vector for x in grid])
+        assert ft.exponent_function_grid(m, grid).tobytes() == want.tobytes() == broadcast.tobytes()
 
 
 @pytest.mark.parametrize("d,n_atoms", [(2, 2), (4, 30), (8, 2000)])
@@ -69,8 +54,23 @@ def test_point_kernels_equal_the_broadcast_bit_for_bit(d, n_atoms):
         assert ft.rectangle_mass(m, x) == float(np.min(ratios, axis=1) @ m.mass_vector)
         for reduce, fold in ((np.maximum, np.max), (np.minimum, np.min)):
             want = float(fold(sub / x[cols], axis=1) @ m.mass_vector)
+            # the directions' memory order must not change a bit: a
+            # subset caller's ``omega[:, cols]`` is column-major
             for omega in (sub, np.asfortranarray(sub)):
-                assert _ratio_kernel(omega, m.mass_vector, x[None, cols], reduce)[0] == want
+                assert _ratio_kernel(omega, m.mass_vector, x[cols], reduce) == want
+
+
+def test_subnormal_coordinate_gives_finite_masses_without_warnings():
+    # 0.2 / 1e-320 overflows to +inf, which a min drops
+    m = ft.ExponentMeasure(3, [[1.0, 0.5, 0.0], [0.2, 1.0, 1.0]], [1.0, 2.0])
+    x = np.array([1e-320, 1.0, 1.0])
+    law = ft.conditional_law(m, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ft.rectangle_mass(m, x) == 2.0
+        assert ft.rectangle_probability(law, x) == 0.8
+        assert ft.marginal_rectangle_probability(law, [0, 2], [1e-320, 1.0]) == 0.8
+        assert ft.joint_exceedance_mass(m, ft.bipartition([0], [1, 2]), x) == 2.5
 
 
 def peak_bytes(fn):
